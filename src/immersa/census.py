@@ -7,6 +7,23 @@ beta = |coherent| - |incoherent|.  On top of that sit the census table, the
 modular sum checkers that license crossing-number congruences, and the ratio
 test behind the total Thurston-Bennequin multiples.
 
+One weight object per family F of cycles backs all of these, and the
+crossing and writhe sums of the immersion and diagram modules too.  A sum
+over F of a quantity that adds up over the edge pairs of each cycle is
+linear in per-pair data: for index-ordered pairs a <= b (self pairs
+included),
+
+    sum_{C in F} sum_{a <= b on C} x(a, b) = sum_{a <= b} w_F(a, b) * x(a, b)
+    with w_F(a, b) = sum_{C in F through a and b} s_C(a, b).
+
+With s_C = 1, w_F is the pair count alpha (the edge count for a == b), and
+x = the crossings of the pair gives the crossing sum of F.  With
+s_C = dir_C(a) * dir_C(b), the product of the cycle's traversal directions
+against the stored orientations, w_F is the signed count, and x = the
+signed crossing count ell of the pair gives the writhe sum TB.  On a
+disjoint pair the signed count is beta up to the census orientation sign
+of the pair.
+
 Orientation conventions.  An oriented edge is either a bare edge name (the
 stored tail-to-head orientation) or a pair ``(name, sign)`` with sign +1 or
 -1.  Two disjoint oriented edges are coherent in a cycle through both when
@@ -35,14 +52,6 @@ def _oriented(edge):
 
 
 @lru_cache(maxsize=None)
-def _distances(graph: MultiGraph):
-    return {
-        frozenset(p): edge_distance(graph, *p)
-        for p in combinations(graph.edge_names, 2)
-    }
-
-
-@lru_cache(maxsize=None)
 def girth(graph: MultiGraph):
     """Length of a shortest cycle, or None for a forest."""
     for c in enumerate_cycles(graph):
@@ -59,10 +68,9 @@ def _normalized_orientations(graph: MultiGraph):
     g = girth(graph)
     girth_cycles = enumerate_cycles(graph, g) if g is not None else ()
     out = {}
-    for pair, dist in _distances(graph).items():
+    for (d, e), dist in graph._edge_distances.items():
         if dist == 0:
             continue
-        d, e = sorted(pair, key=graph.edge_index.get)
         sign = None
         for c in girth_cycles:
             if d in c.edge_name_set and e in c.edge_name_set:
@@ -90,25 +98,59 @@ def pair_orientation_convention(graph: MultiGraph, d, e):
     return sign
 
 
-@lru_cache(maxsize=None)
-def _census_maps(graph: MultiGraph, k):
-    # edge -> alpha, ordered pair -> alpha, ordered pair -> normalized beta.
-    edge_counts = Counter()
-    pair_counts = Counter()
-    pair_beta = Counter()
-    dist = _distances(graph)
-    norm = _normalized_orientations(graph)
-    for c in enumerate_cycles(graph, k):
+@dataclass(frozen=True)
+class _Weights:
+    """The per-pair data every sum over one family of cycles reads.
+
+    Attributes:
+        size: Number of cycles in the family.
+        edges: Edge name -> cycles through the edge (alpha).
+        pairs: Index-ordered pair (a, b), a <= b -> cycles through both
+            edges; a self pair (a, a) holds the edge's count.
+        signed: Same keys -> sum over those cycles of dir(a) * dir(b), the
+            traversal directions against the stored orientations.
+    """
+
+    size: int
+    edges: dict
+    pairs: dict
+    signed: dict
+
+
+def _count_weights(graph: MultiGraph, cycles):
+    index = graph.edge_index
+    pairs = Counter()
+    signed = Counter()
+    for c in cycles:
+        names = sorted(c.edge_name_set, key=index.__getitem__)
         dirs = dict(c.steps)
-        names = sorted(c.edge_name_set, key=graph.edge_index.get)
-        for n in names:
-            edge_counts[n] += 1
-        for d, e in combinations(names, 2):
-            pair_counts[(d, e)] += 1
-            if dist[frozenset((d, e))] >= 1:
-                coherent = dirs[d] * dirs[e] == norm[(d, e)]
-                pair_beta[(d, e)] += 1 if coherent else -1
-    return dict(edge_counts), dict(pair_counts), dict(pair_beta)
+        for i, a in enumerate(names):
+            for b in names[i:]:
+                pairs[a, b] += 1
+                signed[a, b] += dirs[a] * dirs[b]
+    edges = {a: n for (a, b), n in pairs.items() if a == b}
+    return _Weights(len(cycles), edges, dict(pairs), dict(signed))
+
+
+def _checked_length(k):
+    if isinstance(k, bool) or (isinstance(k, int) and k < 1):
+        raise ValueError(f"cycle length must be an integer of at least 1, got {k!r}")
+    return k
+
+
+def _weights(graph: MultiGraph, k):
+    """Weights of the k-cycles, or of all cycles for k None; cached.
+
+    Raises:
+        ValueError: k is a bool or an integer below 1.
+    """
+    # Checked before the cache lookup: True and 1 are one cache key.
+    return _length_weights(graph, _checked_length(k))
+
+
+@lru_cache(maxsize=None)
+def _length_weights(graph: MultiGraph, k):
+    return _count_weights(graph, enumerate_cycles(graph, k))
 
 
 def alpha(graph: MultiGraph, k, target):
@@ -122,18 +164,18 @@ def alpha(graph: MultiGraph, k, target):
     Returns:
         The count as an integer.
     """
-    edge_counts, pair_counts, _ = _census_maps(graph, k)
+    weights = _weights(graph, k)
     if isinstance(target, str):
         if target not in graph.endpoints:
             raise ValueError(f"unknown edge {target!r}")
-        return edge_counts.get(target, 0)
+        return weights.edges.get(target, 0)
     d, e = target
     if d not in graph.endpoints or e not in graph.endpoints:
         raise ValueError(f"unknown edge in pair {target!r}")
     if d == e:
         raise ValueError("pair must consist of two distinct edges")
     key = tuple(sorted((d, e), key=graph.edge_index.get))
-    return pair_counts.get(key, 0)
+    return weights.pairs.get(key, 0)
 
 
 @dataclass(frozen=True)
@@ -213,31 +255,31 @@ def census_table(graph: MultiGraph, ks):
     Returns:
         Tuple of CensusRow in the order of ks.
     """
-    dist = _distances(graph)
+    norm = _normalized_orientations(graph)
 
     def pairs_at(kind):
-        return [tuple(sorted(p, key=graph.edge_index.get))
-                for p, v in dist.items() if v == kind]
+        return sorted(p for p, v in graph._edge_distances.items() if v == kind)
 
     classes = {
         "alpha_edge": list(graph.edge_names),
-        "alpha_adjacent": sorted(pairs_at(0)),
-        "alpha_dist1": sorted(pairs_at(1)),
-        "alpha_dist2": sorted(pairs_at(2)),
+        "alpha_adjacent": pairs_at(0),
+        "alpha_dist1": pairs_at(1),
+        "alpha_dist2": pairs_at(2),
     }
     rows = []
     for k in ks:
-        edge_counts, pair_counts, pair_beta = _census_maps(graph, k)
-        count = len(enumerate_cycles(graph, k))
+        weights = _weights(graph, k)
+        count = weights.size
 
         def cells(column):
             objs = classes[column.replace("beta", "alpha")]
             if column == "alpha_edge":
-                values = [(o, edge_counts.get(o, 0)) for o in objs]
+                values = [(o, weights.edges.get(o, 0)) for o in objs]
             elif column.startswith("alpha"):
-                values = [(o, pair_counts.get(o, 0)) for o in objs]
+                values = [(o, weights.pairs.get(o, 0)) for o in objs]
             else:
-                values = [(o, pair_beta.get(o, 0)) for o in objs]
+                # beta is the signed count under the census orientation.
+                values = [(o, norm[o] * weights.signed.get(o, 0)) for o in objs]
             if not values:
                 return [(None, None)]
             distinct = []
@@ -270,7 +312,7 @@ def _family_cycles(graph: MultiGraph, family):
     out = {}
     for item in family:
         if isinstance(item, int):
-            for c in enumerate_cycles(graph, item):
+            for c in enumerate_cycles(graph, _checked_length(item)):
                 out[c] = None
         elif isinstance(item, Cycle):
             item.validate(graph)
@@ -299,31 +341,23 @@ def check_sum_divisibility(graph: MultiGraph, family, m):
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    cycles = _family_cycles(graph, family)
-    edge_counts = Counter()
-    pair_counts = Counter()
-    for c in cycles:
-        names = sorted(c.edge_name_set, key=graph.edge_index.get)
-        for n in names:
-            edge_counts[n] += 1
-        for p in combinations(names, 2):
-            pair_counts[p] += 1
+    weights = _count_weights(graph, _family_cycles(graph, family))
     edge_failures = {
-        e: edge_counts.get(e, 0)
+        e: weights.edges.get(e, 0)
         for e in graph.edge_names
-        if edge_counts.get(e, 0) % m
+        if weights.edges.get(e, 0) % m
     }
     pair_failures = {
-        p: pair_counts.get(p, 0)
+        p: weights.pairs.get(p, 0)
         for p in combinations(graph.edge_names, 2)
-        if pair_counts.get(p, 0) % m
+        if weights.pairs.get(p, 0) % m
     }
     report = {
         "edge_counts_divisible": not edge_failures,
         "pair_counts_divisible": not pair_failures,
         "edge_failures": edge_failures,
         "pair_failures": pair_failures,
-        "family_size": len(cycles),
+        "family_size": weights.size,
     }
     return (not edge_failures and not pair_failures), report
 
@@ -368,25 +402,15 @@ def check_sum_invariance(graph: MultiGraph, family, m):
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    cycles = _family_cycles(graph, family)
-    edge_counts = Counter()
-    pair_counts = Counter()
-    for c in cycles:
-        names = sorted(c.edge_name_set, key=graph.edge_index.get)
-        for n in names:
-            edge_counts[n] += 1
-        for p in combinations(names, 2):
-            pair_counts[p] += 1
+    weights = _count_weights(graph, _family_cycles(graph, family))
+    pairs = weights.pairs
 
     def pair_count(d, e):
-        if d == e:
-            return edge_counts.get(d, 0)
-        key = tuple(sorted((d, e), key=graph.edge_index.get))
-        return pair_counts.get(key, 0)
+        return pairs.get(tuple(sorted((d, e), key=graph.edge_index.get)), 0)
 
-    cond1 = all(edge_counts.get(e, 0) % m == 0 for e in graph.edge_names)
+    cond1 = all(weights.edges.get(e, 0) % m == 0 for e in graph.edge_names)
     cond2 = all(
-        (2 * pair_counts.get(p, 0)) % m == 0
+        (2 * pairs.get(p, 0)) % m == 0
         for p in combinations(graph.edge_names, 2)
     )
     cond3 = all(
@@ -395,8 +419,8 @@ def check_sum_invariance(graph: MultiGraph, family, m):
         for e in graph.edge_names
     )
     cond4 = all(
-        pair_counts.get(tuple(sorted(p, key=graph.edge_index.get)), 0) % m == 0
-        for p, d in _distances(graph).items()
+        pairs.get(p, 0) % m == 0
+        for p, d in graph._edge_distances.items()
         if d == 0
     )
     return SumInvarianceReport(cond1, cond2, cond3, cond4)
@@ -406,9 +430,13 @@ def tb_ratio(graph: MultiGraph, j, k):
     """The rational q with alpha_k = q*alpha_j and beta_k = q*beta_j, if any.
 
     Checks all three families: single edges, adjacent pairs (alpha), and
-    disjoint pairs (beta, orientation-independent as an equation).  When q
-    exists, the total Thurston-Bennequin number over k-cycles is q times the
-    one over j-cycles for every diagram of the graph.
+    disjoint pairs (beta, orientation-independent as an equation).  All
+    three read as one equation on the signed pair counts, self pairs
+    included: on an adjacent pair every cycle through both edges turns the
+    same way at their shared vertex, so the signed count is alpha times a
+    sign fixed by the pair.  When q exists, the total Thurston-Bennequin
+    number over k-cycles is q times the one over j-cycles for every diagram
+    of the graph.
 
     Args:
         graph: The graph.
@@ -418,27 +446,13 @@ def tb_ratio(graph: MultiGraph, j, k):
     Returns:
         The ratio as a Fraction, or None when no single ratio works.
     """
-    ej, pj, bj = _census_maps(graph, j)
-    ek, pk, bk = _census_maps(graph, k)
-    if not ej:
+    wj = _weights(graph, j)
+    wk = _weights(graph, k)
+    if not wj.size:
         raise ValueError(f"no cycles of length {j}")
-    q = None
-    for e in graph.edge_names:
-        if ej.get(e, 0):
-            q = Fraction(ek.get(e, 0), ej.get(e, 0))
-            break
-    if q is None:
-        return None
-    for e in graph.edge_names:
-        if ek.get(e, 0) != q * ej.get(e, 0):
+    e = next(e for e in graph.edge_names if e in wj.edges)
+    q = Fraction(wk.edges.get(e, 0), wj.edges[e])
+    for p in wj.signed.keys() | wk.signed.keys():
+        if wk.signed.get(p, 0) != q * wj.signed.get(p, 0):
             return None
-    dist = _distances(graph)
-    for pair, d in dist.items():
-        key = tuple(sorted(pair, key=graph.edge_index.get))
-        if d == 0:
-            if pk.get(key, 0) != q * pj.get(key, 0):
-                return None
-        else:
-            if bk.get(key, 0) != q * bj.get(key, 0):
-                return None
     return q

@@ -7,11 +7,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
-from .census import _oriented
+from .census import _oriented, _weights
 from .epsilon import epsilon_table
-from .graphs import Cycle, MultiGraph, enumerate_cycles
+from .graphs import Cycle, enumerate_cycles
 from .immersion import PlaneImmersion, crossings
 
 
@@ -74,6 +74,15 @@ class Diagram:
             out[cid] = sign if self.over[cid] == "first" else -sign
         return out
 
+    @cached_property
+    def _pair_signs(self) -> dict:
+        # ell of every crossing pair: index-ordered (a, b), a == b for self
+        # crossings -> signed crossing count.
+        out = {}
+        for cid, rec in self._by_id.items():
+            out[rec.edges] = out.get(rec.edges, 0) + self._signs[cid]
+        return out
+
     def sign(self, crossing_id) -> int:
         """Sign of one crossing: +1 when the over strand's tangent followed
         by the under strand's tangent is a positive frame, using the stored
@@ -129,12 +138,8 @@ def ell(diagram: Diagram, d, e) -> int:
             raise ValueError(f"unknown edge {name!r}")
     if d_name == e_name:
         raise ValueError("ell needs two distinct edges")
-    pair = {d_name, e_name}
-    total = 0
-    for cid, rec in diagram._by_id.items():
-        if set(rec.edges) == pair:
-            total += diagram.sign(cid)
-    return d_sign * e_sign * total
+    key = (d_name, e_name) if index[d_name] < index[e_name] else (e_name, d_name)
+    return d_sign * e_sign * diagram._pair_signs.get(key, 0)
 
 
 def L_invariant(diagram: Diagram, target: str) -> int:
@@ -150,11 +155,9 @@ def L_invariant(diagram: Diagram, target: str) -> int:
     table = epsilon_table(target)
     if diagram.immersion.graph != table.graph:
         raise ValueError(f"diagram graph is not the canonical {target} graph")
-    acc = {}
-    for cid, rec in diagram._by_id.items():
-        if table.has_pair(*rec.edges):
-            acc[rec.edges] = acc.get(rec.edges, 0) + diagram.sign(cid)
-    return sum(table.weight(*pair) * value for pair, value in acc.items())
+    return sum(table.weight(*pair) * value
+               for pair, value in diagram._pair_signs.items()
+               if table.has_pair(*pair))
 
 
 def writhe_cycle(diagram: Diagram, cycle: Cycle) -> int:
@@ -178,48 +181,19 @@ def writhe_cycle(diagram: Diagram, cycle: Cycle) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
-def _cycle_pair_tables(graph: MultiGraph, k):
-    # Per cycle: the index-ordered edge pairs on it (self pairs included)
-    # with the traversal-direction product, so writhe sums reduce to dict
-    # lookups against a diagram's sparse pair map.
-    index = graph.edge_index
-    tables = []
-    for cycle in enumerate_cycles(graph, k):
-        names = sorted(cycle.edge_name_set, key=index.__getitem__)
-        direction = dict(cycle.steps)
-        rows = []
-        for i, a in enumerate(names):
-            for b in names[i:]:
-                rows.append(((a, b), direction[a] * direction[b]))
-        tables.append(tuple(rows))
-    return tuple(tables)
-
-
-def _pair_sign_map(diagram: Diagram) -> dict:
-    acc = {}
-    for cid, rec in diagram._by_id.items():
-        acc[rec.edges] = acc.get(rec.edges, 0) + diagram.sign(cid)
-    return acc
-
-
 def tb(diagram: Diagram, k) -> int:
-    """Sum of writhes over every cycle of length k.
+    """Sum of writhes over every cycle of length k: each crossing pair's
+    ell weighted by the signed count of k-cycles through the pair.
 
     Raises:
-        ValueError: No cycle of the graph has length k.
+        ValueError: No cycle of the graph has length k, or k is a bool or
+            an integer below 1.
     """
-    tables = _cycle_pair_tables(diagram.immersion.graph, k)
-    if not tables:
+    weights = _weights(diagram.immersion.graph, k)
+    if not weights.size:
         raise ValueError(f"graph has no cycle of length {k}")
-    pair_sign = _pair_sign_map(diagram)
-    total = 0
-    for rows in tables:
-        for pair, factor in rows:
-            value = pair_sign.get(pair)
-            if value:
-                total += factor * value
-    return total
+    signed = weights.signed
+    return sum(signed.get(p, 0) * value for p, value in diagram._pair_signs.items())
 
 
 def tb_by_length(diagram: Diagram) -> dict:

@@ -88,6 +88,32 @@ class MultiGraph:
     def edge_names(self):
         return tuple(e[0] for e in self.edges)
 
+    @cached_property
+    def _edge_distances(self) -> dict:
+        """Index-ordered pair of distinct edges -> edge_distance, every pair.
+
+        One breadth-first search per vertex; an edge pair's distance is the
+        least vertex distance between their endpoints.
+        """
+        near = {}
+        for source in self.vertices:
+            dist = {source: 0}
+            queue = deque((source,))
+            while queue:
+                v = queue.popleft()
+                for name in self.incident[v]:
+                    w = self.other_end(name, v)
+                    if w not in dist:
+                        dist[w] = dist[v] + 1
+                        queue.append(w)
+            near[source] = dist
+        ends = self.endpoints
+        return {
+            (d, e): min(near[u].get(w, INFINITE_DISTANCE)
+                        for u in ends[d] for w in ends[e])
+            for d, e in combinations(self.edge_names, 2)
+        }
+
     def subgraph_on_edges(self, names) -> "MultiGraph":
         """Subgraph spanned by the given edges, keeping original order."""
         keep = set(names)
@@ -240,18 +266,12 @@ def edge_distance(graph: MultiGraph, d, e):
 
 def edge_pairs_at_distance(graph: MultiGraph, k):
     """All unordered edge pairs at distance exactly k, in edge-index order."""
-    names = graph.edge_names
-    return tuple(
-        (d, e) for d, e in combinations(names, 2) if edge_distance(graph, d, e) == k
-    )
+    return tuple(p for p, dist in graph._edge_distances.items() if dist == k)
 
 
 def disjoint_edge_pairs(graph: MultiGraph):
     """All unordered pairs of edges sharing no vertex (distance >= 1)."""
-    names = graph.edge_names
-    return tuple(
-        (d, e) for d, e in combinations(names, 2) if edge_distance(graph, d, e) >= 1
-    )
+    return tuple(p for p, dist in graph._edge_distances.items() if dist >= 1)
 
 
 def distance_one_neighborhood_is_cycle(graph: MultiGraph, e, k=1):
@@ -409,7 +429,7 @@ def automorphism_orbit_transitive(graph: MultiGraph, kind, k=None):
         objects = list(graph.edge_names)
         pairs = [(name,) for name in objects]
     elif kind == "adjacent_pairs":
-        pairs = [p for p in combinations(graph.edge_names, 2) if edge_distance(graph, *p) == 0]
+        pairs = list(edge_pairs_at_distance(graph, 0))
         objects = pairs
     elif kind == "distance_pairs":
         if k is None:

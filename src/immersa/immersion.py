@@ -21,14 +21,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import kernels
+from .census import _weights
 from .geometry import as_point, param_location, segment_contact, sub, cross
-from .graphs import (
-    Cycle,
-    MultiGraph,
-    edge_distance,
-    edge_pairs_at_distance,
-    enumerate_cycles,
-)
+from .graphs import Cycle, MultiGraph, enumerate_cycles
 
 # Float tolerance below which a corner counts as a reversal (an angle within
 # this distance of pi), and two edge directions at a vertex as a cusp.
@@ -260,7 +255,7 @@ class PlaneImmersion:
         records = []
         for (a, b), items in grouped.items():
             items.sort(key=lambda item: item[0][0])
-            dclass = 0 if a == b else edge_distance(g, a, b)
+            dclass = 0 if a == b else g._edge_distances[a, b]
             for rank, (strands, point, sign) in enumerate(items):
                 (sa, ua), (sb, ub) = strands
                 records.append(CrossingRecord(
@@ -480,20 +475,21 @@ def cycle_crossing_number(imm: PlaneImmersion, cycle: Cycle) -> int:
 
 
 def sum_crossing(imm: PlaneImmersion, k) -> int:
-    """Sum of cycle crossing numbers over all k-cycles."""
-    return sum(cycle_crossing_number(imm, c) for c in enumerate_cycles(imm.graph, k))
+    """Sum of cycle crossing numbers over all k-cycles (all cycles for k
+    None): each pair's crossings weighted by the k-cycles through the pair.
+
+    Raises:
+        ValueError: Invalid immersion, or k a bool or an integer below 1.
+    """
+    _require_valid(imm)
+    pairs = _weights(imm.graph, k).pairs
+    return sum(pairs.get(p, 0) * n for p, n in imm._pair_crossings.items())
 
 
 def kappa(imm: PlaneImmersion, k) -> int:
     """Total crossing count over all edge pairs at distance k."""
-    _require_valid(imm)
-    index = imm.graph.edge_index
-    counts = imm._pair_crossings
-    total = 0
-    for d, e in edge_pairs_at_distance(imm.graph, k):
-        key = (d, e) if index[d] < index[e] else (e, d)
-        total += counts.get(key, 0)
-    return total
+    return sum(1 for rec in crossings(imm)
+               if not rec.is_self and rec.distance_class == k)
 
 
 def rotation_number(imm: PlaneImmersion, cycle: Cycle, orientation=1) -> int:

@@ -10,28 +10,16 @@ coordinates (the caller scales the rationals by a common denominator when
 that fits the int64 budget; otherwise it classifies in rational arithmetic
 without this kernel).
 
-Each kernel has two backends doing the same work: a numba-compiled loop and
-a vectorized numpy fallback.  Selection order: the IMMERSA_KERNELS
-environment variable ("numba" or "numpy"), else numba when importable, else
-numpy.
+Both kernels are vectorized numpy.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - depends on environment
-    HAS_NUMBA = False
 
 # Largest scaled coordinate magnitude classify_pairs accepts.  Orientation
 # determinants on inputs up to this size stay below 8e16 < 2**63, so the
-# int64 arithmetic in both backends is overflow-free.
+# int64 arithmetic is overflow-free.
 INT_COORD_LIMIT = 10**8
 
 
@@ -49,61 +37,21 @@ def rounding_bounds(max_abs_coordinate):
     return 2.0**-40 * (m + 1.0), 2.0**-46 * (m * m + 1.0)
 
 
-def _pairs_loop(segs, finite, box_margin, orient_eps, out):
-    n = segs.shape[0]
-    count = 0
-    for i in range(n):
-        ax0 = segs[i, 0]
-        ay0 = segs[i, 1]
-        ax1 = segs[i, 2]
-        ay1 = segs[i, 3]
-        aminx = min(ax0, ax1) - box_margin
-        amaxx = max(ax0, ax1) + box_margin
-        aminy = min(ay0, ay1) - box_margin
-        amaxy = max(ay0, ay1) + box_margin
-        arx = ax1 - ax0
-        ary = ay1 - ay0
-        for j in range(i + 1, n):
-            if not (finite[i] and finite[j]):
-                out[count, 0] = i
-                out[count, 1] = j
-                count += 1
-                continue
-            bx0 = segs[j, 0]
-            by0 = segs[j, 1]
-            bx1 = segs[j, 2]
-            by1 = segs[j, 3]
-            if min(bx0, bx1) > amaxx or max(bx0, bx1) < aminx:
-                continue
-            if min(by0, by1) > amaxy or max(by0, by1) < aminy:
-                continue
-            o1 = arx * (by0 - ay0) - ary * (bx0 - ax0)
-            o2 = arx * (by1 - ay0) - ary * (bx1 - ax0)
-            if (o1 > orient_eps and o2 > orient_eps) or (
-                o1 < -orient_eps and o2 < -orient_eps
-            ):
-                continue
-            brx = bx1 - bx0
-            bry = by1 - by0
-            o3 = brx * (ay0 - by0) - bry * (ax0 - bx0)
-            o4 = brx * (ay1 - by0) - bry * (ax1 - bx0)
-            if (o3 > orient_eps and o4 > orient_eps) or (
-                o3 < -orient_eps and o4 < -orient_eps
-            ):
-                continue
-            out[count, 0] = i
-            out[count, 1] = j
-            count += 1
-    return count
+def candidate_pairs(segs, box_margin, orient_eps):
+    """Indices (i, j), i < j, of segment pairs that might intersect.
 
+    Args:
+        segs: float64 array of shape (n, 4) holding x0, y0, x1, y1 per
+            segment (rounded from exact rationals).
+        box_margin: Bounding-box slack, from rounding_bounds.
+        orient_eps: Orientation determinant slack, from rounding_bounds.
 
-if HAS_NUMBA:
-    _pairs_loop_jit = njit(cache=True)(_pairs_loop)
-
-
-def _candidate_pairs_numpy(segs, finite, box_margin, orient_eps):
-    n = segs.shape[0]
-    if n < 2:
+    Returns:
+        int64 array of shape (m, 2).  Guaranteed to contain every pair of
+        segments whose exact originals intersect.
+    """
+    segs = np.ascontiguousarray(segs, dtype=np.float64)
+    if segs.shape[0] < 2:
         return np.empty((0, 2), dtype=np.int64)
     x0, y0, x1, y1 = segs[:, 0], segs[:, 1], segs[:, 2], segs[:, 3]
     minx = np.minimum(x0, x1) - box_margin
@@ -123,60 +71,34 @@ def _candidate_pairs_numpy(segs, finite, box_margin, orient_eps):
         )
     sep |= off | off.T
     # Pairs with non-finite floats are never provably separated.
-    shaky = ~finite
+    shaky = ~np.isfinite(segs).all(axis=1)
     sep &= ~(shaky[:, None] | shaky[None, :])
     keep = np.triu(~sep, k=1)
     return np.argwhere(keep).astype(np.int64)
 
 
-def _classify_loop(segs, pairs, code, unum, wnum, den):
-    for t in range(pairs.shape[0]):
-        i = pairs[t, 0]
-        j = pairs[t, 1]
-        px0 = segs[i, 0]
-        py0 = segs[i, 1]
-        rx = segs[i, 2] - px0
-        ry = segs[i, 3] - py0
-        qx0 = segs[j, 0]
-        qy0 = segs[j, 1]
-        sx = segs[j, 2] - qx0
-        sy = segs[j, 3] - qy0
-        o1 = rx * (qy0 - py0) - ry * (qx0 - px0)
-        o2 = rx * (segs[j, 3] - py0) - ry * (segs[j, 2] - px0)
-        if o1 == 0 and o2 == 0:
-            code[t] = 2
-            continue
-        if o1 != 0 and o2 != 0 and (o1 > 0) == (o2 > 0):
-            continue
-        o3 = sx * (py0 - qy0) - sy * (px0 - qx0)
-        o4 = sx * (segs[i, 3] - qy0) - sy * (segs[i, 2] - qx0)
-        if o3 != 0 and o4 != 0 and (o3 > 0) == (o4 > 0):
-            continue
-        # Not collinear and not separated, so the lines meet exactly once.
-        d = rx * sy - ry * sx
-        dx = qx0 - px0
-        dy = qy0 - py0
-        un = dx * sy - dy * sx
-        wn = dx * ry - dy * rx
-        if d < 0:
-            d = -d
-            un = -un
-            wn = -wn
-        if un < 0 or un > d or wn < 0 or wn > d:
-            continue
-        code[t] = 1
-        unum[t] = un
-        wnum[t] = wn
-        den[t] = d
+def classify_pairs(segs_int, pairs):
+    """Exact contact decision for candidate pairs on integer coordinates.
 
+    Args:
+        segs_int: int64 array of shape (n, 4) holding x0, y0, x1, y1 per
+            segment, pre-scaled by a common denominator; the caller must
+            keep every value within INT_COORD_LIMIT in magnitude and every
+            segment nondegenerate.
+        pairs: int64 array of shape (m, 2) of segment index pairs.
 
-if HAS_NUMBA:
-    _classify_loop_jit = njit(cache=True)(_classify_loop)
-
-
-def _classify_numpy(segs, pairs):
-    p = segs[pairs[:, 0]]
-    q = segs[pairs[:, 1]]
+    Returns:
+        Arrays (code, unum, wnum, den) of length m.  code 0 means no
+        contact.  code 1 means a single common point, at parameter
+        unum/den along the first segment and wnum/den along the second,
+        with den > 0 and both parameters in [0, 1] (fractions are left
+        unreduced).  code 2 means the segments are collinear; the caller
+        decides those pairs in rational arithmetic.
+    """
+    segs_int = np.asarray(segs_int, dtype=np.int64)
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    p = segs_int[pairs[:, 0]]
+    q = segs_int[pairs[:, 1]]
     rx = p[:, 2] - p[:, 0]
     ry = p[:, 3] - p[:, 1]
     sx = q[:, 2] - q[:, 0]
@@ -208,78 +130,3 @@ def _classify_numpy(segs, pairs):
         np.where(point, wnum, zero),
         np.where(point, den, zero),
     )
-
-
-def classify_pairs(segs_int, pairs, backend=None):
-    """Exact contact decision for candidate pairs on integer coordinates.
-
-    Args:
-        segs_int: int64 array of shape (n, 4) holding x0, y0, x1, y1 per
-            segment, pre-scaled by a common denominator; the caller must
-            keep every value within INT_COORD_LIMIT in magnitude and every
-            segment nondegenerate.
-        pairs: int64 array of shape (m, 2) of segment index pairs.
-        backend: "numba" or "numpy"; default per IMMERSA_KERNELS.
-
-    Returns:
-        Arrays (code, unum, wnum, den) of length m.  code 0 means no
-        contact.  code 1 means a single common point, at parameter
-        unum/den along the first segment and wnum/den along the second,
-        with den > 0 and both parameters in [0, 1] (fractions are left
-        unreduced).  code 2 means the segments are collinear; the caller
-        decides those pairs in rational arithmetic.
-    """
-    if backend is None:
-        backend = os.environ.get("IMMERSA_KERNELS")
-    if backend is None:
-        backend = "numba" if HAS_NUMBA else "numpy"
-    segs_int = np.ascontiguousarray(segs_int, dtype=np.int64)
-    pairs = np.ascontiguousarray(pairs, dtype=np.int64)
-    if backend == "numpy":
-        if pairs.shape[0] == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return np.empty(0, dtype=np.int8), empty, empty.copy(), empty.copy()
-        return _classify_numpy(segs_int, pairs)
-    if backend == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError("numba backend requested but numba is not importable")
-        m = pairs.shape[0]
-        code = np.zeros(m, dtype=np.int8)
-        unum = np.zeros(m, dtype=np.int64)
-        wnum = np.zeros(m, dtype=np.int64)
-        den = np.zeros(m, dtype=np.int64)
-        _classify_loop_jit(segs_int, pairs, code, unum, wnum, den)
-        return code, unum, wnum, den
-    raise ValueError(f"unknown kernels backend {backend!r}")
-
-
-def candidate_pairs(segs, box_margin, orient_eps, backend=None):
-    """Indices (i, j), i < j, of segment pairs that might intersect.
-
-    Args:
-        segs: float64 array of shape (n, 4) holding x0, y0, x1, y1 per
-            segment (rounded from exact rationals).
-        box_margin: Bounding-box slack, from rounding_bounds.
-        orient_eps: Orientation determinant slack, from rounding_bounds.
-        backend: "numba" or "numpy"; default per IMMERSA_KERNELS.
-
-    Returns:
-        int64 array of shape (m, 2).  Guaranteed to contain every pair of
-        segments whose exact originals intersect.
-    """
-    if backend is None:
-        backend = os.environ.get("IMMERSA_KERNELS")
-    if backend is None:
-        backend = "numba" if HAS_NUMBA else "numpy"
-    segs = np.ascontiguousarray(segs, dtype=np.float64)
-    finite = np.isfinite(segs).all(axis=1)
-    if backend == "numpy":
-        return _candidate_pairs_numpy(segs, finite, box_margin, orient_eps)
-    if backend == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError("numba backend requested but numba is not importable")
-        n = segs.shape[0]
-        out = np.empty((n * (n - 1) // 2, 2), dtype=np.int64)
-        count = _pairs_loop_jit(segs, finite, box_margin, orient_eps, out)
-        return out[:count].copy()
-    raise ValueError(f"unknown kernels backend {backend!r}")

@@ -106,6 +106,17 @@ def test_alpha_examples():
         alpha(pg, 5, ("u1u2", "u1u2"))
 
 
+def test_cycle_lengths_below_one_rejected():
+    pg = petersen_graph()
+    for k in (0, -3, True):
+        with pytest.raises(ValueError, match="cycle length"):
+            census_table(pg, [k])
+        with pytest.raises(ValueError, match="cycle length"):
+            alpha(pg, k, "u1u2")
+        with pytest.raises(ValueError, match="cycle length"):
+            check_sum_divisibility(pg, [k], 2)
+
+
 def test_double_counting():
     cases = [
         (petersen_graph(), (5, 6, 8, 9)),

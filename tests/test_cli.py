@@ -55,6 +55,12 @@ class TestCensus:
         assert code == 0
         assert out.splitlines()[0].startswith("k  count")
 
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_length_below_one_exits_2(self, capsys, k):
+        code, out, err = run(capsys, "census", "@PG", "--k", k)
+        assert code == 2 and out == ""
+        assert "cycle length" in err
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "census.tsv"
         code, out, _ = run(capsys, "census", "@PG", "--format", "tsv",

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from immersa import kernels
 from immersa.geometry import param_location, segment_contact
 from immersa.graphs import (
     MultiGraph,
@@ -423,20 +422,6 @@ def test_random_immersion_respects_parameters():
         assert all(abs(x) <= 6 for p in pts for x in p)
     for p in imm.vertex_position.values():
         assert all(abs(x) <= 4 for x in p)
-
-
-def test_kernel_backends_agree(monkeypatch):
-    base = random_immersion(complete_bipartite_graph(3, 3), 7)
-
-    def rebuild():
-        return PlaneImmersion(base.graph, base.vertex_position, base.edge_polyline)
-
-    monkeypatch.setenv("IMMERSA_KERNELS", "numpy")
-    recs_numpy = crossings(rebuild())
-    assert recs_numpy == crossings(base)
-    if kernels.HAS_NUMBA:
-        monkeypatch.setenv("IMMERSA_KERNELS", "numba")
-        assert crossings(rebuild()) == recs_numpy
 
 
 @given(st.integers(min_value=0, max_value=10**6))

@@ -6,7 +6,6 @@ import random
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -40,52 +39,32 @@ def to_array(segs):
     return np.array([[float(x) for x in s] for s in segs], dtype=np.float64)
 
 
-BACKENDS = ["numpy"] + (["numba"] if kernels.HAS_NUMBA else [])
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_prefilter_keeps_every_contacting_pair(backend):
+def test_prefilter_keeps_every_contacting_pair():
     rng = random.Random(0)
     for trial in range(8):
         segs = random_segments(rng, 40)
         arr = to_array(segs)
         margin, eps = kernels.rounding_bounds(float(np.max(np.abs(arr))))
-        got = {tuple(p) for p in kernels.candidate_pairs(arr, margin, eps, backend=backend)}
+        got = {tuple(p) for p in kernels.candidate_pairs(arr, margin, eps)}
         assert exact_contact_pairs(segs) <= got
-
-
-def test_backends_return_identical_pairs():
-    if not kernels.HAS_NUMBA:
-        pytest.skip("numba unavailable")
-    rng = random.Random(1)
-    segs = to_array(random_segments(rng, 60))
-    margin, eps = kernels.rounding_bounds(float(np.max(np.abs(segs))))
-    a = kernels.candidate_pairs(segs, margin, eps, backend="numpy")
-    b = kernels.candidate_pairs(segs, margin, eps, backend="numba")
-    assert sorted(map(tuple, a)) == sorted(map(tuple, b))
 
 
 def test_empty_input():
     arr = np.zeros((0, 4))
-    assert len(kernels.candidate_pairs(arr, 0.1, 0.1, backend="numpy")) == 0
+    assert len(kernels.candidate_pairs(arr, 0.1, 0.1)) == 0
 
 
 def test_far_apart_segments_are_dropped():
     arr = np.array([[0, 0, 1, 0], [100, 100, 101, 100]], dtype=np.float64)
     margin, eps = kernels.rounding_bounds(101.0)
-    assert len(kernels.candidate_pairs(arr, margin, eps, backend="numpy")) == 0
+    assert len(kernels.candidate_pairs(arr, margin, eps)) == 0
 
 
 def test_nonfinite_segments_always_survive():
     arr = np.array([[0, 0, 1, 0], [math.inf, 0, 100, 0]], dtype=np.float64)
     margin, eps = kernels.rounding_bounds(math.inf)
-    got = kernels.candidate_pairs(arr, margin, eps, backend="numpy")
+    got = kernels.candidate_pairs(arr, margin, eps)
     assert [tuple(p) for p in got] == [(0, 1)]
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError, match="backend"):
-        kernels.candidate_pairs(np.zeros((0, 4)), 0.1, 0.1, backend="fortran")
 
 
 def test_rounding_bounds_grow_with_coordinates():
@@ -130,14 +109,13 @@ def reference_classification(segs, t, pairs):
     return segment_contact(p0, p1, q0, q1)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_classifier_matches_reference_predicate(backend):
+def test_classifier_matches_reference_predicate():
     # Small spans force plenty of touches, overlaps and shared endpoints.
     rng = random.Random(3)
     for span in (2, 5, 40):
         segs = int_segments(rng, 30, span)
         pairs = all_pairs(len(segs))
-        code, unum, wnum, den = kernels.classify_pairs(segs, pairs, backend=backend)
+        code, unum, wnum, den = kernels.classify_pairs(segs, pairs)
         for t in range(len(pairs)):
             kind, data = reference_classification(segs, t, pairs)
             if code[t] == 2:
@@ -155,13 +133,12 @@ def test_classifier_matches_reference_predicate(backend):
             assert Fraction(int(wnum[t]), int(den[t])) == w
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_classifier_flags_collinear_pairs(backend):
+def test_classifier_flags_collinear_pairs():
     segs = np.array(
         [[0, 0, 4, 0], [2, 0, 6, 0], [0, 1, 4, 1], [5, 0, 9, 0]], dtype=np.int64
     )
     pairs = all_pairs(4)
-    code, _, _, _ = kernels.classify_pairs(segs, pairs, backend=backend)
+    code, _, _, _ = kernels.classify_pairs(segs, pairs)
     got = {tuple(pairs[t]): int(code[t]) for t in range(len(pairs))}
     assert got[(0, 1)] == 2  # overlapping collinear
     assert got[(0, 3)] == 2  # collinear, disjoint
@@ -169,23 +146,11 @@ def test_classifier_flags_collinear_pairs(backend):
     assert got[(0, 2)] == 0  # parallel but not collinear
 
 
-def test_classifier_backends_agree():
-    if not kernels.HAS_NUMBA:
-        pytest.skip("numba unavailable")
-    rng = random.Random(9)
-    segs = int_segments(rng, 50, 10)
-    pairs = all_pairs(len(segs))
-    a = kernels.classify_pairs(segs, pairs, backend="numpy")
-    b = kernels.classify_pairs(segs, pairs, backend="numba")
-    for x, y in zip(a, b):
-        assert np.array_equal(x, y)
-
-
 def test_classifier_reports_touch_parameters():
     # Shared endpoint: u = 1 on the first segment, w = 0 on the second.
     segs = np.array([[0, 0, 2, 2], [2, 2, 4, 0]], dtype=np.int64)
     pairs = np.array([[0, 1]], dtype=np.int64)
-    code, unum, wnum, den = kernels.classify_pairs(segs, pairs, backend="numpy")
+    code, unum, wnum, den = kernels.classify_pairs(segs, pairs)
     assert code[0] == 1
     assert unum[0] == den[0] and wnum[0] == 0
 
@@ -193,6 +158,5 @@ def test_classifier_reports_touch_parameters():
 def test_classifier_empty_pairs():
     segs = np.array([[0, 0, 1, 1]], dtype=np.int64)
     pairs = np.empty((0, 2), dtype=np.int64)
-    for backend in BACKENDS:
-        code, unum, wnum, den = kernels.classify_pairs(segs, pairs, backend=backend)
-        assert len(code) == len(unum) == len(wnum) == len(den) == 0
+    code, unum, wnum, den = kernels.classify_pairs(segs, pairs)
+    assert len(code) == len(unum) == len(wnum) == len(den) == 0

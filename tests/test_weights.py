@@ -1,0 +1,165 @@
+"""The cycle-family weight core against the per-cycle oracles.
+
+Every crossing sum, writhe sum, kappa and census column is read off one
+per-pair weight object; each is checked here against the plain per-cycle
+(or per-pair) loop it replaces.
+"""
+
+import math
+from collections import Counter
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+
+from immersa.census import (
+    census_table,
+    check_sum_divisibility,
+    check_sum_invariance,
+    pair_orientation_convention,
+    tb_ratio,
+)
+from immersa.diagrams import random_lift, tb, writhe_cycle
+from immersa.graphs import (
+    MultiGraph,
+    complete_bipartite_graph,
+    complete_graph,
+    edge_distance,
+    enumerate_cycles,
+    heawood_graph,
+    multi_triangle,
+    petersen_graph,
+    theta_graph,
+)
+from immersa.immersion import (
+    crossings,
+    cycle_crossing_number,
+    kappa,
+    random_immersion,
+    sum_crossing,
+)
+from immersa.sp import random_sp_graph
+
+
+def triangle_and_square():
+    # Two components, so some edge pairs sit at infinite distance.
+    return MultiGraph(
+        ("t1", "t2", "t3", "s1", "s2", "s3", "s4"),
+        (("a", "t1", "t2"), ("b", "t2", "t3"), ("c", "t3", "t1"),
+         ("p", "s1", "s2"), ("q", "s2", "s3"), ("r", "s3", "s4"), ("s", "s4", "s1")),
+    )
+
+
+GRAPHS = {
+    "PG": petersen_graph,
+    "HG": heawood_graph,
+    "K5": lambda: complete_graph(5),
+    "K33": lambda: complete_bipartite_graph(3, 3),
+    "T3": lambda: multi_triangle(3),
+    "theta4": lambda: theta_graph(4),
+    "sp0": lambda: random_sp_graph(0),
+    "sp19": lambda: random_sp_graph(19),
+    "sp29": lambda: random_sp_graph(29),
+    "sp33": lambda: random_sp_graph(33),
+    "two-components": triangle_and_square,
+}
+
+
+def direct_counts(graph, cycles):
+    """Edge counts, pair counts and signed pair counts, cycle by cycle."""
+    index = graph.edge_index
+    edges, pairs, signed = Counter(), Counter(), Counter()
+    for c in cycles:
+        dirs = dict(c.steps)
+        names = sorted(c.edge_name_set, key=index.get)
+        edges.update(names)
+        for d, e in combinations(names, 2):
+            pairs[d, e] += 1
+            signed[d, e] += dirs[d] * dirs[e]
+    return edges, pairs, signed
+
+
+def column_values(graph, k):
+    """Census column -> the set of values over its class, cycle by cycle."""
+    edges, pairs, signed = direct_counts(graph, enumerate_cycles(graph, k))
+    by_dist = {}
+    for d, e in combinations(graph.edge_names, 2):
+        by_dist.setdefault(edge_distance(graph, d, e), []).append((d, e))
+    out = {"alpha_edge": {edges[e] for e in graph.edge_names} or {None}}
+    for name, dist in (("adjacent", 0), ("dist1", 1), ("dist2", 2)):
+        members = by_dist.get(dist, [])
+        out["alpha_" + name] = {pairs[p] for p in members} or {None}
+        if dist:
+            out["beta_" + name] = {
+                pair_orientation_convention(graph, *p) * signed[p] for p in members
+            } or {None}
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_weight_core_matches_per_cycle_oracles(name):
+    graph = GRAPHS[name]()
+    lengths = sorted({len(c) for c in enumerate_cycles(graph)})
+    for seed in (1, 2):
+        f = random_immersion(graph, seed)
+        for k in lengths + [None]:
+            assert sum_crossing(f, k) == sum(
+                cycle_crossing_number(f, c) for c in enumerate_cycles(graph, k))
+        pair_crossings = Counter(rec.edges for rec in crossings(f) if not rec.is_self)
+        for dist in (0, 1, 2, 3, math.inf):
+            assert kappa(f, dist) == sum(
+                n for (d, e), n in pair_crossings.items()
+                if edge_distance(graph, d, e) == dist)
+        for lift_seed in (5, 6):
+            diagram = random_lift(f, lift_seed)
+            for k in lengths:
+                assert tb(diagram, k) == sum(
+                    writhe_cycle(diagram, c) for c in enumerate_cycles(graph, k))
+
+    for row in census_table(graph, lengths):
+        assert row.count == len(enumerate_cycles(graph, row.k))
+    for k in lengths:
+        rows = census_table(graph, [k])
+        for column, values in column_values(graph, k).items():
+            assert {getattr(r, column) for r in rows} == values, (k, column)
+
+    # tb_ratio in its three-family form: edge counts, adjacent-pair counts,
+    # signed counts on disjoint pairs.
+    for j in lengths:
+        ej, pj, sj = direct_counts(graph, enumerate_cycles(graph, j))
+        first = next(e for e in graph.edge_names if ej[e])
+        for k in lengths:
+            ek, pk, sk = direct_counts(graph, enumerate_cycles(graph, k))
+            q = Fraction(ek[first], ej[first])
+            holds = all(ek[e] == q * ej[e] for e in graph.edge_names) and all(
+                pk[p] == q * pj[p] if edge_distance(graph, *p) == 0
+                else sk[p] == q * sj[p]
+                for p in combinations(graph.edge_names, 2))
+            assert tb_ratio(graph, j, k) == (q if holds else None), (j, k)
+
+    for family in [[k] for k in lengths] + [lengths]:
+        cycles = [c for k in family for c in enumerate_cycles(graph, k)]
+        edges, pairs, _ = direct_counts(graph, cycles)
+        for m in (2, 3, 4):
+            ok, report = check_sum_divisibility(graph, family, m)
+            edge_failures = {e: edges[e] for e in graph.edge_names if edges[e] % m}
+            pair_failures = {p: pairs[p] for p in combinations(graph.edge_names, 2)
+                             if pairs[p] % m}
+            assert report["edge_failures"] == edge_failures
+            assert report["pair_failures"] == pair_failures
+            assert report["family_size"] == len(cycles)
+            assert ok == (not edge_failures and not pair_failures)
+
+            def count(d, e):
+                return edges[d] if d == e else pairs[tuple(sorted(
+                    (d, e), key=graph.edge_index.get))]
+
+            expected = (
+                not edge_failures,
+                all(2 * n % m == 0 for n in pairs.values()),
+                all(sum(count(e, ei) for ei in graph.incident[v]) % m == 0
+                    for v in graph.vertices for e in graph.edge_names),
+                all(pairs[p] % m == 0 for p in combinations(graph.edge_names, 2)
+                    if edge_distance(graph, *p) == 0),
+            )
+            assert tuple(check_sum_invariance(graph, family, m)) == expected
