@@ -4,10 +4,11 @@ An immersion maps vertices to rational points and edges to polylines.  The
 validator enforces genericity exactly: all multiple points must be
 transversal double points interior to two segments, away from breakpoints
 and vertices, with no triple points, no collinear overlaps and no exact or
-near 180-degree turns.  Crossing extraction runs a float prefilter over all
-segment pairs (see kernels) and decides the surviving pairs exactly, in
-scaled integer arithmetic when a common denominator fits int64 and in
-rational arithmetic otherwise, so counts are exact either way.
+near 180-degree turns.  Crossing extraction scales the coordinates once by
+a common denominator when that fits int64, runs a conservative float
+sort-and-sweep prefilter (see kernels) and decides the surviving pairs
+exactly, in scaled integer arithmetic when the scale fits and in rational
+arithmetic otherwise, so counts are exact either way.
 """
 
 from __future__ import annotations
@@ -193,17 +194,25 @@ class PlaneImmersion:
                              f"{slots[s1][0]} and {slots[s2][0]} leave {v} in the same direction")
                         )
 
-        arr = np.array(
-            [[_to_float(p0[0]), _to_float(p0[1]), _to_float(p1[0]), _to_float(p1[1])]
-             for _, _, p0, p1 in segments],
-            dtype=np.float64,
-        ).reshape(len(segments), 4)
+        scaled = _integer_scaled(segments)
+        if scaled is None:
+            arr = np.array(
+                [[_to_float(p0[0]), _to_float(p0[1]), _to_float(p1[0]), _to_float(p1[1])]
+                 for _, _, p0, p1 in segments],
+                dtype=np.float64,
+            ).reshape(len(segments), 4)
+        else:
+            # Bit-equal to _to_float: every entry and the scale are at most
+            # INT_COORD_LIMIT < 2**53, so both convert exactly, and IEEE
+            # division rounds correctly, as Fraction.__float__ does.
+            ints, scale = scaled
+            arr = ints.astype(np.float64) / scale
         m = float(np.max(np.abs(arr))) if len(segments) else 0.0
         box_margin, orient_eps = kernels.rounding_bounds(m)
         pairs = kernels.candidate_pairs(arr, box_margin, orient_eps)
 
         proper = []
-        for i, j, kind, data, det_sign in _resolve_contacts(segments, pairs):
+        for i, j, kind, data, det_sign in _resolve_contacts(segments, pairs, scaled):
             name_a, ia, a0, a1 = segments[i]
             name_b, ib, b0, b1 = segments[j]
             if kind == "overlap":
@@ -367,16 +376,16 @@ def _integer_scaled(segments):
     return np.array(rows, dtype=np.int64).reshape(len(rows), 4), scale
 
 
-def _resolve_contacts(segments, pairs):
+def _resolve_contacts(segments, pairs, scaled):
     """Decide every candidate pair, yielding (i, j, kind, data, det_sign).
 
-    Runs the integer kernel when a common denominator fits int64 and keeps
-    rational arithmetic for the contacts themselves, so kind and data are
-    exactly those of segment_contact on every pair.  det_sign is the sign
-    of det[direction i, direction j] for interior-interior contacts when it
+    Runs the integer kernel on scaled, the _integer_scaled table of the
+    segments, and keeps rational arithmetic for the contacts themselves
+    (for all of them when scaled is None), so kind and data are exactly
+    those of segment_contact on every pair.  det_sign is the sign of
+    det[direction i, direction j] for interior-interior contacts when it
     falls out of the integer path for free, else None.
     """
-    scaled = _integer_scaled(segments)
     if scaled is None:
         for i, j in pairs:
             kind, data = segment_contact(segments[i][2], segments[i][3],

@@ -4,16 +4,16 @@ candidate_pairs takes all polyline segments of an immersion as floats and
 reports the pairs that could possibly touch.  A pair is dropped only when it
 is provably separated even after accounting for float rounding of the exact
 rational inputs, so the exact classifier downstream never misses a contact.
+It sorts and sweeps (Bentley and Ottmann, IEEE Trans. Computers 1979): only
+segments whose widened intervals overlap on one axis become pairs, and only
+those take the box test on the other axis and the orientation test, so time
+and memory grow with the overlapping pairs, not with n^2.
 
 classify_pairs then decides the surviving pairs exactly on integer
 coordinates (the caller scales the rationals by a common denominator when
 that fits the int64 budget; otherwise it classifies in rational arithmetic
-without this kernel).
-
-Both kernels are vectorized numpy.
+without this kernel).  Both kernels are vectorized numpy.
 """
-
-from __future__ import annotations
 
 import numpy as np
 
@@ -30,11 +30,14 @@ def rounding_bounds(max_abs_coordinate):
     rationals (error <= M * 2^-52 each); an orientation determinant on such
     inputs, evaluated in double precision, differs from the exact value by
     well under 2^-46 * (M^2 + 1), and bounding boxes by under 2^-40 * (M+1).
+    The determinant's terms reach 8 M^2, which overflows for M >= 2^510;
+    from there orient_eps is infinite, so only the box test drops pairs.
     """
     m = float(max_abs_coordinate)
     if not np.isfinite(m):
         return float("inf"), float("inf")
-    return 2.0**-40 * (m + 1.0), 2.0**-46 * (m * m + 1.0)
+    eps = float("inf") if m >= 2.0**510 else 2.0**-46 * (m * m + 1.0)
+    return 2.0**-40 * (m + 1.0), eps
 
 
 def candidate_pairs(segs, box_margin, orient_eps):
@@ -43,38 +46,51 @@ def candidate_pairs(segs, box_margin, orient_eps):
     Args:
         segs: float64 array of shape (n, 4) holding x0, y0, x1, y1 per
             segment (rounded from exact rationals).
-        box_margin: Bounding-box slack, from rounding_bounds.
+        box_margin: Bounding-box slack, from rounding_bounds; >= 0.
         orient_eps: Orientation determinant slack, from rounding_bounds.
 
     Returns:
-        int64 array of shape (m, 2).  Guaranteed to contain every pair of
-        segments whose exact originals intersect.
+        int64 array of shape (m, 2) in lexicographic order.  Guaranteed to
+        contain every pair of segments whose exact originals intersect.
     """
     segs = np.ascontiguousarray(segs, dtype=np.float64)
-    if segs.shape[0] < 2:
+    n = segs.shape[0]
+    if n < 2:
         return np.empty((0, 2), dtype=np.int64)
-    x0, y0, x1, y1 = segs[:, 0], segs[:, 1], segs[:, 2], segs[:, 3]
-    minx = np.minimum(x0, x1) - box_margin
-    maxx = np.maximum(x0, x1) + box_margin
-    miny = np.minimum(y0, y1) - box_margin
-    maxy = np.maximum(y0, y1) + box_margin
-    sep = (minx[:, None] > maxx[None, :]) | (miny[:, None] > maxy[None, :])
-    sep |= sep.T
-    rx = (x1 - x0)[:, None]
-    ry = (y1 - y0)[:, None]
-    # inf - inf produces nans here; the shaky mask below keeps those pairs.
-    with np.errstate(invalid="ignore"):
-        o1 = rx * (y0[None, :] - y0[:, None]) - ry * (x0[None, :] - x0[:, None])
-        o2 = rx * (y1[None, :] - y0[:, None]) - ry * (x1[None, :] - x0[:, None])
-        off = ((o1 > orient_eps) & (o2 > orient_eps)) | (
-            (o1 < -orient_eps) & (o2 < -orient_eps)
-        )
-    sep |= off | off.T
-    # Pairs with non-finite floats are never provably separated.
+    # Rows with non-finite floats are never provably separated: they get an
+    # infinite interval on both axes and skip the orientation test.  Other
+    # overflows only widen an interval or meet an infinite orient_eps.
     shaky = ~np.isfinite(segs).all(axis=1)
-    sep &= ~(shaky[:, None] | shaky[None, :])
-    keep = np.triu(~sep, k=1)
-    return np.argwhere(keep).astype(np.int64)
+    with np.errstate(invalid="ignore", over="ignore"):
+        lo = np.minimum(segs[:, :2], segs[:, 2:]) - box_margin
+        hi = np.maximum(segs[:, :2], segs[:, 2:]) + box_margin
+        lo[shaky], hi[shaky] = -np.inf, np.inf
+        # Sweep the axis with fewer overlaps.  In lo order, an interval meets
+        # the later ones starting at or below its hi; earlier ones pair it.
+        after = np.arange(1, n + 1)
+        sweeps = []
+        for axis in (0, 1):
+            order = np.argsort(lo[:, axis], kind="stable")
+            count = np.searchsorted(lo[order, axis], hi[order, axis], "right") - after
+            sweeps.append((int(count.sum()), axis, order, count))
+        total, axis, order, count = min(sweeps, key=lambda s: s[0])
+        first = np.repeat(order, count)
+        second = order[np.arange(total) - np.repeat(np.cumsum(count) - count - after, count)]
+        i, j = np.minimum(first, second), np.maximum(first, second)
+        k = 1 - axis
+        box = (lo[i, k] <= hi[j, k]) & (lo[j, k] <= hi[i, k])
+        i, j = i[box], j[box]
+        # Orientations of b's endpoints against a's line, for (a, b) = (i, j)
+        # and (j, i): both strictly on one side separates the pair.
+        a, b = segs[np.concatenate((i, j))], segs[np.concatenate((j, i))]
+        d = a[:, 2:] - a[:, :2]
+        e = b.reshape(-1, 2, 2) - a[:, None, :2]
+        o = d[:, None, 0] * e[:, :, 1] - d[:, None, 1] * e[:, :, 0]
+        off = (o > orient_eps).all(axis=1) | (o < -orient_eps).all(axis=1)
+    keep = ~off.reshape(2, -1).any(axis=0) | shaky[i] | shaky[j]
+    i, j = i[keep], j[keep]
+    rank = np.lexsort((j, i))
+    return np.stack((i[rank], j[rank]), axis=1).astype(np.int64, copy=False)
 
 
 def classify_pairs(segs_int, pairs):

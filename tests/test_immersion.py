@@ -1,23 +1,29 @@
 """Genericity validation, crossing extraction and rotation numbers."""
 
 import math
+import random
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from immersa import kernels
 from immersa.geometry import param_location, segment_contact
 from immersa.graphs import (
     MultiGraph,
     complete_bipartite_graph,
     complete_graph,
     enumerate_cycles,
+    heawood_graph,
     multi_triangle,
     theta_graph,
 )
 from immersa.immersion import (
     PlaneImmersion,
+    _to_float,
     crossings,
     cycle_crossing_number,
     kappa,
@@ -146,6 +152,23 @@ class TestSimpleCrossing:
         assert len(recs) == 1
         assert recs[0].point == (Fraction(0), Fraction(0))
         assert recs[0].seg_a == 1
+
+    def test_crossing_kept_where_float_determinants_overflow(self):
+        # Coordinates near 6.7e153: the float orientation determinants of
+        # this pair overflow, so only the box test may drop it.
+        u = (Fraction(-6.7039039649713e+153), Fraction(-6.703903964971302e+153))
+        v = (Fraction(6.703903964971296e+153), Fraction(6.703903964971297e+153))
+        w = (Fraction(6.7039039649712956e+153), Fraction(6.703903964971295e+153))
+        z = (Fraction(5.027927973728471e+153), Fraction(8.379879956214119e+153))
+        kind, (_, s, t) = segment_contact(u, v, w, z)
+        assert kind == "point" and 0 < s < 1 and 0 < t < 1
+        g = MultiGraph(("u", "v", "w", "z"), (("e", "u", "v"), ("f", "w", "z")))
+        imm = PlaneImmersion(g, {"u": u, "v": v, "w": w, "z": z},
+                             {"e": (u, v), "f": (w, z)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert validate(imm).ok
+            assert len(crossings(imm)) == 1
 
     def test_foreign_cycle_rejected(self):
         imm = straight_cross()
@@ -429,3 +452,61 @@ def test_digon_random_immersion_parity(seed):
     imm = random_immersion(theta_graph(2), seed)
     (cyc,) = enumerate_cycles(imm.graph)
     assert (rotation_number(imm, cyc) - cycle_crossing_number(imm, cyc)) % 2 == 1
+
+
+def prefilter_input(imm, monkeypatch):
+    # The float table _scan hands to candidate_pairs, on a fresh copy so
+    # the cached scan of imm does not hide the call.
+    seen = []
+    real = kernels.candidate_pairs
+
+    def spy(segs, *rest):
+        seen.append(segs)
+        return real(segs, *rest)
+
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "candidate_pairs", spy)
+        validate(PlaneImmersion(imm.graph, imm.vertex_position, imm.edge_polyline))
+    (segs,) = seen
+    return segs
+
+
+def dense_style_drawing(seed, per_edge=40):
+    # K5 on a circle, each edge a jittered polyline on the 2^20 grid over
+    # 2^10, as the dense-drawings benchmark draws them.
+    rng = random.Random(seed)
+    graph = complete_graph(5)
+    grid, den, jitter = 2**20, 2**10, 10000
+    pos = {}
+    for n, v in enumerate(graph.vertices):
+        angle = 2 * math.pi * n / 5
+        pos[v] = (grid // 2 + int(0.4 * grid * math.cos(angle)),
+                  grid // 2 + int(0.4 * grid * math.sin(angle)))
+    poly = {}
+    for name, t, h in graph.edges:
+        (x0, y0), (x1, y1) = pos[t], pos[h]
+        pts = [(x0 + (x1 - x0) * s // per_edge + rng.randint(-jitter, jitter),
+                y0 + (y1 - y0) * s // per_edge + rng.randint(-jitter, jitter))
+               for s in range(1, per_edge)]
+        poly[name] = [pos[t], *pts, pos[h]]
+
+    def frac(p):
+        return (Fraction(p[0], den), Fraction(p[1], den))
+
+    return PlaneImmersion(graph, {v: frac(p) for v, p in pos.items()},
+                          {e: [frac(p) for p in pts] for e, pts in poly.items()})
+
+
+def test_scaled_prefilter_floats_equal_per_coordinate_floats(monkeypatch):
+    drawings = [random_immersion(heawood_graph(), seed) for seed in range(20)]
+    drawings.append(dense_style_drawing(5))
+    for imm in drawings:
+        want = np.array(
+            [[_to_float(c) for c in (*pts[i], *pts[i + 1])]
+             for pts in (imm.edge_polyline[e] for e in imm.graph.edge_names)
+             for i in range(len(pts) - 1)],
+            dtype=np.float64,
+        )
+        got = prefilter_input(imm, monkeypatch)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -1,8 +1,10 @@
-"""Kernel soundness: the prefilter may drop no contacting pair, and the
-integer classifier must agree with the rational reference predicate."""
+"""Kernel soundness: the prefilter may drop no contacting pair and must
+return exactly the pairs of the dense all-pairs reference, and the integer
+classifier must agree with the rational reference predicate."""
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -67,12 +69,124 @@ def test_nonfinite_segments_always_survive():
     assert [tuple(p) for p in got] == [(0, 1)]
 
 
+def dense_reference(segs, box_margin, orient_eps):
+    # All-pairs prefilter with n x n temporaries: the reference that the
+    # sort-and-sweep in candidate_pairs must match in values and order.
+    segs = np.ascontiguousarray(segs, dtype=np.float64)
+    if segs.shape[0] < 2:
+        return np.empty((0, 2), dtype=np.int64)
+    x0, y0, x1, y1 = segs[:, 0], segs[:, 1], segs[:, 2], segs[:, 3]
+    with np.errstate(invalid="ignore", over="ignore"):
+        minx = np.minimum(x0, x1) - box_margin
+        maxx = np.maximum(x0, x1) + box_margin
+        miny = np.minimum(y0, y1) - box_margin
+        maxy = np.maximum(y0, y1) + box_margin
+        sep = (minx[:, None] > maxx[None, :]) | (miny[:, None] > maxy[None, :])
+        sep |= sep.T
+        rx = (x1 - x0)[:, None]
+        ry = (y1 - y0)[:, None]
+        o1 = rx * (y0[None, :] - y0[:, None]) - ry * (x0[None, :] - x0[:, None])
+        o2 = rx * (y1[None, :] - y0[:, None]) - ry * (x1[None, :] - x0[:, None])
+        off = ((o1 > orient_eps) & (o2 > orient_eps)) | (
+            (o1 < -orient_eps) & (o2 < -orient_eps)
+        )
+    sep |= off | off.T
+    shaky = ~np.isfinite(segs).all(axis=1)
+    sep &= ~(shaky[:, None] | shaky[None, :])
+    return np.argwhere(np.triu(~sep, k=1)).astype(np.int64)
+
+
+def assert_matches_reference(arr, box_margin, orient_eps):
+    got = kernels.candidate_pairs(arr, box_margin, orient_eps)
+    want = dense_reference(arr, box_margin, orient_eps)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_sweep_matches_dense_reference():
+    rng = random.Random(11)
+    cases = []
+    for _ in range(4):
+        arr = to_array(random_segments(rng, 40))
+        cases.append((arr, *kernels.rounding_bounds(float(np.max(np.abs(arr))))))
+    # Long horizontal and vertical segments: every interval overlaps on one
+    # axis, so the sweep has to pick the other.
+    arr = to_array(random_segments(rng, 20))
+    long_h = [[-100, y, 100, y] for y in range(-6, 7, 2)]
+    long_v = [[x, -100, x, 100] for x in range(-6, 7, 3)]
+    for extra in (long_h, long_v, long_h + long_v):
+        both = np.vstack([arr, np.array(extra, dtype=np.float64)])
+        cases.append((both, *kernels.rounding_bounds(100.0)))
+    # Duplicate segments, in both orientations.
+    dup = np.vstack([arr, arr[:8], arr[:8, [2, 3, 0, 1]]])
+    cases.append((dup, *kernels.rounding_bounds(8.0)))
+    # Rows with inf or nan.
+    shaky = arr.copy()
+    shaky[3, 0], shaky[7, 3], shaky[11, 2] = math.inf, -math.inf, math.nan
+    cases += [(shaky, 1e-9, 1e-9), (shaky, *kernels.rounding_bounds(math.inf))]
+    # An infinite box margin, with a finite and an infinite orient_eps.
+    cases += [(arr, math.inf, 1e-9), (arr, math.inf, math.inf)]
+    # A grid polyline with no slack: consecutive segments share endpoints,
+    # so intervals touch exactly and orientations are exactly zero.
+    walk = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(30)]
+    chain = np.array([[*a, *b] for a, b in zip(walk, walk[1:])], dtype=np.float64)
+    cases.append((chain, 0.0, 0.0))
+    # n = 0, 1 and 2.
+    for n in (0, 1, 2):
+        cases.append((arr[:n], 1e-9, 1e-9))
+    cases.append((np.array([[0, 0, 1, 1], [0, 1, 1, 0]], dtype=np.float64), 0.0, 0.0))
+    for arr, box_margin, orient_eps in cases:
+        assert_matches_reference(arr, box_margin, orient_eps)
+
+
+reference_coords = (
+    st.integers(min_value=-4, max_value=4).map(float)
+    | st.floats(min_value=-5, max_value=5)
+    | st.sampled_from([math.inf, -math.inf, math.nan])
+)
+
+
+@given(
+    st.lists(st.tuples(*[reference_coords] * 4), max_size=14),
+    st.sampled_from([0.0, 0.25, math.inf]),
+    st.sampled_from([0.0, 1.0, math.inf]),
+)
+def test_sweep_matches_dense_reference_property(rows, box_margin, orient_eps):
+    arr = np.array(rows, dtype=np.float64).reshape(len(rows), 4)
+    assert_matches_reference(arr, box_margin, orient_eps)
+
+
+def test_prefilter_memory_is_subquadratic():
+    # A flat strip: about 3.6M intervals overlap in y, about 9k in x, so the
+    # bound also pins the sweep to the axis with fewer overlaps.
+    rng = np.random.default_rng(6000)
+    start = rng.uniform(0, 1, size=(6000, 2)) * (3000, 5)
+    arr = np.hstack([start, start + rng.uniform(-1, 1, size=(6000, 2))])
+    margin, eps = kernels.rounding_bounds(float(np.max(np.abs(arr))))
+    tracemalloc.start()
+    try:
+        kernels.candidate_pairs(arr, margin, eps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A single 6000 x 6000 float64 temporary would take 288 MB.
+    assert peak < 16 * 2**20
+
+
 def test_rounding_bounds_grow_with_coordinates():
     m_small = kernels.rounding_bounds(1.0)
     m_big = kernels.rounding_bounds(1000.0)
     assert 0 < m_small[0] < m_big[0]
     assert 0 < m_small[1] < m_big[1]
     assert kernels.rounding_bounds(math.inf) == (math.inf, math.inf)
+
+
+def test_orient_eps_is_infinite_where_determinants_may_overflow():
+    # Determinant terms reach 8 M^2, which overflows from M = 2^510 on.
+    below = kernels.rounding_bounds(2.0**509)
+    above = kernels.rounding_bounds(2.0**510)
+    assert math.isfinite(below[1])
+    assert math.isfinite(above[0]) and above[1] == math.inf
 
 
 @given(st.integers(min_value=0, max_value=10**6))
