@@ -2,7 +2,7 @@
 
 Points are pairs of Fractions.  Every predicate here is decided in exact
 arithmetic; floating point only ever appears upstream as a conservative
-prefilter and downstream in turning-angle sums.
+prefilter.
 """
 
 from __future__ import annotations

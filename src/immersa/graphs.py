@@ -190,7 +190,9 @@ class Cycle:
             raise ValueError("cycle repeats an edge")
 
 
-@lru_cache(maxsize=None)
+# Bounded: callers such as the zero-rotation constructor bring a new graph
+# on every call, and each entry keeps its graph and cycles alive.
+@lru_cache(maxsize=256)
 def _all_cycles(graph: MultiGraph):
     cycles = []
     for anchor, (name, tail, head) in enumerate(graph.edges):

@@ -3,12 +3,17 @@
 An immersion maps vertices to rational points and edges to polylines.  The
 validator enforces genericity exactly: all multiple points must be
 transversal double points interior to two segments, away from breakpoints
-and vertices, with no triple points, no collinear overlaps and no exact or
-near 180-degree turns.  Crossing extraction scales the coordinates once by
-a common denominator when that fits int64, runs a conservative float
-sort-and-sweep prefilter (see kernels) and decides the surviving pairs
-exactly, in scaled integer arithmetic when the scale fits and in rational
-arithmetic otherwise, so counts are exact either way.
+and vertices, with no triple points and no collinear overlaps.  An exact
+180-degree turn, at a breakpoint or where two edges leave a vertex in one
+direction, is a collinear overlap, so every turn of a valid drawing is
+shorter than pi.  Crossing extraction scales every point once by a common
+denominator when that fits int64, runs a conservative float sort-and-sweep
+prefilter (see kernels) and decides the surviving pairs exactly, in scaled
+integer arithmetic when the scale fits and in rational arithmetic
+otherwise; Fractions are built only for crossings and the few other
+contacts that are not polyline joints.  Rotation numbers count signed
+passes of the tangent past a fixed direction (Whitney 1937), with the same
+exact sign predicates.
 """
 
 from __future__ import annotations
@@ -25,12 +30,6 @@ from . import kernels
 from .census import _weights
 from .geometry import as_point, param_location, segment_contact, sub, cross
 from .graphs import Cycle, MultiGraph, enumerate_cycles
-
-# Float tolerance below which a corner counts as a reversal (an angle within
-# this distance of pi), and two edge directions at a vertex as a cusp.
-CORNER_EPS = 1e-9
-# Residual tolerance for the turning-number sum.
-ROTATION_RESIDUAL = 1e-6
 
 
 def _fmt(point):
@@ -130,23 +129,30 @@ class PlaneImmersion:
 
     @cached_property
     def _scan(self):
+        # (GenericityReport, crossing records, the _integer_scaled table of
+        # every polyline point in edge order or None).
         g = self.graph
         pos = self.vertex_position
         violations = []
 
         taken = {}
         for v in g.vertices:
-            p = pos[v]
-            if p in taken:
+            key = _point_key(pos[v])
+            if key in taken:
                 violations.append(
-                    ("duplicate-vertex-position", f"{taken[p]} and {v} both at {_fmt(p)}")
+                    ("duplicate-vertex-position", f"{taken[key]} and {v} both at {_fmt(pos[v])}")
                 )
             else:
-                taken[p] = v
+                taken[key] = v
 
+        keys = [_point_key(p) for name in g.edge_names for p in self.edge_polyline[name]]
+        scaled = _integer_scaled(keys)
         segments = []
-        node_keys = set()
+        # Index of each segment's first point in keys; segment j continues
+        # segment i along one polyline exactly when first[j] == first[i] + 1.
+        first = []
         seg_count = {}
+        k = 0
         for name in g.edge_names:
             pts = self.edge_polyline[name]
             t, h = g.endpoints[name]
@@ -156,65 +162,40 @@ class PlaneImmersion:
                 violations.append(("endpoint-mismatch", f"edge {name} does not end at {h}"))
             seg_count[name] = len(pts) - 1
             for i in range(len(pts) - 1):
-                if pts[i] == pts[i + 1]:
+                if keys[k + i] == keys[k + i + 1]:
                     violations.append(("zero-length-segment", f"edge {name} segment {i}"))
                 else:
                     segments.append((name, i, pts[i], pts[i + 1]))
-            node_keys.update(_point_key(p) for p in pts)
-        node_keys.update(_point_key(p) for p in pos.values())
+                    first.append(k + i)
+            k += len(pts)
         if violations:
-            return GenericityReport(False, tuple(violations)), ()
+            return GenericityReport(False, tuple(violations)), (), scaled
+        node_keys = set(keys).union(taken)
 
-        # Near-degenerate corners break the float turning sums downstream,
-        # so they count as genericity violations even though exact overlap
-        # checks would miss them.
-        for name in g.edge_names:
-            pts = self.edge_polyline[name]
-            for i in range(1, len(pts) - 1):
-                ang = _float_angle(sub(pts[i], pts[i - 1]), sub(pts[i + 1], pts[i]))
-                if abs(abs(ang) - math.pi) < CORNER_EPS:
-                    violations.append(
-                        ("near-reversal-corner", f"edge {name} breakpoint {i}")
-                    )
-        for v in g.vertices:
-            slots = []
-            for name in dict.fromkeys(g.incident[v]):
-                pts = self.edge_polyline[name]
-                t, h = g.endpoints[name]
-                if t == v:
-                    slots.append((name, "tail", sub(pts[1], pts[0])))
-                if h == v:
-                    slots.append((name, "head", sub(pts[-2], pts[-1])))
-            for s1 in range(len(slots)):
-                for s2 in range(s1 + 1, len(slots)):
-                    ang = _float_angle(slots[s1][2], slots[s2][2])
-                    if abs(ang) < CORNER_EPS:
-                        violations.append(
-                            ("near-cusp-at-vertex",
-                             f"{slots[s1][0]} and {slots[s2][0]} leave {v} in the same direction")
-                        )
-
-        scaled = _integer_scaled(segments)
         if scaled is None:
             arr = np.array(
                 [[_to_float(p0[0]), _to_float(p0[1]), _to_float(p1[0]), _to_float(p1[1])]
                  for _, _, p0, p1 in segments],
                 dtype=np.float64,
             ).reshape(len(segments), 4)
+            table = None
         else:
             # Bit-equal to _to_float: every entry and the scale are at most
             # INT_COORD_LIMIT < 2**53, so both convert exactly, and IEEE
             # division rounds correctly, as Fraction.__float__ does.
-            ints, scale = scaled
+            points, scale = scaled
+            first = np.array(first, dtype=np.int64)
+            ints = np.concatenate((points[first], points[first + 1]), axis=1)
             arr = ints.astype(np.float64) / scale
+            table = ints, scale, first
         m = float(np.max(np.abs(arr))) if len(segments) else 0.0
         box_margin, orient_eps = kernels.rounding_bounds(m)
         pairs = kernels.candidate_pairs(arr, box_margin, orient_eps)
 
-        proper = []
-        for i, j, kind, data, det_sign in _resolve_contacts(segments, pairs, scaled):
-            name_a, ia, a0, a1 = segments[i]
-            name_b, ib, b0, b1 = segments[j]
+        proper, contacts = _resolve_contacts(segments, pairs, table)
+        for i, j, kind, data in contacts:
+            name_a, ia, _, _ = segments[i]
+            name_b, ib, _, _ = segments[j]
             if kind == "overlap":
                 violations.append(
                     ("overlap", f"{name_a}[{ia}] and {name_b}[{ib}] overlap collinearly")
@@ -222,39 +203,36 @@ class PlaneImmersion:
                 continue
             point, u, w = data
             lu, lw = param_location(u), param_location(w)
-            if lu == "interior" and lw == "interior":
-                if det_sign is None:
-                    det = cross(sub(a1, a0), sub(b1, b0))
-                    det_sign = 1 if det > 0 else -1
-                proper.append((name_a, ia, u, name_b, ib, w, point, det_sign))
-                continue
             if not self._allowed_contact(name_a, ia, lu, name_b, ib, lw, point, seg_count):
                 violations.append(
                     ("breakpoint-contact",
                      f"{name_a}[{ia}] touches {name_b}[{ib}] at {_fmt(point)}")
                 )
 
-        # Point keys are numerator/denominator 4-tuples: same equality as
-        # the Fraction pairs, much cheaper to hash.  Iteration order
-        # follows the candidate scan, so reports stay deterministic.
+        # Iteration order follows the candidate scan, so reports stay
+        # deterministic.
         by_point = {}
         for rec in proper:
-            by_point.setdefault(_point_key(rec[6]), []).append(rec)
+            by_point.setdefault(_point_key(rec[2]), []).append(rec)
         for key, recs in by_point.items():
             if len(recs) > 1:
-                involved = ", ".join(f"{r[0]}[{r[1]}]x{r[3]}[{r[4]}]" for r in recs)
-                violations.append(("triple-point", f"at {_fmt(recs[0][6])}: {involved}"))
+                involved = ", ".join(
+                    f"{segments[i][0]}[{segments[i][1]}]x{segments[j][0]}[{segments[j][1]}]"
+                    for i, j, *_ in recs)
+                violations.append(("triple-point", f"at {_fmt(recs[0][2])}: {involved}"))
             if key in node_keys:
                 violations.append(
-                    ("crossing-at-breakpoint", f"crossing at node point {_fmt(recs[0][6])}")
+                    ("crossing-at-breakpoint", f"crossing at node point {_fmt(recs[0][2])}")
                 )
 
         if violations:
-            return GenericityReport(False, tuple(violations)), ()
+            return GenericityReport(False, tuple(violations)), (), scaled
 
         index = self.graph.edge_index
         grouped = {}
-        for name_a, ia, u, name_b, ib, w, point, det_sign in proper:
+        for i, j, point, u, w, det_sign in proper:
+            name_a, ia, _, _ = segments[i]
+            name_b, ib, _, _ = segments[j]
             if index[name_a] <= index[name_b]:
                 key, strands, sign = (name_a, name_b), ((ia, u), (ib, w)), det_sign
             else:
@@ -280,7 +258,7 @@ class PlaneImmersion:
                     is_self=a == b,
                 ))
         records.sort(key=lambda r: (index[r.edges[0]], index[r.edges[1]], r.seg_a, r.param_a))
-        return GenericityReport(True, ()), tuple(records)
+        return GenericityReport(True, ()), tuple(records), scaled
 
     def _allowed_contact(self, name_a, ia, lu, name_b, ib, lw, point, seg_count):
         g = self.graph
@@ -323,108 +301,136 @@ class PlaneImmersion:
         return counts
 
     @cached_property
-    def _turning(self):
-        # (edge, direction) -> (first tangent, last tangent, interior
-        # turning) as floats.  Reversal negates tangents and the turning;
-        # genericity rules out the pi-angle joints where that would fail.
+    def _tangents(self):
+        # (edge, direction) -> (first direction, last direction, signed
+        # passes past +x at the edge's own corners).  Reversal turns the
+        # reference direction +x into -x, so a reversed edge gets its own
+        # count; negating the forward one would be wrong.
+        scaled = self._scan[2]
+        # Differences of consecutive points in edge order; those that span
+        # two edges are skipped below.
+        if scaled is None:
+            pts = [p for name in self.graph.edge_names for p in self.edge_polyline[name]]
+            diffs = [sub(b, a) for a, b in zip(pts, pts[1:])]
+        else:
+            points = scaled[0]
+            diffs = (points[1:] - points[:-1]).tolist()
         table = {}
-        for name, pts in self.edge_polyline.items():
-            dirs = [(float(pts[i + 1][0] - pts[i][0]),
-                     float(pts[i + 1][1] - pts[i][1]))
-                    for i in range(len(pts) - 1)]
-            interior = sum(_float_angle(dirs[i], dirs[i + 1])
-                           for i in range(len(dirs) - 1))
-            table[name, 1] = (dirs[0], dirs[-1], interior)
-            table[name, -1] = ((-dirs[-1][0], -dirs[-1][1]),
-                               (-dirs[0][0], -dirs[0][1]), -interior)
+        k = 0
+        for name in self.graph.edge_names:
+            n = len(self.edge_polyline[name]) - 1
+            dirs = diffs[k:k + n]
+            back = [(-x, -y) for x, y in reversed(dirs)]
+            k += n + 1
+            table[name, 1] = (dirs[0], dirs[-1], sum(map(_passes, dirs, dirs[1:])))
+            table[name, -1] = (back[0], back[-1], sum(map(_passes, back, back[1:])))
         return table
-
-    @cached_property
-    def _joint_angles(self):
-        # Memo for the turning angle between consecutive oriented edges;
-        # cycles through a vertex share these joints heavily.
-        return {}
 
 
 def _point_key(p):
-    x, y = p
-    return (x.numerator, x.denominator, y.numerator, y.denominator)
+    # (xn, xd, yn, yd): the same equality as the Fraction pair, and much
+    # cheaper to hash.
+    return (*p[0].as_integer_ratio(), *p[1].as_integer_ratio())
 
 
-def _float_angle(v1, v2):
-    x1, y1 = _to_float(v1[0]), _to_float(v1[1])
-    x2, y2 = _to_float(v2[0]), _to_float(v2[1])
-    return math.atan2(x1 * y2 - y1 * x2, x1 * x2 + y1 * y2)
+def _passes(d1, d2):
+    """Signed passes of a tangent past the +x direction as it turns from d1
+    to d2 by less than pi: +1 turning left from the lower into the upper
+    half-plane, -1 turning right from the upper into the lower one, where
+    upper means y > 0, or y == 0 and x > 0."""
+    up1 = d1[1] > 0 or (d1[1] == 0 and d1[0] > 0)
+    up2 = d2[1] > 0 or (d2[1] == 0 and d2[0] > 0)
+    if up1 == up2:
+        return 0
+    turn = d1[0] * d2[1] - d1[1] * d2[0]
+    if up2:
+        return 1 if turn > 0 else 0
+    return -1 if turn < 0 else 0
 
 
-def _integer_scaled(segments):
-    # (coordinates scaled to int64 by the common denominator, denominator),
-    # or None when the scale would break the classify_pairs contract.
+def _integer_scaled(keys):
+    # (points scaled to int64 by their common denominator as an (n, 2)
+    # array, the denominator), or None when segments between them would
+    # break the classify_pairs contract.  keys holds each point's ratio key.
+    limit = kernels.INT_COORD_LIMIT
     scale = 1
-    for _, _, p0, p1 in segments:
-        for c in (p0[0], p0[1], p1[0], p1[1]):
-            scale = math.lcm(scale, c.denominator)
-            if scale > kernels.INT_COORD_LIMIT:
-                return None
-    rows = []
-    for _, _, p0, p1 in segments:
-        row = [c.numerator * (scale // c.denominator)
-               for c in (p0[0], p0[1], p1[0], p1[1])]
-        if max(map(abs, row)) > kernels.INT_COORD_LIMIT:
+    for d in {k[1] for k in keys} | {k[3] for k in keys}:
+        scale = math.lcm(scale, d)
+        if scale > limit:
             return None
-        rows.append(row)
-    return np.array(rows, dtype=np.int64).reshape(len(rows), 4), scale
+    try:
+        ratios = np.array(keys, dtype=np.int64).reshape(len(keys), 4)
+    except OverflowError:
+        return None
+    nums = ratios[:, 0::2]
+    if (nums > limit).any() or (nums < -limit).any():
+        return None
+    points = nums * (scale // ratios[:, 1::2])
+    if (points > limit).any() or (points < -limit).any():
+        return None
+    return points, scale
 
 
-def _resolve_contacts(segments, pairs, scaled):
-    """Decide every candidate pair, yielding (i, j, kind, data, det_sign).
+def _resolve_contacts(segments, pairs, table):
+    """Decide every candidate pair exactly; returns (proper, contacts).
 
-    Runs the integer kernel on scaled, the _integer_scaled table of the
-    segments, and keeps rational arithmetic for the contacts themselves
-    (for all of them when scaled is None), so kind and data are exactly
-    those of segment_contact on every pair.  det_sign is the sign of
-    det[direction i, direction j] for interior-interior contacts when it
-    falls out of the integer path for free, else None.
+    proper lists (i, j, point, u, w, det_sign) for the pairs that meet at a
+    point interior to both segments, det_sign being the sign of
+    det[direction i, direction j].  contacts lists (i, j, kind, data), as
+    segment_contact gives them, for every other touching pair.  Both keep
+    the order of pairs.  table is (ints, scale, first) from _scan, or None
+    to decide every pair in rational arithmetic.  The integer path decides
+    every pair, collinear ones too, on the scaled integers, drops ordinary
+    polyline joints (always allowed) and builds Fractions only for the
+    pairs it returns.
     """
-    if scaled is None:
-        for i, j in pairs:
-            kind, data = segment_contact(segments[i][2], segments[i][3],
-                                         segments[j][2], segments[j][3])
-            if kind != "none":
-                yield int(i), int(j), kind, data, None
-        return
-    ints, scale = scaled
+    proper, contacts = [], []
+    if table is None:
+        for i, j in pairs.tolist():
+            (a0, a1), (b0, b1) = segments[i][2:], segments[j][2:]
+            kind, data = segment_contact(a0, a1, b0, b1)
+            if kind == "point" and 0 < data[1] < 1 and 0 < data[2] < 1:
+                det = cross(sub(a1, a0), sub(b1, b0))
+                proper.append((i, j, *data, 1 if det > 0 else -1))
+            elif kind != "none":
+                contacts.append((i, j, kind, data))
+        return proper, contacts
+    ints, scale, first = table
     codes, unums, wnums, dens = kernels.classify_pairs(ints, pairs)
-    for t in np.flatnonzero(codes):
-        i, j = int(pairs[t, 0]), int(pairs[t, 1])
-        a0, a1 = segments[i][2], segments[i][3]
+    left, right = pairs[:, 0], pairs[:, 1]
+    # Collinear pairs, decided as segment_contact does: along a non-constant
+    # axis, the spans overlap (code 2), touch at an end of each (code 1,
+    # parameters 0 or 1) or miss (code 0).
+    col = np.flatnonzero(codes == 2)
+    p, q = ints[left[col]], ints[right[col]]
+    vertical = (p[:, 0] == p[:, 2])[:, None]
+    pa = np.where(vertical, p[:, 1::2], p[:, 0::2])
+    qa = np.where(vertical, q[:, 1::2], q[:, 0::2])
+    lo = np.maximum(pa.min(axis=1), qa.min(axis=1))
+    hi = np.minimum(pa.max(axis=1), qa.max(axis=1))
+    codes[col] = np.where(lo < hi, 2, np.where(lo == hi, 1, 0))
+    unums[col], wnums[col], dens[col] = pa[:, 0] != lo, qa[:, 0] != lo, 1
+    meet = codes == 1
+    inner = meet & (unums > 0) & (unums < dens) & (wnums > 0) & (wnums < dens)
+    joint = meet & (first[right] == first[left] + 1) & (unums == dens) & (wnums == 0)
+    p, q = ints[left[inner]], ints[right[inner]]
+    r, s = p[:, 2:] - p[:, :2], q[:, 2:] - q[:, :2]
+    sign = np.where(r[:, 0] * s[:, 1] > r[:, 1] * s[:, 0], 1, -1)
+    columns = (left[inner], right[inner], unums[inner], wnums[inner], dens[inner],
+               p[:, 0], p[:, 1], r[:, 0], r[:, 1], sign)
+    for i, j, un, wn, d, x0, y0, rx, ry, sg in zip(*(c.tolist() for c in columns)):
+        point = (Fraction(x0 * d + un * rx, d * scale), Fraction(y0 * d + un * ry, d * scale))
+        proper.append((i, j, point, Fraction(un, d), Fraction(wn, d), sg))
+    for t in np.flatnonzero((codes != 0) & ~inner & ~joint).tolist():
+        i, j = int(left[t]), int(right[t])
         if codes[t] == 2:
-            kind, data = segment_contact(a0, a1, segments[j][2], segments[j][3])
-            if kind != "none":
-                yield i, j, kind, data, None
+            contacts.append((i, j, "overlap", None))
             continue
+        (a0, a1), (b0, b1) = segments[i][2:], segments[j][2:]
         un, wn, d = int(unums[t]), int(wnums[t]), int(dens[t])
-        u = Fraction(un, d)
-        w = Fraction(wn, d)
-        if 0 < un < d and 0 < wn < d:
-            px0, py0, px1, py1 = (int(v) for v in ints[i])
-            qx0, qy0, qx1, qy1 = (int(v) for v in ints[j])
-            rx = px1 - px0
-            ry = py1 - py0
-            det = rx * (qy1 - qy0) - ry * (qx1 - qx0)
-            point = (Fraction(px0 * d + un * rx, d * scale),
-                     Fraction(py0 * d + un * ry, d * scale))
-            yield i, j, "point", (point, u, w), (1 if det > 0 else -1)
-            continue
-        if un == 0:
-            point = a0
-        elif un == d:
-            point = a1
-        elif wn == 0:
-            point = segments[j][2]
-        else:
-            point = segments[j][3]
-        yield i, j, "point", (point, u, w), None
+        point = a0 if un == 0 else a1 if un == d else b0 if wn == 0 else b1
+        contacts.append((i, j, "point", (point, Fraction(un, d), Fraction(wn, d))))
+    return proper, contacts
 
 
 def validate(imm: PlaneImmersion) -> GenericityReport:
@@ -442,7 +448,7 @@ def crossings(imm: PlaneImmersion):
     Raises:
         ValueError: If the immersion fails validation.
     """
-    report, records = imm._scan
+    report, records, _ = imm._scan
     if not report.ok:
         raise ValueError(f"immersion is not generic: {report.summary()}")
     return records
@@ -454,11 +460,13 @@ def _require_valid(imm):
         raise ValueError(f"immersion is not generic: {report.summary()}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _cycle_edges(graph, cycle):
     """Edge names of a validated cycle, sorted by graph edge index.
 
-    Cached because censuses revisit the same few cycles thousands of times.
+    Cached because censuses and rotation numbers revisit the same few
+    cycles thousands of times; bounded because callers such as the
+    zero-rotation constructor bring a new graph on every call.
     """
     cycle.validate(graph)
     return tuple(sorted(cycle.edge_name_set, key=graph.edge_index.get))
@@ -506,15 +514,16 @@ def rotation_number(imm: PlaneImmersion, cycle: Cycle, orientation=1) -> int:
 
     The closed polygon is the concatenation of the cycle's edge polylines;
     the result flips sign with the orientation argument (-1 reverses).
+    Every turn of a valid drawing is shorter than pi, so the turning
+    number is the signed count of turns past the +x direction (Whitney
+    1937), decided exactly for coordinates of any size.
 
     Raises:
         ValueError: Invalid immersion or cycle.
-        ArithmeticError: Turning sum too far from an integer multiple of
-            2*pi (cannot happen on validated immersions).
     """
     _require_valid(imm)
     try:
-        cycle.validate(imm.graph)
+        _cycle_edges(imm.graph, cycle)
     except (KeyError, ValueError) as exc:
         raise ValueError(f"cycle does not belong to the graph: {exc}") from exc
     steps = cycle.steps
@@ -522,25 +531,14 @@ def rotation_number(imm: PlaneImmersion, cycle: Cycle, orientation=1) -> int:
         steps = tuple((n, -d) for n, d in reversed(steps))
     elif orientation != 1:
         raise ValueError("orientation must be +1 or -1")
-    table = imm._turning
-    joints = imm._joint_angles
-    total = 0.0
-    n = len(steps)
-    for i in range(n):
-        a = steps[i]
-        b = steps[(i + 1) % n]
-        total += table[a][2]
-        key = (a, b)
-        ang = joints.get(key)
-        if ang is None:
-            ang = _float_angle(table[a][1], table[b][0])
-            joints[key] = ang
-        total += ang
-    turns = total / (2.0 * math.pi)
-    rot = round(turns)
-    if abs(turns - rot) >= ROTATION_RESIDUAL:
-        raise ArithmeticError(f"turning sum {turns} is not close to an integer")
-    return rot
+    table = imm._tangents
+    total = 0
+    prev = table[steps[-1]][1]
+    for step in steps:
+        first, last, inner = table[step]
+        total += _passes(prev, first) + inner
+        prev = last
+    return total
 
 
 def rotation_sum(imm: PlaneImmersion, k) -> int:

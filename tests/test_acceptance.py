@@ -3,14 +3,14 @@
 Each test prints one "[criterion N] <label>: PASS|FAIL" line.  The heavy
 shared inputs (200 seeded immersions per graph, the lift batches) are
 produced once by module fixtures; any parity failure writes the offending
-drawing next to the report and names the exact replay command.
+drawing under the test's temporary directory and names that path and the
+exact replay command.
 """
 
 import random
 from collections import Counter
 from contextlib import contextmanager
 from itertools import combinations
-from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -87,8 +87,8 @@ FUZZ_GRAPHS = {
 }
 
 
-def _fail_with_counterexample(name, seed, label, text, suffix=".imm"):
-    path = Path(f"counterexample-{label}-{name}-seed{seed}{suffix}")
+def _fail_with_counterexample(directory, name, seed, label, text, suffix=".imm"):
+    path = directory / f"counterexample-{label}-{name}-seed{seed}{suffix}"
     path.write_text(text, encoding="utf-8")
     shorthand = FUZZ_GRAPHS[name][1]
     pytest.fail(
@@ -230,7 +230,7 @@ def _parity_violation(name, csum, total, kappas):
     return None
 
 
-def test_criterion_3_fuzzed_parity_theorems(fuzz_stats):
+def test_criterion_3_fuzzed_parity_theorems(fuzz_stats, tmp_path):
     with criterion(3, "crossing-sum parities hold on 200 seeded "
                       "immersions per graph"):
         for name, (build, _) in FUZZ_GRAPHS.items():
@@ -241,7 +241,7 @@ def test_criterion_3_fuzzed_parity_theorems(fuzz_stats):
                 if reason is not None:
                     imm = random_immersion(build(), seed=seed)
                     _fail_with_counterexample(
-                        name, seed, "parity", serialize_immersion(imm))
+                        tmp_path, name, seed, "parity", serialize_immersion(imm))
 
 
 ROT_SUM_PARITY = {
@@ -253,7 +253,7 @@ ROT_SUM_PARITY = {
 }
 
 
-def test_criterion_4_rotation_corollaries(fuzz_stats):
+def test_criterion_4_rotation_corollaries(fuzz_stats, tmp_path):
     with criterion(4, "rot - c is odd on every cycle and the rot-sum "
                       "parities hold 200/200"):
         for name, (build, _) in FUZZ_GRAPHS.items():
@@ -261,16 +261,16 @@ def test_criterion_4_rotation_corollaries(fuzz_stats):
                 if not rot_c_odd:
                     imm = random_immersion(build(), seed=seed)
                     _fail_with_counterexample(
-                        name, seed, "rot-parity", serialize_immersion(imm))
+                        tmp_path, name, seed, "rot-parity", serialize_immersion(imm))
                 for k, parity in ROT_SUM_PARITY.get(name, {}).items():
                     value = sum(rsum.values()) if k is None else rsum[k]
                     if value % 2 != parity:
                         imm = random_immersion(build(), seed=seed)
                         _fail_with_counterexample(
-                            name, seed, "rot-sum", serialize_immersion(imm))
+                            tmp_path, name, seed, "rot-sum", serialize_immersion(imm))
 
 
-def test_criterion_5_weighted_linking_invariants(lift_batches):
+def test_criterion_5_weighted_linking_invariants(lift_batches, tmp_path):
     with criterion(5, "L is odd, matches kappa mod 2 on 1000 lifts per "
                       "graph, and moves by exactly 2 epsilon"):
         for name, dist in (("PG", 1), ("HG", 2)):
@@ -280,7 +280,7 @@ def test_criterion_5_weighted_linking_invariants(lift_batches):
                     value = L_invariant(diagram, name)
                     if value % 2 != 1 or (value - kap) % 2 != 0:
                         _fail_with_counterexample(
-                            name, lift_seed, "L", serialize_diagram(diagram),
+                            tmp_path, name, lift_seed, "L", serialize_diagram(diagram),
                             suffix=".dgm")
                     checked += 1
             assert checked == N_BASE_IMMERSIONS * N_LIFTS
@@ -308,7 +308,7 @@ TB_MULTIPLIERS = {
 }
 
 
-def test_criterion_6_tb_ratios(lift_batches):
+def test_criterion_6_tb_ratios(lift_batches, tmp_path):
     with criterion(6, "writhe-sum ratios are exact integers on 1000 "
                       "lifts per graph"):
         for name, (base, multipliers, total_factor) in TB_MULTIPLIERS.items():
@@ -321,7 +321,7 @@ def test_criterion_6_tb_ratios(lift_batches):
                               for k, q in multipliers.items())
                     if bad or tb_total(diagram) != total_factor * anchor:
                         _fail_with_counterexample(
-                            name, lift_seed, "tb", serialize_diagram(diagram),
+                            tmp_path, name, lift_seed, "tb", serialize_diagram(diagram),
                             suffix=".dgm")
                     checked += 1
             assert checked == N_BASE_IMMERSIONS * N_LIFTS

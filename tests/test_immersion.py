@@ -7,10 +7,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from immersa import kernels
+from immersa import immersion, kernels
 from immersa.geometry import param_location, segment_contact
 from immersa.graphs import (
     MultiGraph,
@@ -19,10 +19,12 @@ from immersa.graphs import (
     enumerate_cycles,
     heawood_graph,
     multi_triangle,
+    petersen_graph,
     theta_graph,
 )
 from immersa.immersion import (
     PlaneImmersion,
+    _passes,
     _to_float,
     crossings,
     cycle_crossing_number,
@@ -257,6 +259,7 @@ class TestViolations:
         assert violation_kinds(imm) == {"crossing-at-breakpoint"}
 
     def test_near_reversal_corner(self):
+        # The corner turns by less than pi, however close: generic.
         eps = Fraction(1, 10**12)
         g = MultiGraph(("a", "b"), (("ab", "a", "b"),))
         imm = PlaneImmersion(
@@ -264,17 +267,17 @@ class TestViolations:
             {"a": (0, 0), "b": (0, 2 * eps)},
             {"ab": ((0, 0), (4, eps), (0, 2 * eps))},
         )
-        assert "near-reversal-corner" in violation_kinds(imm)
+        assert validate(imm).ok
 
-    def test_exact_reversal_is_both_overlap_and_corner(self):
+    def test_exact_reversal_is_overlap(self):
         g = MultiGraph(("a", "b"), (("ab", "a", "b"),))
         imm = PlaneImmersion(
             g, {"a": (0, 0), "b": (1, 0)}, {"ab": ((0, 0), (4, 0), (1, 0))}
         )
-        kinds = violation_kinds(imm)
-        assert {"overlap", "near-reversal-corner"} <= kinds
+        assert violation_kinds(imm) == {"overlap"}
 
     def test_near_cusp_at_vertex(self):
+        # Two edges leave v in directions 1e-10 apart: generic.
         eps = Fraction(1, 10**10)
         g = MultiGraph(("v", "a", "b"), (("va", "v", "a"), ("vb", "v", "b")))
         imm = PlaneImmersion(
@@ -282,7 +285,16 @@ class TestViolations:
             {"v": (0, 0), "a": (4, 0), "b": (4, eps)},
             {"va": ((0, 0), (4, 0)), "vb": ((0, 0), (4, eps))},
         )
-        assert violation_kinds(imm) == {"near-cusp-at-vertex"}
+        assert validate(imm).ok
+
+    def test_exact_cusp_at_vertex_is_overlap(self):
+        g = MultiGraph(("v", "a", "b"), (("va", "v", "a"), ("vb", "v", "b")))
+        imm = PlaneImmersion(
+            g,
+            {"v": (0, 0), "a": (4, 0), "b": (4, 2)},
+            {"va": ((0, 0), (4, 0)), "vb": ((0, 0), (2, 0), (4, 2))},
+        )
+        assert "overlap" in violation_kinds(imm)
 
     def test_crossings_refuses_invalid(self):
         g = MultiGraph(("a", "b"), ())
@@ -390,6 +402,32 @@ class TestRotation:
         refined = PlaneImmersion(imm.graph, imm.vertex_position, poly)
         cyc = enumerate_cycles(imm.graph, 4)[0]
         assert rotation_number(refined, cyc) == 1
+
+    def test_hairpin_is_generic_with_exact_rotation(self):
+        # The hairpin turns back at (10^7, -1/2) by less than pi; closed by
+        # a straight edge it bounds a thin counterclockwise triangle.
+        g = MultiGraph(("a", "b"), (("h", "a", "b"), ("s", "b", "a")))
+        a, b = (0, Fraction(-1, 2)), (Fraction(1, 2), Fraction(-1, 2) + Fraction(1, 1000))
+        imm = PlaneImmersion(
+            g, {"a": a, "b": b}, {"h": (a, (10**7, Fraction(-1, 2)), b), "s": (b, a)}
+        )
+        assert validate(imm).ok
+        (cyc,) = enumerate_cycles(g)
+        ccw = 1 if ("h", 1) in cyc.steps else -1
+        assert rotation_number(imm, cyc) == ccw
+        assert rotation_number(imm, cyc, orientation=-1) == -ccw
+
+    def test_huge_breakpoint_rotation_is_exact(self):
+        # Float directions overflow at 10^400; the sign predicates do not.
+        imm = self.square()
+        poly = dict(imm.edge_polyline)
+        poly["ab"] = ((0, 0), (10**400, -1), (4, 0))
+        huge = PlaneImmersion(imm.graph, imm.vertex_position, poly)
+        assert validate(huge).ok
+        cyc = enumerate_cycles(imm.graph, 4)[0]
+        rot = rotation_number(huge, cyc)
+        assert type(rot) is int and rot == 1
+        assert rotation_number(huge, cyc, orientation=-1) == -1
 
 
 GRAPHS = {
@@ -510,3 +548,90 @@ def test_scaled_prefilter_floats_equal_per_coordinate_floats(monkeypatch):
         got = prefilter_input(imm, monkeypatch)
         assert got.dtype == np.float64 and got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def float_rotation(imm, cycle, orientation):
+    # Test-only oracle: the float turning sum, atan2 at every corner of the
+    # closed polygon over 2 pi, as rotation numbers were once computed.
+    steps = cycle.steps if orientation == 1 else [(n, -d) for n, d in reversed(cycle.steps)]
+    pts = []
+    for name, d in steps:
+        poly = imm.edge_polyline[name]
+        pts.extend((poly if d == 1 else poly[::-1])[:-1])
+    dirs = [(float(q[0] - p[0]), float(q[1] - p[1])) for p, q in zip(pts, pts[1:] + pts[:1])]
+    total = sum(math.atan2(x1 * y2 - y1 * x2, x1 * x2 + y1 * y2)
+                for (x1, y1), (x2, y2) in zip(dirs, dirs[1:] + dirs[:1]))
+    turns = total / (2 * math.pi)
+    assert abs(turns - round(turns)) < 1e-6
+    return round(turns)
+
+
+def test_rotation_matches_float_turning_sum():
+    graphs = (heawood_graph(), petersen_graph(), complete_graph(5),
+              complete_bipartite_graph(3, 3))
+    checked = 0
+    for graph in graphs:
+        cycles = enumerate_cycles(graph)
+        for seed in range(5):
+            imm = random_immersion(graph, seed)
+            for cyc in cycles:
+                for orientation in (1, -1):
+                    want = float_rotation(imm, cyc, orientation)
+                    assert rotation_number(imm, cyc, orientation) == want
+                    checked += 1
+    assert checked == 2 * 5 * (213 + 57 + 37 + 15)
+
+
+directions = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(lambda d: d != (0, 0))
+
+
+@given(directions, directions)
+def test_wrap_rule_matches_atan2(d1, d2):
+    det = d1[0] * d2[1] - d1[1] * d2[0]
+    dot = d1[0] * d2[0] + d1[1] * d2[1]
+    assume(det != 0 or dot > 0)  # a turn shorter than pi
+
+    def angle(d):
+        return math.atan2(d[1], d[0]) % (2 * math.pi)
+
+    unwrapped = angle(d1) + math.atan2(det, dot)
+    assert _passes(d1, d2) == round((unwrapped - angle(d2)) / (2 * math.pi))
+
+
+def snapped(imm, den):
+    # The drawing with every point rounded to the 1/den grid: mostly
+    # non-generic, with overlaps, touching breakpoints and triple points.
+    def snap(p):
+        return (Fraction(round(p[0] * den), den), Fraction(round(p[1] * den), den))
+
+    return PlaneImmersion(imm.graph, {v: snap(p) for v, p in imm.vertex_position.items()},
+                          {e: [snap(p) for p in pts] for e, pts in imm.edge_polyline.items()})
+
+
+def test_integer_and_rational_paths_agree(monkeypatch):
+    drawings = [random_immersion(graph, seed)
+                for graph in (heawood_graph(), complete_graph(4), theta_graph(3))
+                for seed in range(3)]
+    drawings += [snapped(imm, den) for imm in drawings for den in (1, 2, 3)]
+    square = TestRotation().square()
+    straight = dict(square.edge_polyline, ab=((0, 0), (1, 0), (2, 0), (4, 0)))
+    drawings += [
+        dense_style_drawing(1, per_edge=12),
+        PlaneImmersion(square.graph, square.vertex_position, straight),
+        PlaneImmersion(MultiGraph(("v",), (("l", "v", "v"),)), {"v": (0, 0)},
+                       {"l": ((0, 0), (4, 0), (4, 4), (6, 2), (0, 0))}),
+    ]
+    kinds = set()
+    for imm in drawings:
+        with monkeypatch.context() as m:
+            m.setattr(immersion, "_integer_scaled", lambda keys: None)
+            rational = PlaneImmersion(imm.graph, imm.vertex_position, imm.edge_polyline)
+            report = validate(rational)
+        assert imm._scan[2] is not None and rational._scan[2] is None
+        assert validate(imm) == report
+        kinds.update(kind for kind, _ in report.violations)
+        if report.ok:
+            assert crossings(imm) == crossings(rational)
+            for cyc in enumerate_cycles(imm.graph):
+                assert rotation_number(imm, cyc) == rotation_number(rational, cyc)
+    assert kinds >= {"overlap", "breakpoint-contact", "triple-point", "crossing-at-breakpoint"}
