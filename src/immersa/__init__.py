@@ -47,7 +47,6 @@ from .formats import (
 from .graphs import (
     Cycle,
     MultiGraph,
-    automorphism_group,
     block_decomposition,
     build_named,
     complete_bipartite_graph,
@@ -102,7 +101,7 @@ __all__ = [
     "ParseError", "format_number", "named_graph_label", "parse_diagram",
     "parse_graph", "parse_immersion", "parse_number", "serialize_diagram",
     "serialize_graph", "serialize_immersion",
-    "Cycle", "MultiGraph", "automorphism_group", "block_decomposition",
+    "Cycle", "MultiGraph", "block_decomposition",
     "build_named", "complete_bipartite_graph", "complete_graph",
     "disjoint_edge_pairs", "edge_distance", "edge_pairs_at_distance",
     "enumerate_cycles", "has_K4_minor", "heawood_graph", "multi_triangle",

@@ -36,10 +36,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 
-from .graphs import Cycle, MultiGraph, edge_distance, enumerate_cycles
+from .graphs import Cycle, MultiGraph, edge_distance, enumerate_cycles, per_graph
 
 
 def _oriented(edge):
@@ -51,7 +50,6 @@ def _oriented(edge):
     return name, sign
 
 
-@lru_cache(maxsize=None)
 def girth(graph: MultiGraph):
     """Length of a shortest cycle, or None for a forest."""
     for c in enumerate_cycles(graph):
@@ -59,7 +57,7 @@ def girth(graph: MultiGraph):
     return None
 
 
-@lru_cache(maxsize=None)
+@per_graph
 def _normalized_orientations(graph: MultiGraph):
     # Census convention for the sign of the second edge (first edge kept at
     # its stored orientation): make the first girth cycle through the pair
@@ -139,16 +137,19 @@ def _checked_length(k):
 
 
 def _weights(graph: MultiGraph, k):
-    """Weights of the k-cycles, or of all cycles for k None; cached.
+    """Weights of the k-cycles, or of all cycles for k None.
+
+    Kept in the graph's memo, so they are counted once per graph and
+    freed with it.
 
     Raises:
         ValueError: k is a bool or an integer below 1.
     """
-    # Checked before the cache lookup: True and 1 are one cache key.
+    # Checked before the memo lookup: True and 1 are one dict key.
     return _length_weights(graph, _checked_length(k))
 
 
-@lru_cache(maxsize=None)
+@per_graph
 def _length_weights(graph: MultiGraph, k):
     return _count_weights(graph, enumerate_cycles(graph, k))
 

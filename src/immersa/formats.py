@@ -10,7 +10,8 @@ add one ``over <crossing-id> <edge-name|first|second>`` line per crossing.
 
 Coordinates are exact: a denominator of the form 2^a 5^b serializes as a
 terminating decimal, anything else falls back to ``p/q``, and both forms
-parse back to the identical rational.  Serialization is deterministic, so
+parse back to the identical rational; exponents and ``_`` separators are
+rejected.  Serialization is deterministic, so
 serialize(parse(text)) is a fixpoint.
 """
 
@@ -19,8 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .diagrams import Diagram
-from .graphs import MultiGraph, build_named
-from .immersion import PlaneImmersion, crossings
+from .graphs import MultiGraph, _check_name as _check_graph_name, build_named
+from .immersion import PlaneImmersion, crossings, validate
 
 
 class ParseError(ValueError):
@@ -61,7 +62,14 @@ def format_number(value) -> str:
 
 
 def parse_number(token, line=None) -> Fraction:
-    """Parse a decimal or ``p/q`` coordinate token exactly."""
+    """Parse a decimal or ``p/q`` coordinate token exactly.
+
+    Exponents and ``_`` digit separators are not part of the grammar and
+    are rejected: expanding an exponent takes time that grows with its
+    value, so a short token such as ``1e999999999`` would never return.
+    """
+    if any(ch in token for ch in "eE_"):
+        raise ParseError(f"bad number {token!r}: no exponents or '_' separators", line)
     try:
         if "/" in token:
             p, q = token.split("/")
@@ -76,6 +84,13 @@ def _content_lines(text):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line
+
+
+def _check_name(name, what, lineno):
+    try:
+        _check_graph_name(name, what)
+    except ValueError as exc:
+        raise ParseError(str(exc), lineno) from None
 
 
 def _expand_shorthand(line, lineno=None) -> MultiGraph:
@@ -103,6 +118,7 @@ class _GraphAccumulator:
         if tokens[0] == "v":
             if len(tokens) != 2:
                 raise ParseError("v line needs exactly one name", lineno)
+            _check_name(tokens[1], "vertex", lineno)
             if tokens[1] in self._vset:
                 raise ParseError(f"duplicate vertex {tokens[1]!r}", lineno)
             self._vset.add(tokens[1])
@@ -111,6 +127,7 @@ class _GraphAccumulator:
             if len(tokens) != 4:
                 raise ParseError("e line needs a name, a tail and a head", lineno)
             name, tail, head = tokens[1:]
+            _check_name(name, "edge", lineno)
             if name in self._eset:
                 raise ParseError(f"duplicate edge {name!r}", lineno)
             for v in (tail, head):
@@ -277,6 +294,9 @@ def parse_diagram(text) -> Diagram:
             crossings and bad strand choices.
     """
     immersion, overs = _parse_immersion_body(text, allow_over=True)
+    report = validate(immersion)
+    if not report.ok:
+        raise ParseError(f"immersion is not generic: {report.summary()}")
     ids = {rec.id for rec in crossings(immersion)}
     over = {}
     lines = {}

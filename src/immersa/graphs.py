@@ -1,8 +1,11 @@
-"""Multigraphs, named constructors, cycles, edge distances and symmetries.
+"""Multigraphs, named constructors, cycles, edge distances and K4 minors.
 
 The graphs handled here are small labeled multigraphs (loops and parallel
-edges allowed).  Everything is immutable: operations never mutate a graph,
-so shared read-only use from several threads is safe.
+edges allowed).  A graph never changes value: no operation mutates its
+vertices or edges.  Data derived from a graph (cycles, edge distances,
+census weights) is memoized on the graph object itself, so it is freed
+with the graph.  Filling a memo entry is idempotent, so shared read-only
+use from several threads stays safe.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, wraps
 from itertools import combinations
 
 # Sentinel distance for edge pairs in different components.
@@ -89,6 +92,11 @@ class MultiGraph:
         return tuple(e[0] for e in self.edges)
 
     @cached_property
+    def _memo(self) -> dict:
+        """Data derived from this graph, filled by ``per_graph``."""
+        return {}
+
+    @cached_property
     def _edge_distances(self) -> dict:
         """Index-ordered pair of distinct edges -> edge_distance, every pair.
 
@@ -120,6 +128,28 @@ class MultiGraph:
         edges = tuple(e for e in self.edges if e[0] in keep)
         used = {v for _, t, h in edges for v in (t, h)}
         return MultiGraph(tuple(v for v in self.vertices if v in used), edges)
+
+
+def per_graph(fn):
+    """Memoize fn(graph, *args) in the graph's ``MultiGraph._memo``.
+
+    The memo lives and dies with the graph, and since graphs never change
+    value an entry never goes stale.  Keys start with the returned wrapper,
+    not fn: pickle finds the wrapper by its name, so a graph still pickles
+    with its memo.
+    """
+
+    @wraps(fn)
+    def memoized(graph, *args):
+        key = (memoized, *args)
+        memo = graph._memo
+        try:
+            return memo[key]
+        except KeyError:
+            memo[key] = value = fn(graph, *args)
+            return value
+
+    return memoized
 
 
 def _canonical_steps(steps):
@@ -190,9 +220,7 @@ class Cycle:
             raise ValueError("cycle repeats an edge")
 
 
-# Bounded: callers such as the zero-rotation constructor bring a new graph
-# on every call, and each entry keeps its graph and cycles alive.
-@lru_cache(maxsize=256)
+@per_graph
 def _all_cycles(graph: MultiGraph):
     cycles = []
     for anchor, (name, tail, head) in enumerate(graph.edges):
@@ -246,24 +274,8 @@ def edge_distance(graph: MultiGraph, d, e):
     """
     if d == e:
         return 0
-    td, hd = graph.endpoints[d]
-    te, he = graph.endpoints[e]
-    targets = {te, he}
-    if td in targets or hd in targets:
-        return 0
-    dist = {td: 0, hd: 0}
-    queue = deque((td, hd))
-    while queue:
-        v = queue.popleft()
-        for ename in graph.incident[v]:
-            w = graph.other_end(ename, v)
-            if w in dist:
-                continue
-            dist[w] = dist[v] + 1
-            if w in targets:
-                return dist[w]
-            queue.append(w)
-    return INFINITE_DISTANCE
+    index = graph.edge_index
+    return graph._edge_distances[(d, e) if index[d] < index[e] else (e, d)]
 
 
 def edge_pairs_at_distance(graph: MultiGraph, k):
@@ -274,191 +286,6 @@ def edge_pairs_at_distance(graph: MultiGraph, k):
 def disjoint_edge_pairs(graph: MultiGraph):
     """All unordered pairs of edges sharing no vertex (distance >= 1)."""
     return tuple(p for p, dist in graph._edge_distances.items() if dist >= 1)
-
-
-def distance_one_neighborhood_is_cycle(graph: MultiGraph, e, k=1):
-    """The set of edges at distance k from e, if that set is a single cycle.
-
-    Args:
-        graph: The graph.
-        e: Base edge name.
-        k: Distance class to collect (default 1).
-
-    Returns:
-        The Cycle formed by the distance-k edges, or None when those edges
-        do not form one single cycle.
-    """
-    ring = [name for name in graph.edge_names if name != e and edge_distance(graph, e, name) == k]
-    if not ring:
-        return None
-    touch = Counter()
-    for name in ring:
-        t, h = graph.endpoints[name]
-        if t == h:
-            return None
-        touch[t] += 1
-        touch[h] += 1
-    if len(ring) != len(touch) or any(c != 2 for c in touch.values()):
-        return None
-    # Walk the 2-regular subgraph; it is one cycle iff the walk covers everything.
-    by_vertex = {}
-    for name in ring:
-        t, h = graph.endpoints[name]
-        by_vertex.setdefault(t, []).append(name)
-        by_vertex.setdefault(h, []).append(name)
-    first = ring[0]
-    t0, h0 = graph.endpoints[first]
-    steps = [(first, 1)]
-    cur = h0
-    used = {first}
-    while cur != t0:
-        nxt = next(n for n in by_vertex[cur] if n not in used)
-        t, h = graph.endpoints[nxt]
-        steps.append((nxt, 1) if t == cur else (nxt, -1))
-        cur = h if t == cur else t
-        used.add(nxt)
-    if len(used) != len(ring):
-        return None
-    return Cycle(tuple(steps))
-
-
-# ---------------------------------------------------------------------------
-# Automorphisms
-
-
-@lru_cache(maxsize=None)
-def automorphism_group(graph: MultiGraph):
-    """All automorphisms, as vertex-name maps.
-
-    An automorphism must preserve the edge multiplicity between every vertex
-    pair and the loop count at every vertex.  Backtracking with degree and
-    neighbor-degree pruning; fine up to ~20 vertices.
-
-    Returns:
-        Tuple of dicts mapping each vertex name to its image.
-    """
-    verts = list(graph.vertices)
-    n = len(verts)
-    mult = {v: Counter() for v in verts}
-    loops = Counter()
-    for name, t, h in graph.edges:
-        if t == h:
-            loops[t] += 1
-        else:
-            mult[t][h] += 1
-            mult[h][t] += 1
-
-    def profile(v):
-        return (
-            graph.degree(v),
-            loops[v],
-            tuple(sorted((graph.degree(w), m) for w, m in mult[v].items())),
-        )
-
-    profiles = {v: profile(v) for v in verts}
-    candidates = {v: [w for w in verts if profiles[w] == profiles[v]] for v in verts}
-    # Most-constrained vertices first shrinks the tree.
-    order = sorted(verts, key=lambda v: len(candidates[v]))
-
-    found = []
-    assign = {}
-    used = set()
-
-    def extend(i):
-        if i == n:
-            found.append(dict(assign))
-            return
-        v = order[i]
-        for w in candidates[v]:
-            if w in used:
-                continue
-            ok = True
-            for u in order[:i]:
-                if mult[v][u] != mult[w][assign[u]]:
-                    ok = False
-                    break
-            if ok:
-                assign[v] = w
-                used.add(w)
-                extend(i + 1)
-                used.discard(w)
-                del assign[v]
-
-    extend(0)
-    return tuple(found)
-
-
-def _pair_class(graph, name):
-    # A loop's class is a 1-set; parallel edges share a class on purpose.
-    t, h = graph.endpoints[name]
-    return frozenset((t, h))
-
-
-def automorphism_orbit_transitive(graph: MultiGraph, kind, k=None):
-    """Decide whether Aut(graph) acts transitively on a class of objects.
-
-    Args:
-        graph: The graph.
-        kind: One of "vertices", "edges", "adjacent_pairs", "distance_pairs".
-        k: Distance for kind="distance_pairs".
-
-    Returns:
-        Pair (transitive, witnesses).  When transitive, witnesses maps every
-        object to an automorphism taking the first object (in enumeration
-        order) to it; otherwise witnesses is None.
-    """
-    group = automorphism_group(graph)
-    class_to_names = {}
-    for name in graph.edge_names:
-        class_to_names.setdefault(_pair_class(graph, name), []).append(name)
-
-    def edge_image_names(vmap, name):
-        t, h = graph.endpoints[name]
-        return class_to_names.get(frozenset((vmap[t], vmap[h])), ())
-
-    if kind == "vertices":
-        objects = list(graph.vertices)
-        if not objects:
-            return True, {}
-        base = objects[0]
-        witnesses = {}
-        for vmap in group:
-            witnesses.setdefault(vmap[base], vmap)
-        ok = set(witnesses) == set(objects)
-        return (ok, witnesses if ok else None)
-
-    if kind == "edges":
-        objects = list(graph.edge_names)
-        pairs = [(name,) for name in objects]
-    elif kind == "adjacent_pairs":
-        pairs = list(edge_pairs_at_distance(graph, 0))
-        objects = pairs
-    elif kind == "distance_pairs":
-        if k is None:
-            raise ValueError("distance_pairs needs k")
-        pairs = list(edge_pairs_at_distance(graph, k))
-        objects = pairs
-    else:
-        raise ValueError(f"unknown object kind {kind!r}")
-
-    if not objects:
-        return True, {}
-    base = pairs[0]
-    witnesses = {}
-    for vmap in group:
-        image_sets = [edge_image_names(vmap, name) for name in base]
-        if len(base) == 1:
-            for name in image_sets[0]:
-                witnesses.setdefault(name, vmap)
-        else:
-            for a in image_sets[0]:
-                for b in image_sets[1]:
-                    if a == b:
-                        continue
-                    key = (a, b) if graph.edge_index[a] < graph.edge_index[b] else (b, a)
-                    witnesses.setdefault(key, vmap)
-    ok = set(objects) <= set(witnesses)
-    return (ok, {o: witnesses[o] for o in objects} if ok else None)
 
 
 # ---------------------------------------------------------------------------

@@ -22,14 +22,14 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from . import kernels
 from .census import _weights
 from .geometry import as_point, param_location, segment_contact, sub, cross
-from .graphs import Cycle, MultiGraph, enumerate_cycles
+from .graphs import Cycle, MultiGraph, enumerate_cycles, per_graph
 
 
 def _fmt(point):
@@ -460,13 +460,13 @@ def _require_valid(imm):
         raise ValueError(f"immersion is not generic: {report.summary()}")
 
 
-@lru_cache(maxsize=1024)
+@per_graph
 def _cycle_edges(graph, cycle):
     """Edge names of a validated cycle, sorted by graph edge index.
 
-    Cached because censuses and rotation numbers revisit the same few
-    cycles thousands of times; bounded because callers such as the
-    zero-rotation constructor bring a new graph on every call.
+    Kept in the graph's memo because censuses and rotation numbers revisit
+    the same few cycles thousands of times; only valid cycles are stored,
+    so the memo holds at most one entry per cycle of the graph.
     """
     cycle.validate(graph)
     return tuple(sorted(cycle.edge_name_set, key=graph.edge_index.get))

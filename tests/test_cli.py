@@ -93,6 +93,12 @@ class TestVerify:
         code, out, _ = run(capsys, "validate", str(path))
         assert code == 0 and out == "ok\n"
 
+    def test_exponent_coordinate_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "huge.imm"
+        path.write_text("graph @K 2\npos v1 1e999999999 0\n")
+        code, _, err = run(capsys, "validate", str(path))
+        assert code == 2 and "bad number" in err
+
 
 class TestDrawingCommands:
     def test_crossings_pg_min(self, capsys):

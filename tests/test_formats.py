@@ -1,5 +1,6 @@
 """Text formats: exact round trips and line-numbered errors."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -62,7 +63,8 @@ class TestNumberCodec:
             assert not text.endswith("0")
 
     def test_bad_numbers(self):
-        for token in ("", "1/0", "x", "1.2.3", "--4"):
+        for token in ("", "1/0", "x", "1.2.3", "--4", "1e999999999", "1E5",
+                      "1_000"):
             with pytest.raises(ParseError, match="bad number"):
                 parse_number(token, 3)
 
@@ -107,6 +109,8 @@ class TestGraphFormat:
         ("@Q", 1, "bad graph shorthand"),
         ("v", 1, "needs exactly one name"),
         ("e e1 a", 1, "needs a name, a tail and a head"),
+        ("v a\nv b\ne u1u2: a b", 3, "bad edge name"),
+        ("v a:", 1, "bad vertex name"),
     ])
     def test_errors_carry_line_numbers(self, text, lineno, message):
         with pytest.raises(ParseError, match=message) as info:
@@ -188,3 +192,53 @@ class TestDiagramFormat:
         first_over = next(l for l in text.splitlines() if l.startswith("over "))
         with pytest.raises(ParseError, match="duplicate over"):
             parse_diagram(text + first_over + "\n")
+
+    def test_non_generic_drawing_is_parse_error(self):
+        text = serialize_diagram(random_lift(standard_immersion("PG-star"), seed=11))
+        pos = next(l for l in text.splitlines() if l.startswith("pos "))
+        moved = text.replace(pos + "\n", " ".join(pos.split()[:2]) + " 1/3 1/7\n")
+        with pytest.raises(ParseError, match="not generic: endpoint-mismatch"):
+            parse_diagram(moved)
+
+
+_MUTATION_CHARS = " \n:;/#-.0123456789eEvxu_@"
+
+
+def _mutate(text, rng):
+    """One to three random edits: insert or delete a character, repeat a
+    line, or overwrite one space-separated token with another."""
+    for _ in range(rng.randint(1, 3)):
+        op = rng.randrange(4)
+        i = rng.randrange(len(text) + 1)
+        if op == 0:
+            text = text[:i] + rng.choice(_MUTATION_CHARS) + text[i:]
+        elif op == 1:
+            text = text[:i] + text[i + 1:]
+        elif op == 2:
+            lines = text.splitlines()
+            lines.insert(rng.randrange(len(lines) + 1), rng.choice(lines))
+            text = "\n".join(lines) + "\n"
+        else:
+            tokens = text.split(" ")
+            tokens[rng.randrange(len(tokens))] = rng.choice(tokens)
+            text = " ".join(tokens)
+    return text
+
+
+@pytest.mark.parametrize("kind", ["graph", "immersion", "diagram"])
+def test_mutated_texts_raise_only_parse_error(kind):
+    imm = standard_immersion("PG-star")
+    parse, text = {
+        "graph": (parse_graph, serialize_graph(imm.graph)),
+        "immersion": (parse_immersion, serialize_immersion(imm)),
+        "diagram": (parse_diagram, serialize_diagram(random_lift(imm, seed=3))),
+    }[kind]
+    rng = random.Random(5)
+    for _ in range(400):
+        mutated = _mutate(text, rng)
+        try:
+            parse(mutated)
+        except ParseError:
+            pass
+        except Exception as exc:
+            pytest.fail(f"{type(exc).__name__} instead of ParseError: {exc}\n{mutated}")

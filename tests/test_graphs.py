@@ -1,21 +1,24 @@
+import gc
 import math
+import pickle
+import sys
+import weakref
 from itertools import combinations
 
 import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
+from immersa.census import census_table
+from immersa.epsilon import epsilon_table
 from immersa.graphs import (
     INFINITE_DISTANCE,
     Cycle,
     MultiGraph,
-    automorphism_group,
-    automorphism_orbit_transitive,
     block_decomposition,
     build_named,
     complete_bipartite_graph,
     complete_graph,
-    distance_one_neighborhood_is_cycle,
     disjoint_edge_pairs,
     edge_distance,
     edge_pairs_at_distance,
@@ -27,6 +30,8 @@ from immersa.graphs import (
     sp_reduction_trace,
     theta_graph,
 )
+from immersa.immersion import sum_crossing
+from immersa.sp import construct_zero_rotation, random_sp_graph
 
 # Cycle-count ground truth, frozen up front.
 PG_CYCLE_COUNTS = {5: 12, 6: 10, 8: 15, 9: 20}
@@ -207,74 +212,30 @@ def test_pg_distance_one_connector_unique():
         assert len(connectors) == 1, (d, e, connectors)
 
 
-def test_distance_neighborhood_rings():
-    pg = petersen_graph()
-    for e in pg.edge_names:
-        ring = distance_one_neighborhood_is_cycle(pg, e, 1)
-        assert ring is not None and len(ring) == 8
-        ring.validate(pg)
-    hg = heawood_graph()
-    for e in hg.edge_names:
-        ring = distance_one_neighborhood_is_cycle(hg, e, 2)
-        assert ring is not None and len(ring) == 8
-        ring.validate(hg)
-    k4 = complete_graph(4)
-    for e in k4.edge_names:
-        assert distance_one_neighborhood_is_cycle(k4, e, 1) is None
+def test_derived_data_is_freed_with_its_graph():
+    graph = random_sp_graph(5)
+    imm = construct_zero_rotation(graph)
+    sum_crossing(imm, None)
+    census_table(graph, sorted({len(c) for c in enumerate_cycles(graph)}))
+    assert pickle.loads(pickle.dumps(graph)) == graph  # the memo pickles too
+    ref = weakref.ref(graph)
+    del graph, imm
+    gc.collect()
+    assert ref() is None
 
 
-def test_automorphism_group_orders():
-    assert len(automorphism_group(petersen_graph())) == 120
-    assert len(automorphism_group(heawood_graph())) == 336
-    assert len(automorphism_group(complete_graph(4))) == 24
-    assert len(automorphism_group(theta_graph(3))) == 2
-    assert len(automorphism_group(multi_triangle(2))) == 6
-
-
-def test_automorphism_group_against_networkx():
-    for g in (petersen_graph(), heawood_graph()):
-        nxg = to_networkx(g)
-        matcher = nx.algorithms.isomorphism.GraphMatcher(nxg, nxg)
-        count = sum(1 for _ in matcher.isomorphisms_iter())
-        assert len(automorphism_group(g)) == count
-
-
-def _vmap_is_automorphism(g: MultiGraph, vmap):
-    pair_mult = {}
-    for _, t, h in g.edges:
-        key = frozenset((t, h))
-        pair_mult[key] = pair_mult.get(key, 0) + 1
-    assert sorted(vmap) == sorted(vmap.values()) == sorted(g.vertices)
-    for key, m in pair_mult.items():
-        image = frozenset(vmap[v] for v in key)
-        assert pair_mult.get(image, 0) == m
-
-
-def test_orbit_transitivity():
-    pg = petersen_graph()
-    for kind, k in (("vertices", None), ("edges", None), ("adjacent_pairs", None),
-                    ("distance_pairs", 1), ("distance_pairs", 2)):
-        ok, wit = automorphism_orbit_transitive(pg, kind, k)
-        assert ok, (kind, k)
-        for vmap in wit.values():
-            _vmap_is_automorphism(pg, vmap)
-    hg = heawood_graph()
-    for kind, k in (("edges", None), ("distance_pairs", 1), ("distance_pairs", 2)):
-        ok, _ = automorphism_orbit_transitive(hg, kind, k)
-        assert ok, (kind, k)
-    path3 = MultiGraph(("a", "b", "c"), (("e1", "a", "b"), ("e2", "b", "c")))
-    ok, wit = automorphism_orbit_transitive(path3, "vertices")
-    assert not ok and wit is None
-
-
-def test_orbit_witnesses_map_base_to_object():
-    pg = petersen_graph()
-    ok, wit = automorphism_orbit_transitive(pg, "edges")
-    assert ok
-    base = pg.edge_names[0]
-    for name, vmap in wit.items():
-        t, h = pg.endpoints[base]
-        assert frozenset((vmap[t], vmap[h])) == frozenset(pg.endpoints[name])
+def test_no_global_cache_is_keyed_on_graphs():
+    # Per-graph data lives in the graph's memo; the one process-wide cache
+    # left is the weight table loader, keyed on the "PG"/"HG" name.
+    import immersa.cli  # noqa: F401  loads every module of the package
+    cached = {
+        obj
+        for name, module in list(sys.modules.items())
+        if module is not None and (name == "immersa" or name.startswith("immersa."))
+        for obj in vars(module).values()
+        if callable(obj) and hasattr(obj, "cache_info")
+    }
+    assert cached == {epsilon_table}
 
 
 # --- K4 minors -------------------------------------------------------------

@@ -31,6 +31,7 @@ from immersa.immersion import (
     kappa,
     random_immersion,
     rotation_number,
+    rotation_sum,
     sum_crossing,
     validate,
 )
@@ -453,6 +454,20 @@ def test_random_immersions_match_oracle_and_parity(name):
             rot = rotation_number(imm, cyc)
             assert (rot - cycle_crossing_number(imm, cyc)) % 2 == 1
             assert rotation_number(imm, cyc, orientation=-1) == -rot
+
+
+def test_petersen_five_cycle_rotation_sum_is_odd():
+    # Each of the 12 five-cycles has rot = c + 1 (mod 2) and their crossing
+    # sum is odd (PG-parity), so their rotation numbers add up to an odd
+    # number, although the paper's abstract states "even".
+    graph = petersen_graph()
+    for seed in range(4):
+        imm = random_immersion(graph, seed)
+        total = rotation_sum(imm, 5)
+        assert total == sum(rotation_number(imm, c)
+                            for c in enumerate_cycles(graph, 5))
+        assert sum_crossing(imm, 5) % 2 == 1
+        assert total % 2 == 1
 
 
 def test_kappa_splits_total_by_distance():

@@ -11,6 +11,7 @@ from immersa.immersion import (
     cycle_crossing_number,
     kappa,
     rotation_number,
+    rotation_sum,
     sum_crossing,
     validate,
 )
@@ -122,7 +123,9 @@ class TestK33Hexagon:
 
     def test_rotation_sum_over_4_cycles_is_even(self):
         imm = standard_immersion("K33-hex")
-        total = sum(rotation_number(imm, c) for c in enumerate_cycles(imm.graph, 4))
+        total = rotation_sum(imm, 4)
+        assert total == sum(rotation_number(imm, c)
+                            for c in enumerate_cycles(imm.graph, 4))
         assert total % 2 == 0
 
 
