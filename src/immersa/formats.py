@@ -67,7 +67,11 @@ def parse_number(token, line=None) -> Fraction:
     Exponents and ``_`` digit separators are not part of the grammar and
     are rejected: expanding an exponent takes time that grows with its
     value, so a short token such as ``1e999999999`` would never return.
+    Digits must be ASCII: ``format_number`` writes no other kind, although
+    Python's ``int`` also reads, say, Arabic-Indic or full-width digits.
     """
+    if not token.isascii():
+        raise ParseError(f"bad number {token!r}: digits must be ASCII", line)
     if any(ch in token for ch in "eE_"):
         raise ParseError(f"bad number {token!r}: no exponents or '_' separators", line)
     try:

@@ -64,7 +64,7 @@ class TestNumberCodec:
 
     def test_bad_numbers(self):
         for token in ("", "1/0", "x", "1.2.3", "--4", "1e999999999", "1E5",
-                      "1_000"):
+                      "1_000", "\u0661\u0662", "\uff11\uff12"):
             with pytest.raises(ParseError, match="bad number"):
                 parse_number(token, 3)
 

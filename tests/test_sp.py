@@ -1,5 +1,6 @@
 """Tests for series-parallel decomposition and zero-rotation construction."""
 
+import hashlib
 import math
 
 import networkx as nx
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from immersa import sp
+from immersa.formats import serialize_immersion
 from immersa.graphs import (
     MultiGraph,
     complete_bipartite_graph,
@@ -386,3 +389,78 @@ class TestRandomSPGraph:
     def test_terminals_present(self):
         g = random_sp_graph(7)
         assert "t0" in g.vertices and "t1" in g.vertices
+
+
+class TestSingleAudit:
+    def test_crossing_audit_fires_on_a_wrong_prediction(self, monkeypatch):
+        real = sp._block_piece
+
+        def bogus(block):
+            piece = real(block)
+            name = block.edges[0][0]
+            piece.predicted[(name, name)] += 1
+            return piece
+
+        monkeypatch.setattr(sp, "_block_piece", bogus)
+        with pytest.raises(RuntimeError, match="crossing audit failed"):
+            construct_zero_rotation(theta_graph(3))
+
+
+LOOPS_AND_BRIDGE = MultiGraph(
+    ("a", "b"), (("l", "a", "a"), ("e", "a", "b"), ("l2", "b", "b"))
+)
+
+
+def _construction_digest(graphs):
+    h = hashlib.sha256()
+    for g in graphs:
+        imm, certs = zero_rotation_certificates(g)
+        h.update(serialize_immersion(imm).encode())
+        h.update(repr(certs).encode())
+    return h.hexdigest()
+
+
+def _refusal_digest(calls):
+    h = hashlib.sha256()
+    for call in calls:
+        with pytest.raises(K4MinorError) as err:
+            call()
+        h.update(str(err.value).encode())
+        h.update(repr(err.value.trace).encode())
+    return h.hexdigest()
+
+
+class TestByteIdentity:
+    # SHA-256 of the constructor's exact output: drawings, certificates,
+    # refusal messages and reduction traces.  Any change to the realization,
+    # the placement or the refusals shows up here.
+    def test_random_sp_constructions(self):
+        assert _construction_digest(random_sp_graph(s) for s in range(50)) == (
+            "940b2de59f5a75a405ed600d32685ee81f25fbfe0c7623a123f8ef2b74fee891"
+        )
+
+    def test_theta_constructions(self):
+        assert _construction_digest(theta_graph(n) for n in range(2, 9)) == (
+            "0fbc24b503449607aa7a9c50a1c632e396435eb43c17b47737b023dbf008fa6b"
+        )
+
+    def test_loops_and_bridge_construction(self):
+        assert _construction_digest([LOOPS_AND_BRIDGE]) == (
+            "dde683622bcbc088c0ebaa678ccc1a5e2eba15d7ea7cf1af15e319e65bab111d"
+        )
+
+    def test_refusals(self):
+        graphs = (complete_graph(4), petersen_graph(), heawood_graph())
+        calls = [lambda g=g: zero_rotation_certificates(g) for g in graphs]
+        assert _refusal_digest(calls) == (
+            "b5fe931046d98f55731e544c66da92a23ffa6ecdf503cae4e4dd4c5ca4761e40"
+        )
+
+    def test_decomposition_refusals(self):
+        calls = [
+            lambda: sp_decompose(complete_graph(4), "v1", "v2"),
+            lambda: sp_decompose(K4_MINUS_EDGE, "3", "4"),
+        ]
+        assert _refusal_digest(calls) == (
+            "1f2ebb54502aa9f7ae2b8a704640f1b20e119c4dbd2521fafa59995a5b339b3e"
+        )
