@@ -37,6 +37,39 @@ class ParseError(ValueError):
         self.line = line
 
 
+# Decimal digits per int <-> str conversion: below 640, the least limit
+# that sys.set_int_max_str_digits accepts, so numbers of any length convert
+# whatever the process-wide limit is.
+_CHUNK = 600
+_CHUNK_BASE = 10**_CHUNK
+
+
+def _digits(n):
+    """str(n) for an integer of any size, converted in fixed-size chunks."""
+    if -_CHUNK_BASE < n < _CHUNK_BASE:
+        return str(n)
+    rest, chunks = abs(n), []
+    while rest >= _CHUNK_BASE:
+        rest, low = divmod(rest, _CHUNK_BASE)
+        chunks.append(f"{low:0{_CHUNK}d}")
+    chunks.append(str(rest))
+    return ("-" if n < 0 else "") + "".join(reversed(chunks))
+
+
+def _integer(text):
+    """int(text) for a signed decimal integer of any length."""
+    if len(text) <= _CHUNK:
+        return int(text)
+    digits = text[1:] if text[0] in "+-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    head = len(digits) % _CHUNK or _CHUNK
+    value = int(digits[:head])
+    for start in range(head, len(digits), _CHUNK):
+        value = value * _CHUNK_BASE + int(digits[start:start + _CHUNK])
+    return -value if text[0] == "-" else value
+
+
 def format_number(value) -> str:
     """Exact text for a rational: terminating decimal when the denominator
     is 2^a 5^b, else ``p/q``."""
@@ -51,12 +84,12 @@ def format_number(value) -> str:
         rest //= 5
         fives += 1
     if rest != 1:
-        return f"{num}/{den}"
+        return f"{_digits(num)}/{_digits(den)}"
     shift = max(twos, fives)
     if shift == 0:
-        return str(num)
+        return _digits(num)
     scaled = num * 10**shift // den
-    digits = str(abs(scaled)).rjust(shift + 1, "0")
+    digits = _digits(abs(scaled)).rjust(shift + 1, "0")
     sign = "-" if num < 0 else ""
     return f"{sign}{digits[:-shift]}.{digits[-shift:]}"
 
@@ -69,6 +102,7 @@ def parse_number(token, line=None) -> Fraction:
     value, so a short token such as ``1e999999999`` would never return.
     Digits must be ASCII: ``format_number`` writes no other kind, although
     Python's ``int`` also reads, say, Arabic-Indic or full-width digits.
+    Tokens of any length parse.
     """
     if not token.isascii():
         raise ParseError(f"bad number {token!r}: digits must be ASCII", line)
@@ -77,8 +111,11 @@ def parse_number(token, line=None) -> Fraction:
     try:
         if "/" in token:
             p, q = token.split("/")
-            return Fraction(int(p), int(q))
-        return Fraction(token)
+            return Fraction(_integer(p), _integer(q))
+        if len(token) <= _CHUNK:
+            return Fraction(token)
+        whole, _, frac = token.partition(".")
+        return Fraction(_integer(whole + frac), 10 ** len(frac))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad number {token!r}: {exc}", line) from None
 

@@ -203,9 +203,11 @@ class Cycle:
         n = len(self.steps)
         if n == 0:
             raise ValueError("empty cycle")
-        for name, _ in self.steps:
+        for name, d in self.steps:
             if name not in graph.endpoints:
                 raise ValueError(f"cycle uses unknown edge {name!r}")
+            if d not in (1, -1):
+                raise ValueError(f"step direction must be +1 or -1, got {d!r}")
         starts = self.vertex_sequence(graph)
         for i, (name, d) in enumerate(self.steps):
             tail, head = graph.endpoints[name]

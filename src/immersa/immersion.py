@@ -14,12 +14,18 @@ otherwise; Fractions are built only for crossings and the few other
 contacts that are not polyline joints.  Rotation numbers count signed
 passes of the tangent past a fixed direction (Whitney 1937), with the same
 exact sign predicates.
+
+Per-cycle numbers come from one table per immersion: the crossing number
+and the rotation number of every cycle of the graph, filled by a few numpy
+gathers from per-edge-pair crossing counts and per-corner tangent passes,
+through index arrays kept once per graph.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -326,6 +332,25 @@ class PlaneImmersion:
             table[name, -1] = (back[0], back[-1], sum(map(_passes, back, back[1:])))
         return table
 
+    @cached_property
+    def _cycle_table(self):
+        # (rows, crossing numbers, rotation numbers): rows maps each cycle of
+        # the graph to its entry in the two lists.  A cycle's rotation number
+        # adds up over its corners: the passes from the last direction of
+        # one step to the first of the next, plus the inner passes of the
+        # next.
+        index = _cycle_index(self.graph)
+        if not index.rows:
+            return index.rows, (), ()
+        counts = self._pair_crossings
+        pairs = np.array([counts.get(p, 0) for p in index.pairs], dtype=np.int64)
+        t = self._tangents
+        corners = np.array([_passes(t[a][1], t[b][0]) + t[b][2] for a, b in index.corners],
+                           dtype=np.int64)
+        return (index.rows,
+                np.add.reduceat(pairs[index.pair_ids], index.pair_starts).tolist(),
+                np.add.reduceat(corners[index.corner_ids], index.corner_starts).tolist())
+
 
 def _point_key(p):
     # (xn, xd, yn, yd): the same equality as the Fraction pair, and much
@@ -460,16 +485,71 @@ def _require_valid(imm):
         raise ValueError(f"immersion is not generic: {report.summary()}")
 
 
-@per_graph
-def _cycle_edges(graph, cycle):
-    """Edge names of a validated cycle, sorted by graph edge index.
+@dataclass(frozen=True)
+class _CycleIndex:
+    """The index arrays through which an immersion fills its cycle table.
 
-    Kept in the graph's memo because censuses and rotation numbers revisit
-    the same few cycles thousands of times; only valid cycles are stored,
-    so the memo holds at most one entry per cycle of the graph.
+    Attributes:
+        rows: Cycle -> its row, in the order of enumerate_cycles.
+        lengths: Cycle length per row, ascending.
+        pairs: Index-ordered edge pairs (a, b), a <= b, that share a cycle;
+            self pairs included.
+        corners: Pairs (step, next step) of oriented steps (edge,
+            direction) that follow each other on a cycle traversed in its
+            canonical orientation.
+        pair_ids: Row by row, the ids in pairs of the row's edge pairs.
+        pair_starts: Offset of each row's run in pair_ids.
+        corner_ids: Row by row, the ids in corners of the row's corners,
+            one per step.
+        corner_starts: Offset of each row's run in corner_ids.
     """
-    cycle.validate(graph)
-    return tuple(sorted(cycle.edge_name_set, key=graph.edge_index.get))
+
+    rows: dict
+    lengths: list
+    pairs: list
+    corners: list
+    pair_ids: np.ndarray
+    pair_starts: np.ndarray
+    corner_ids: np.ndarray
+    corner_starts: np.ndarray
+
+
+@per_graph
+def _cycle_index(graph):
+    index = graph.edge_index
+    cycles = enumerate_cycles(graph)
+    pairs, pair_ids, pair_starts = {}, [], []
+    corners, corner_ids, corner_starts = {}, [], []
+    for c in cycles:
+        steps = c.steps
+        names = sorted([name for name, _ in steps], key=index.__getitem__)
+        pair_starts.append(len(pair_ids))
+        for i, a in enumerate(names):
+            for b in names[i:]:
+                pair_ids.append(pairs.setdefault((a, b), len(pairs)))
+        corner_starts.append(len(corner_ids))
+        for corner in zip(steps[-1:] + steps[:-1], steps):
+            corner_ids.append(corners.setdefault(corner, len(corners)))
+    return _CycleIndex(
+        {c: row for row, c in enumerate(cycles)}, [len(c) for c in cycles],
+        list(pairs), list(corners),
+        *(np.array(a, dtype=np.intp) for a in (pair_ids, pair_starts, corner_ids, corner_starts)),
+    )
+
+
+def _cycle_row(imm, cycle):
+    # The cycle's row in imm's cycle table; ValueError when imm is not
+    # generic or the cycle is not one of its graph's.
+    _require_valid(imm)
+    try:
+        return imm._cycle_table[0][cycle]
+    except KeyError:
+        # Cycles are canonical, so only an invalid cycle misses its row.
+        try:
+            cycle.validate(imm.graph)
+        except ValueError as exc:
+            raise ValueError(f"cycle does not belong to the graph: {exc}") from exc
+        raise
 
 
 def cycle_crossing_number(imm: PlaneImmersion, cycle: Cycle) -> int:
@@ -478,17 +558,7 @@ def cycle_crossing_number(imm: PlaneImmersion, cycle: Cycle) -> int:
     Counts every crossing whose both strands lie on the cycle's edges,
     including self crossings of those edges.
     """
-    _require_valid(imm)
-    try:
-        names = _cycle_edges(imm.graph, cycle)
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"cycle does not belong to the graph: {exc}") from exc
-    counts = imm._pair_crossings
-    total = 0
-    for i, a in enumerate(names):
-        for b in names[i:]:
-            total += counts.get((a, b), 0)
-    return total
+    return imm._cycle_table[1][_cycle_row(imm, cycle)]
 
 
 def sum_crossing(imm: PlaneImmersion, k) -> int:
@@ -505,8 +575,10 @@ def sum_crossing(imm: PlaneImmersion, k) -> int:
 
 def kappa(imm: PlaneImmersion, k) -> int:
     """Total crossing count over all edge pairs at distance k."""
-    return sum(1 for rec in crossings(imm)
-               if not rec.is_self and rec.distance_class == k)
+    _require_valid(imm)
+    distance = imm.graph._edge_distances.get
+    return sum([n for pair, n in imm._pair_crossings.items()
+                if pair[0] != pair[1] and distance(pair) == k])
 
 
 def rotation_number(imm: PlaneImmersion, cycle: Cycle, orientation=1) -> int:
@@ -521,33 +593,28 @@ def rotation_number(imm: PlaneImmersion, cycle: Cycle, orientation=1) -> int:
     Raises:
         ValueError: Invalid immersion or cycle.
     """
-    _require_valid(imm)
-    try:
-        _cycle_edges(imm.graph, cycle)
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"cycle does not belong to the graph: {exc}") from exc
-    steps = cycle.steps
+    rot = imm._cycle_table[2][_cycle_row(imm, cycle)]
     if orientation == -1:
-        steps = tuple((n, -d) for n, d in reversed(steps))
-    elif orientation != 1:
+        return -rot
+    if orientation != 1:
         raise ValueError("orientation must be +1 or -1")
-    table = imm._tangents
-    total = 0
-    prev = table[steps[-1]][1]
-    for step in steps:
-        first, last, inner = table[step]
-        total += _passes(prev, first) + inner
-        prev = last
-    return total
+    return rot
 
 
 def rotation_sum(imm: PlaneImmersion, k) -> int:
-    """Sum of rotation numbers over all k-cycles in canonical orientation.
+    """Sum of rotation numbers over all k-cycles (all cycles for k None)
+    in canonical orientation.
 
     Only the parity is independent of the orientation choices, since
     rot(f(cycle)) is odd exactly when the cycle's crossing count is even.
     """
-    return sum(rotation_number(imm, c) for c in enumerate_cycles(imm.graph, k))
+    _require_valid(imm)
+    rots = imm._cycle_table[2]
+    if k is not None:
+        # Rows are sorted by length, so the k-cycles are one slice.
+        lengths = _cycle_index(imm.graph).lengths
+        rots = rots[bisect_left(lengths, k):bisect_right(lengths, k)]
+    return sum(rots)
 
 
 def random_immersion(graph: MultiGraph, seed, breakpoints=(3, 5), box=4,

@@ -31,7 +31,7 @@ from .graphs import (
     enumerate_cycles,
     sp_reduction_trace,
 )
-from .immersion import PlaneImmersion, crossings, rotation_number, validate
+from .immersion import PlaneImmersion, _require_valid, crossings, validate
 
 _MAX_PLACEMENTS = 40
 
@@ -316,6 +316,10 @@ def sp_decompose(graph: MultiGraph, u, v) -> SPTree:
         raise K4MinorError(
             f"the graph plus a {u}-{v} edge has a K4 minor", trace
         )
+    return _checked_tree(graph, u, v)
+
+
+def _checked_tree(graph, u, v):
     tree = _decompose(graph, u, v)
     tree.validate(graph)
     if set(tree.leaf_edges()) != set(graph.edge_names):
@@ -490,7 +494,9 @@ def _block_piece(block: MultiGraph) -> _Piece:
         return _Piece(block, {tail: (_ZERO, _ZERO)}, {name: pts}, {}, (),
                       Counter({(name, name): 1}))
     terminals = (tail, head)
-    tree = sp_decompose(block, *terminals)
+    # No K4 check here: the whole graph has passed one, and adding a copy
+    # of the block's own edge tail-head cannot create a K4 minor.
+    tree = _checked_tree(block, *terminals)
     frag = _realize(tree, block)
     paths = {}
     for ename, pts in frag.paths.items():
@@ -644,8 +650,9 @@ def verify_zero(immersion: PlaneImmersion):
         (True, None) if all cycles have rotation number zero, otherwise
         (False, offending_cycle).
     """
-    for cycle in enumerate_cycles(immersion.graph):
-        if rotation_number(immersion, cycle) != 0:
+    _require_valid(immersion)
+    for cycle, rot in zip(enumerate_cycles(immersion.graph), immersion._cycle_table[2]):
+        if rot:
             return False, cycle
     return True, None
 

@@ -271,6 +271,21 @@ def test_criterion_4_rotation_corollaries(fuzz_stats, tmp_path):
                             tmp_path, name, seed, "rot-sum", serialize_immersion(imm))
 
 
+def test_rot_sum_parity_table_follows_from_whitney():
+    # rot = c + 1 (mod 2) on every cycle (Whitney 1937), so the rotation
+    # sum over k-cycles has the parity of their crossing sum plus their
+    # number.  check_sum_invariance licenses that crossing sum's parity as
+    # a regular invariant, so one immersion fixes it for all of them.
+    for name, parities in ROT_SUM_PARITY.items():
+        graph = FUZZ_GRAPHS[name][0]()
+        lengths = sorted({len(c) for c in enumerate_cycles(graph)})
+        f = random_immersion(graph, seed=0)
+        for k, parity in parities.items():
+            assert check_sum_invariance(graph, lengths if k is None else [k], 2).all_hold
+            derived = (sum_crossing(f, k) + len(enumerate_cycles(graph, k))) % 2
+            assert derived == parity, (name, k)
+
+
 def test_criterion_5_weighted_linking_invariants(lift_batches, tmp_path):
     with criterion(5, "L is odd, matches kappa mod 2 on 1000 lifts per "
                       "graph, and moves by exactly 2 epsilon"):

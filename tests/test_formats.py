@@ -29,6 +29,7 @@ from immersa.graphs import (
     petersen_graph,
     theta_graph,
 )
+from immersa.immersion import PlaneImmersion, validate
 from immersa.standard import standard_immersion
 
 
@@ -67,6 +68,38 @@ class TestNumberCodec:
                       "1_000", "\u0661\u0662", "\uff11\uff12"):
             with pytest.raises(ParseError, match="bad number"):
                 parse_number(token, 3)
+
+
+    def test_integers_past_the_int_str_limit(self):
+        # Python refuses int <-> str conversions of more than 4300 digits
+        # by default; the codec converts in chunks below that limit.
+        ones = (10**5000 - 1) // 9
+        assert parse_number("1" * 5000, 1) == ones
+        assert parse_number("-" + "1" * 5000 + "/3", 1) == Fraction(-ones, 3)
+        assert parse_number("1" * 5000 + "." + "5" * 4999, 1) == Fraction(
+            ones * 10**4999 + 5 * (10**4999 - 1) // 9, 10**4999)
+        for value in (Fraction(ones), Fraction(-ones, 7), Fraction(ones, 2**9000),
+                      Fraction(1, 10**5000), Fraction(10**600), Fraction(-10**600 + 1)):
+            text = format_number(value)
+            assert parse_number(text, 1) == value
+        assert format_number(Fraction(ones)) == "1" * 5000
+        for bad in ("1" * 5000 + ".2.3", "+-" + "1" * 5000, "1 " + "1" * 5000):
+            with pytest.raises(ParseError, match="bad number"):
+                parse_number(bad, 1)
+
+    def test_huge_vertex_round_trips(self):
+        big = Fraction(10**5000) + Fraction(1, 3)
+        u, v = (big, Fraction(0)), (big + 1, Fraction(0))
+        imm = PlaneImmersion(theta_graph(2), {"u": u, "v": v}, {
+            "e1": (u, v),
+            "e2": (u, (big + Fraction(1, 2), Fraction(1)), v),
+        })
+        assert validate(imm).ok
+        text = serialize_immersion(imm)
+        back = parse_immersion(text)
+        assert back.vertex_position == imm.vertex_position
+        assert back.edge_polyline == imm.edge_polyline
+        assert serialize_immersion(back) == text
 
 
 class TestGraphFormat:

@@ -1,8 +1,9 @@
-"""The cycle-family weight core against the per-cycle oracles.
+"""The cycle-family weight core and the cycle table against per-cycle oracles.
 
 Every crossing sum, writhe sum, kappa and census column is read off one
-per-pair weight object; each is checked here against the plain per-cycle
-(or per-pair) loop it replaces.
+per-pair weight object, and every per-cycle crossing number and rotation
+number off one table per immersion; each is checked here against the plain
+per-cycle (or per-pair) loop it replaces.
 """
 
 import math
@@ -21,6 +22,7 @@ from immersa.census import (
 )
 from immersa.diagrams import random_lift, tb, writhe_cycle
 from immersa.graphs import (
+    Cycle,
     MultiGraph,
     complete_bipartite_graph,
     complete_graph,
@@ -32,13 +34,16 @@ from immersa.graphs import (
     theta_graph,
 )
 from immersa.immersion import (
+    PlaneImmersion,
     crossings,
     cycle_crossing_number,
     kappa,
     random_immersion,
+    rotation_number,
+    rotation_sum,
     sum_crossing,
 )
-from immersa.sp import random_sp_graph
+from immersa.sp import construct_zero_rotation, random_sp_graph, verify_zero
 
 
 def triangle_and_square():
@@ -48,6 +53,14 @@ def triangle_and_square():
         (("a", "t1", "t2"), ("b", "t2", "t3"), ("c", "t3", "t1"),
          ("p", "s1", "s2"), ("q", "s2", "s3"), ("r", "s3", "s4"), ("s", "s4", "s1")),
     )
+
+
+def theta_with_loops():
+    # theta_4 plus a loop at each vertex: 1-cycles, 2-cycles and pairs of
+    # parallel edges in one graph.
+    theta = theta_graph(4)
+    return MultiGraph(theta.vertices,
+                      theta.edges + (("lu", "u", "u"), ("lv", "v", "v")))
 
 
 GRAPHS = {
@@ -62,7 +75,89 @@ GRAPHS = {
     "sp29": lambda: random_sp_graph(29),
     "sp33": lambda: random_sp_graph(33),
     "two-components": triangle_and_square,
+    "theta4-loops": theta_with_loops,
 }
+
+
+def crossing_oracle(f, cycle, counts):
+    """Crossings of the cycle's restriction, edge pair by edge pair; counts
+    maps each index-ordered pair to its crossings."""
+    names = sorted(cycle.edge_name_set, key=f.graph.edge_index.get)
+    return sum(counts[a, b] for i, a in enumerate(names) for b in names[i:])
+
+
+def rotation_oracle(f, cycle, orientation=1):
+    """Turning number of the cycle's closed polygon: the sum of its exterior
+    angles over 2 pi, each from the exact cross and dot products rounded to
+    floats, so only for coordinates of float range."""
+    steps = cycle.steps
+    if orientation == -1:
+        steps = tuple((name, -d) for name, d in reversed(steps))
+    points = []
+    for name, d in steps:
+        pts = f.edge_polyline[name]
+        points.extend((pts if d > 0 else pts[::-1])[:-1])
+    dirs = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(points, points[1:] + points[:1])]
+    turn = sum(math.atan2(float(u[0] * v[1] - u[1] * v[0]), float(u[0] * v[0] + u[1] * v[1]))
+               for u, v in zip(dirs[-1:] + dirs[:-1], dirs))
+    return round(turn / (2 * math.pi))
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_cycle_table_matches_per_cycle_oracles(name):
+    graph = GRAPHS[name]()
+    cycles = enumerate_cycles(graph)
+    lengths = sorted({len(c) for c in cycles})
+    for seed in (1, 2):
+        f = random_immersion(graph, seed)
+        counts = Counter(rec.edges for rec in crossings(f))
+        rots = {}
+        for c in cycles:
+            assert cycle_crossing_number(f, c) == crossing_oracle(f, c, counts), c
+            rots[c] = rotation_oracle(f, c)
+            assert rotation_number(f, c) == rots[c], c
+            assert rotation_number(f, c, orientation=-1) == rotation_oracle(f, c, -1), c
+        for k in lengths + [lengths[-1] + 1, None]:
+            assert rotation_sum(f, k) == sum(rots[c] for c in enumerate_cycles(graph, k)), k
+        offender = next((c for c in cycles if rots[c]), None)
+        assert verify_zero(f) == (offender is None, offender)
+
+
+@pytest.mark.parametrize("name", ["sp0", "sp19", "sp29", "sp33"])
+def test_zero_rotation_constructions_match_oracle(name):
+    f = construct_zero_rotation(GRAPHS[name]())
+    assert all(rotation_oracle(f, c) == 0 for c in enumerate_cycles(f.graph))
+    assert verify_zero(f) == (True, None)
+
+
+def test_cycle_table_rejects_foreign_cycles():
+    f = random_immersion(complete_graph(4), 1)
+    foreign = (
+        enumerate_cycles(complete_graph(5), 3)[-1],   # an edge K4 lacks
+        Cycle((("v1v2", 1), ("v3v4", 1))),            # steps that do not chain
+        Cycle((("v1v2", 1),)),                        # a 1-cycle that is no loop
+        Cycle((("v1v2", 2), ("v2v3", 1), ("v1v3", -1))),  # a direction other than +-1
+    )
+    for cycle in foreign:
+        for call in (cycle_crossing_number, rotation_number):
+            with pytest.raises(ValueError, match="cycle does not belong to the graph"):
+                call(f, cycle)
+
+
+def test_cycle_table_with_no_cycle_and_with_one():
+    pos = {"a": (0, 0), "b": (1, 0), "c": (1, 1)}
+    path = MultiGraph(("a", "b", "c"), (("ab", "a", "b"), ("bc", "b", "c")))
+    lines = {"ab": ((0, 0), (1, 0)), "bc": ((1, 0), (1, 1))}
+    f = PlaneImmersion(path, pos, lines)
+    assert rotation_sum(f, None) == rotation_sum(f, 3) == 0
+    assert verify_zero(f) == (True, None)
+    triangle = MultiGraph(path.vertices, path.edges + (("ca", "c", "a"),))
+    f = PlaneImmersion(triangle, pos, {**lines, "ca": ((1, 1), (0, 0))})
+    (cycle,) = enumerate_cycles(triangle)
+    assert cycle_crossing_number(f, cycle) == 0
+    assert rotation_number(f, cycle) == rotation_oracle(f, cycle) == rotation_sum(f, 3)
+    assert abs(rotation_number(f, cycle)) == 1
+    assert verify_zero(f) == (False, cycle)
 
 
 def direct_counts(graph, cycles):
@@ -102,9 +197,10 @@ def test_weight_core_matches_per_cycle_oracles(name):
     lengths = sorted({len(c) for c in enumerate_cycles(graph)})
     for seed in (1, 2):
         f = random_immersion(graph, seed)
+        counts = Counter(rec.edges for rec in crossings(f))
         for k in lengths + [None]:
             assert sum_crossing(f, k) == sum(
-                cycle_crossing_number(f, c) for c in enumerate_cycles(graph, k))
+                crossing_oracle(f, c, counts) for c in enumerate_cycles(graph, k))
         pair_crossings = Counter(rec.edges for rec in crossings(f) if not rec.is_self)
         for dist in (0, 1, 2, 3, math.inf):
             assert kappa(f, dist) == sum(
