@@ -17,6 +17,7 @@ serialize(parse(text)) is a fixpoint.
 
 from __future__ import annotations
 
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 
 from .diagrams import Diagram
@@ -42,31 +43,69 @@ class ParseError(ValueError):
 # whatever the process-wide limit is.
 _CHUNK = 600
 _CHUNK_BASE = 10**_CHUNK
+# Bits of the pieces _digits hands to Decimal: at most _CHUNK digits.
+_CHUNK_BITS = 1992
 
 
 def _digits(n):
-    """str(n) for an integer of any size, converted in fixed-size chunks."""
+    """str(n) for an integer of any size.
+
+    The binary halves of n convert recursively and are joined in decimal
+    arithmetic, whose multiplication is subquadratic.  Splitting by powers
+    of ten instead would cost quadratic time: Python 3.11 divides integers
+    digit by digit.
+    """
     if -_CHUNK_BASE < n < _CHUNK_BASE:
         return str(n)
-    rest, chunks = abs(n), []
-    while rest >= _CHUNK_BASE:
-        rest, low = divmod(rest, _CHUNK_BASE)
-        chunks.append(f"{low:0{_CHUNK}d}")
-    chunks.append(str(rest))
-    return ("-" if n < 0 else "") + "".join(reversed(chunks))
+    powers = {}
+
+    def power(bits):
+        # 2**bits as a Decimal.
+        if bits not in powers:
+            half = bits // 2
+            powers[bits] = (Decimal(2) ** bits if bits <= _CHUNK_BITS
+                            else power(half) * power(bits - half))
+        return powers[bits]
+
+    def convert(m, bits):
+        # m < 2**bits as a Decimal.
+        if bits <= _CHUNK_BITS:
+            return Decimal(m)
+        low = bits // 2
+        high = m >> low
+        return convert(high, bits - low) * power(low) + convert(m - (high << low), low)
+
+    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])
+    with localcontext(exact):
+        text = str(convert(abs(n), abs(n).bit_length()))
+    return ("-" if n < 0 else "") + text
 
 
 def _integer(text):
-    """int(text) for a signed decimal integer of any length."""
+    """int(text) for a signed decimal integer of any length.
+
+    A longer text splits into a tail of _CHUNK * 2^k digits, the longest
+    such tail shorter than the text, and a head.  Both convert recursively
+    and join with one multiplication by 10^(_CHUNK * 2^k), which Python
+    does in subquadratic time.
+    """
     if len(text) <= _CHUNK:
         return int(text)
     digits = text[1:] if text[0] in "+-" else text
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"invalid literal for int() with base 10: {text!r}")
-    head = len(digits) % _CHUNK or _CHUNK
-    value = int(digits[:head])
-    for start in range(head, len(digits), _CHUNK):
-        value = value * _CHUNK_BASE + int(digits[start:start + _CHUNK])
+    powers = [_CHUNK_BASE]  # 10**(_CHUNK << k)
+
+    def convert(part):
+        if len(part) <= _CHUNK:
+            return int(part)
+        k = ((len(part) - 1) // _CHUNK).bit_length() - 1
+        while len(powers) <= k:
+            powers.append(powers[-1] * powers[-1])
+        tail = _CHUNK << k
+        return convert(part[:-tail]) * powers[k] + convert(part[-tail:])
+
+    value = convert(digits)
     return -value if text[0] == "-" else value
 
 

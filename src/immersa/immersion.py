@@ -10,10 +10,14 @@ shorter than pi.  Crossing extraction scales every point once by a common
 denominator when that fits int64, runs a conservative float sort-and-sweep
 prefilter (see kernels) and decides the surviving pairs exactly, in scaled
 integer arithmetic when the scale fits and in rational arithmetic
-otherwise; Fractions are built only for crossings and the few other
-contacts that are not polyline joints.  Rotation numbers count signed
-passes of the tangent past a fixed direction (Whitney 1937), with the same
-exact sign predicates.
+otherwise.  The crossings stay one table: segment pair and sign per row,
+with the parameter numerators and denominator on the integer path.
+Validation decides triple points and crossings at breakpoints on its
+integers, and per-edge-pair crossing counts come from it by one np.unique.
+Fractions are built only for the few contacts that are not polyline
+joints, and for CrossingRecords, which are made once, on the first call of
+crossings().  Rotation numbers count signed passes of the tangent past a
+fixed direction (Whitney 1937), with the same exact sign predicates.
 
 Per-cycle numbers come from one table per immersion: the crossing number
 and the rotation number of every cycle of the graph, filled by a few numpy
@@ -135,8 +139,9 @@ class PlaneImmersion:
 
     @cached_property
     def _scan(self):
-        # (GenericityReport, crossing records, the _integer_scaled table of
-        # every polyline point in edge order or None).
+        # (GenericityReport, the _Crossings of a generic drawing or None,
+        # the _integer_scaled table of every polyline point in edge order or
+        # None).
         g = self.graph
         pos = self.vertex_position
         violations = []
@@ -157,9 +162,10 @@ class PlaneImmersion:
         # Index of each segment's first point in keys; segment j continues
         # segment i along one polyline exactly when first[j] == first[i] + 1.
         first = []
+        place = []
         seg_count = {}
         k = 0
-        for name in g.edge_names:
+        for e, name in enumerate(g.edge_names):
             pts = self.edge_polyline[name]
             t, h = g.endpoints[name]
             if pts[0] != pos[t]:
@@ -173,10 +179,10 @@ class PlaneImmersion:
                 else:
                     segments.append((name, i, pts[i], pts[i + 1]))
                     first.append(k + i)
+                    place.append((e, i))
             k += len(pts)
         if violations:
-            return GenericityReport(False, tuple(violations)), (), scaled
-        node_keys = set(keys).union(taken)
+            return GenericityReport(False, tuple(violations)), None, scaled
 
         if scaled is None:
             arr = np.array(
@@ -198,7 +204,8 @@ class PlaneImmersion:
         box_margin, orient_eps = kernels.rounding_bounds(m)
         pairs = kernels.candidate_pairs(arr, box_margin, orient_eps)
 
-        proper, contacts = _resolve_contacts(segments, pairs, table)
+        rows, contacts = _resolve_contacts(segments, pairs, table)
+        found = _Crossings(np.array(place, dtype=np.int64).reshape(-1, 2), *rows)
         for i, j, kind, data in contacts:
             name_a, ia, _, _ = segments[i]
             name_b, ib, _, _ = segments[j]
@@ -215,56 +222,19 @@ class PlaneImmersion:
                      f"{name_a}[{ia}] touches {name_b}[{ib}] at {_fmt(point)}")
                 )
 
-        # Iteration order follows the candidate scan, so reports stay
-        # deterministic.
-        by_point = {}
-        for rec in proper:
-            by_point.setdefault(_point_key(rec[2]), []).append(rec)
-        for key, recs in by_point.items():
-            if len(recs) > 1:
-                involved = ", ".join(
-                    f"{segments[i][0]}[{segments[i][1]}]x{segments[j][0]}[{segments[j][1]}]"
-                    for i, j, *_ in recs)
-                violations.append(("triple-point", f"at {_fmt(recs[0][2])}: {involved}"))
-            if key in node_keys:
-                violations.append(
-                    ("crossing-at-breakpoint", f"crossing at node point {_fmt(recs[0][2])}")
-                )
-
+        # With no other violation, two crossings a x b and c x d at one point
+        # share a segment at one parameter: a and c cross there too, as they
+        # cannot overlap.  A polyline point on a crossing's segment is a
+        # breakpoint contact, so only an isolated vertex can sit on a
+        # crossing.  Otherwise every crossing point is compared exactly,
+        # which names each offender.
+        isolated = any(not g.incident[v] for v in g.vertices)
+        if violations or found.ints is None or isolated or found.share_a_point():
+            node_keys = set(keys).union(taken)
+            violations.extend(found.point_violations(g.edge_names, node_keys))
         if violations:
-            return GenericityReport(False, tuple(violations)), (), scaled
-
-        index = self.graph.edge_index
-        grouped = {}
-        for i, j, point, u, w, det_sign in proper:
-            name_a, ia, _, _ = segments[i]
-            name_b, ib, _, _ = segments[j]
-            if index[name_a] <= index[name_b]:
-                key, strands, sign = (name_a, name_b), ((ia, u), (ib, w)), det_sign
-            else:
-                # det[tb, ta] = -det[ta, tb].
-                key, strands, sign = (name_b, name_a), ((ib, w), (ia, u)), -det_sign
-            grouped.setdefault(key, []).append((strands, point, sign))
-        records = []
-        for (a, b), items in grouped.items():
-            items.sort(key=lambda item: item[0][0])
-            dclass = 0 if a == b else g._edge_distances[a, b]
-            for rank, (strands, point, sign) in enumerate(items):
-                (sa, ua), (sb, ub) = strands
-                records.append(CrossingRecord(
-                    id=f"{a}:{b}:{rank}",
-                    point=point,
-                    edges=(a, b),
-                    seg_a=sa,
-                    param_a=ua,
-                    seg_b=sb,
-                    param_b=ub,
-                    geometric_sign=sign,
-                    distance_class=dclass,
-                    is_self=a == b,
-                ))
-        records.sort(key=lambda r: (index[r.edges[0]], index[r.edges[1]], r.seg_a, r.param_a))
-        return GenericityReport(True, ()), tuple(records), scaled
+            return GenericityReport(False, tuple(violations)), None, scaled
+        return GenericityReport(True, ()), found, scaled
 
     def _allowed_contact(self, name_a, ia, lu, name_b, ib, lw, point, seg_count):
         g = self.graph
@@ -300,11 +270,54 @@ class PlaneImmersion:
 
     @cached_property
     def _pair_crossings(self):
-        # (a, b) in edge-index order (a == b for self) -> crossing count.
-        counts = {}
-        for rec in self._scan[1]:
-            counts[rec.edges] = counts.get(rec.edges, 0) + 1
-        return counts
+        # (a, b) in edge-index order (a == b for self) -> crossing count,
+        # in that order.
+        found = self._scan[1]
+        if found is None or not len(found.left):
+            return {}
+        names = self.graph.edge_names
+        n = len(names)
+        # Segments run in edge order, so left < right keeps a <= b.
+        a, b = found.place[found.left, 0], found.place[found.right, 0]
+        pairs, counts = np.unique(a * n + b, return_counts=True)
+        return {(names[p // n], names[p % n]): c
+                for p, c in zip(pairs.tolist(), counts.tolist())}
+
+    @cached_property
+    def _records(self):
+        # The CrossingRecords of a generic drawing, ordered by id: by edge
+        # pair in index order, then along the pair's first strand.  Segments
+        # run in edge order, so a row's left segment is on the pair's first
+        # edge (the earlier strand of a self crossing).
+        found = self._scan[1]
+        if found is None:
+            return ()
+        g = self.graph
+        names = g.edge_names
+        rows = [(ea, eb, ia, u, ib, w, point, sign)
+                for (ea, ia), (eb, ib), sign, (point, u, w) in zip(
+                    found.place[found.left].tolist(), found.place[found.right].tolist(),
+                    found.sign.tolist(), found.positions())]
+        rows.sort(key=lambda row: row[:4])
+        records = []
+        pair, rank = None, 0
+        for ea, eb, sa, ua, sb, ub, point, sign in rows:
+            rank = rank + 1 if (ea, eb) == pair else 0
+            pair = ea, eb
+            a, b = names[ea], names[eb]
+            records.append(CrossingRecord(
+                id=f"{a}:{b}:{rank}",
+                point=point,
+                edges=(a, b),
+                seg_a=sa,
+                param_a=ua,
+                seg_b=sb,
+                param_b=ub,
+                geometric_sign=sign,
+                distance_class=0 if a == b else g._edge_distances[a, b],
+                is_self=a == b,
+            ))
+        return tuple(records)
 
     @cached_property
     def _tangents(self):
@@ -396,30 +409,128 @@ def _integer_scaled(keys):
     return points, scale
 
 
-def _resolve_contacts(segments, pairs, table):
-    """Decide every candidate pair exactly; returns (proper, contacts).
+@dataclass(frozen=True, eq=False)
+class _Crossings:
+    """The proper crossings of a drawing, one row each in candidate order.
 
-    proper lists (i, j, point, u, w, det_sign) for the pairs that meet at a
-    point interior to both segments, det_sign being the sign of
-    det[direction i, direction j].  contacts lists (i, j, kind, data), as
-    segment_contact gives them, for every other touching pair.  Both keep
-    the order of pairs.  table is (ints, scale, first) from _scan, or None
-    to decide every pair in rational arithmetic.  The integer path decides
-    every pair, collinear ones too, on the scaled integers, drops ordinary
-    polyline joints (always allowed) and builds Fractions only for the
-    pairs it returns.
+    Attributes:
+        place: int64 (edge index, index in its polyline) of each segment.
+        left, right: int64 segment indices of each row, left < right.
+        sign: int64 sign of det[direction of left, direction of right].
+        ints: On the integer path, the int64 columns u numerator, w
+            numerator and denominator, the scaled segment table (x0, y0,
+            x1, y1 per segment) and the scale: a row crosses at u =
+            unum/den along left and at w = wnum/den along right.  None on
+            the rational path.
+        exact: On the rational path, (point, u, w) per row as Fractions;
+            None on the integer path.
     """
-    proper, contacts = [], []
+
+    place: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    sign: np.ndarray
+    ints: tuple
+    exact: list
+
+    def positions(self):
+        """(point, u, w) per row as Fractions."""
+        if self.ints is None:
+            return self.exact
+        scale, out = self.ints[-1], []
+        for un, wn, d, x0, y0, rx, ry in self._integer_rows():
+            # x0 * d + un * rx reaches about 4e24, past int64: Python ints.
+            den = d * scale
+            out.append(((Fraction(x0 * d + un * rx, den), Fraction(y0 * d + un * ry, den)),
+                        Fraction(un, d), Fraction(wn, d)))
+        return out
+
+    def _integer_rows(self):
+        # (unum, wnum, den, x0, y0, rx, ry) per row as Python ints, (x0, y0)
+        # and (rx, ry) being left's scaled start and direction.
+        unums, wnums, dens, segs, _ = self.ints
+        p = segs[self.left]
+        return zip(unums.tolist(), wnums.tolist(), dens.tolist(), p[:, 0].tolist(),
+                   p[:, 1].tolist(), (p[:, 2] - p[:, 0]).tolist(), (p[:, 3] - p[:, 1]).tolist())
+
+    def point_keys(self):
+        """The _point_key of each row's crossing point."""
+        if self.ints is None:
+            return [_point_key(point) for point, _, _ in self.exact]
+        scale, keys = self.ints[-1], []
+        for un, _, d, x0, y0, rx, ry in self._integer_rows():
+            den = d * scale
+            x, y = x0 * d + un * rx, y0 * d + un * ry
+            gx, gy = math.gcd(x, den), math.gcd(y, den)
+            keys.append((x // gx, den // gx, y // gy, den // gy))
+        return keys
+
+    def share_a_point(self):
+        """Whether two rows of the integer path meet one segment at one
+        parameter, and so cross at one point."""
+        if len(self.left) < 2:
+            return False
+        unums, wnums, dens = self.ints[:3]
+        sides = []
+        for seg, num in ((self.left, unums), (self.right, wnums)):
+            g = np.gcd(num, dens)
+            sides.append(np.stack((seg, num // g, dens // g), axis=1))
+        params = np.concatenate(sides)
+        params = params[np.lexsort(params.T)]
+        return bool((params[1:] == params[:-1]).all(axis=1).any())
+
+    def point_violations(self, names, node_keys):
+        """triple-point and crossing-at-breakpoint violations, in the order
+        of each point's first row; names are the graph's edge names."""
+        segments = [f"{names[e]}[{i}]" for e, i in self.place.tolist()]
+        by_point = {}
+        for row, key in enumerate(self.point_keys()):
+            by_point.setdefault(key, []).append(row)
+        out = []
+        for key, rows in by_point.items():
+            at = f"({_ratio(*key[:2])}, {_ratio(*key[2:])})"
+            if len(rows) > 1:
+                involved = ", ".join(
+                    f"{segments[i]}x{segments[j]}"
+                    for i, j in zip(self.left[rows].tolist(), self.right[rows].tolist()))
+                out.append(("triple-point", f"at {at}: {involved}"))
+            if key in node_keys:
+                out.append(("crossing-at-breakpoint", f"crossing at node point {at}"))
+        return out
+
+
+def _ratio(num, den):
+    # str of the Fraction num/den, from its reduced terms.
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _resolve_contacts(segments, pairs, table):
+    """Decide every candidate pair exactly; returns (crossings, contacts).
+
+    crossings holds the _Crossings columns (left, right, sign, ints,
+    exact) of the pairs that meet at a point interior to both segments.
+    contacts lists (i, j, kind, data), as segment_contact gives them, for
+    every other touching pair.  Both keep the order of pairs.  table is
+    (ints, scale, first) from _scan, or None to decide every pair in
+    rational arithmetic.  The integer path decides every pair, collinear
+    ones too, on the scaled integers, drops ordinary polyline joints
+    (always allowed), keeps the crossings as integer columns and builds
+    Fractions only for the other contacts.
+    """
+    contacts = []
     if table is None:
+        proper = []
         for i, j in pairs.tolist():
             (a0, a1), (b0, b1) = segments[i][2:], segments[j][2:]
             kind, data = segment_contact(a0, a1, b0, b1)
             if kind == "point" and 0 < data[1] < 1 and 0 < data[2] < 1:
                 det = cross(sub(a1, a0), sub(b1, b0))
-                proper.append((i, j, *data, 1 if det > 0 else -1))
+                proper.append((i, j, 1 if det > 0 else -1, data))
             elif kind != "none":
                 contacts.append((i, j, kind, data))
-        return proper, contacts
+        left, right, sign = (np.array([row[c] for row in proper], dtype=np.int64)
+                             for c in range(3))
+        return (left, right, sign, None, [row[3] for row in proper]), contacts
     ints, scale, first = table
     codes, unums, wnums, dens = kernels.classify_pairs(ints, pairs)
     left, right = pairs[:, 0], pairs[:, 1]
@@ -441,11 +552,7 @@ def _resolve_contacts(segments, pairs, table):
     p, q = ints[left[inner]], ints[right[inner]]
     r, s = p[:, 2:] - p[:, :2], q[:, 2:] - q[:, :2]
     sign = np.where(r[:, 0] * s[:, 1] > r[:, 1] * s[:, 0], 1, -1)
-    columns = (left[inner], right[inner], unums[inner], wnums[inner], dens[inner],
-               p[:, 0], p[:, 1], r[:, 0], r[:, 1], sign)
-    for i, j, un, wn, d, x0, y0, rx, ry, sg in zip(*(c.tolist() for c in columns)):
-        point = (Fraction(x0 * d + un * rx, d * scale), Fraction(y0 * d + un * ry, d * scale))
-        proper.append((i, j, point, Fraction(un, d), Fraction(wn, d), sg))
+    columns = unums[inner], wnums[inner], dens[inner], ints, scale
     for t in np.flatnonzero((codes != 0) & ~inner & ~joint).tolist():
         i, j = int(left[t]), int(right[t])
         if codes[t] == 2:
@@ -455,7 +562,7 @@ def _resolve_contacts(segments, pairs, table):
         un, wn, d = int(unums[t]), int(wnums[t]), int(dens[t])
         point = a0 if un == 0 else a1 if un == d else b0 if wn == 0 else b1
         contacts.append((i, j, "point", (point, Fraction(un, d), Fraction(wn, d))))
-    return proper, contacts
+    return (left[inner], right[inner], sign, columns, None), contacts
 
 
 def validate(imm: PlaneImmersion) -> GenericityReport:
@@ -473,10 +580,8 @@ def crossings(imm: PlaneImmersion):
     Raises:
         ValueError: If the immersion fails validation.
     """
-    report, records, _ = imm._scan
-    if not report.ok:
-        raise ValueError(f"immersion is not generic: {report.summary()}")
-    return records
+    _require_valid(imm)
+    return imm._records
 
 
 def _require_valid(imm):
@@ -626,6 +731,13 @@ def random_immersion(graph: MultiGraph, seed, breakpoints=(3, 5), box=4,
     failure the construction retries with a fresh grid and smaller jitter.
     Deterministic per (graph, seed, parameters).
 
+    Attempt a draws on the grid 1/denom with denom = 64 + 13a.  Breakpoint i
+    of an edge with nb breakpoints starts i/(nb + 1) of the way from tail
+    to head and moves by a jitter on the grid 1/(2 denom (a + 1)).  Every
+    point therefore lies on one lattice 1/lat, lat = denom * lcm(bmin + 1,
+    ..., bmax + 1, 2 (a + 1)); the drawing is computed there in integers and
+    each coordinate becomes one Fraction at the end.
+
     Args:
         graph: The graph to draw.
         seed: Random seed.
@@ -647,33 +759,36 @@ def random_immersion(graph: MultiGraph, seed, breakpoints=(3, 5), box=4,
     for attempt in range(max_attempts):
         denom = 64 + 13 * attempt
         span = int(half * denom)
-        # Jitter shrinks by 1/(attempt + 1), folded into the denominator.
-        jitter_den = 2 * denom * (attempt + 1)
+        lat = denom * math.lcm(*range(bmin + 1, bmax + 2), 2 * (attempt + 1))
+        grid, jitter = lat // denom, lat // (2 * denom * (attempt + 1))
 
-        def coord():
-            return Fraction(rng.randint(-span, span), denom)
-
-        positions = {}
+        lattice = {}
         used = set()
         for v in graph.vertices:
-            p = (coord(), coord())
+            p = (rng.randint(-span, span), rng.randint(-span, span))
             while p in used:
-                p = (coord(), coord())
+                p = (rng.randint(-span, span), rng.randint(-span, span))
             used.add(p)
-            positions[v] = p
-        polylines = {}
+            lattice[v] = (p[0] * grid, p[1] * grid)
+        inner = {}
         for name, t, h in graph.edges:
             nb = rng.randint(bmin, bmax)
-            pts = [positions[t]]
+            (tx, ty), (hx, hy) = lattice[t], lattice[h]
+            pts = []
             for i in range(1, nb + 1):
-                frac = Fraction(i, nb + 1)
-                bx = positions[t][0] + frac * (positions[h][0] - positions[t][0])
-                by = positions[t][1] + frac * (positions[h][1] - positions[t][1])
-                jx = Fraction(rng.randint(-span, span), jitter_den)
-                jy = Fraction(rng.randint(-span, span), jitter_den)
-                pts.append((bx + jx, by + jy))
-            pts.append(positions[h])
-            polylines[name] = tuple(pts)
+                # grid is a multiple of nb + 1, so the divisions are exact.
+                jx = rng.randint(-span, span) * jitter
+                jy = rng.randint(-span, span) * jitter
+                pts.append((tx + (hx - tx) * i // (nb + 1) + jx,
+                            ty + (hy - ty) * i // (nb + 1) + jy))
+            inner[name] = pts
+
+        def exact(p):
+            return (Fraction(p[0], lat), Fraction(p[1], lat))
+
+        positions = {v: exact(p) for v, p in lattice.items()}
+        polylines = {name: (positions[t], *map(exact, inner[name]), positions[h])
+                     for name, t, h in graph.edges}
         imm = PlaneImmersion(graph, positions, polylines)
         if validate(imm).ok:
             return imm

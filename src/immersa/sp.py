@@ -31,7 +31,7 @@ from .graphs import (
     enumerate_cycles,
     sp_reduction_trace,
 )
-from .immersion import PlaneImmersion, _require_valid, crossings, validate
+from .immersion import PlaneImmersion, _require_valid, validate
 
 _MAX_PLACEMENTS = 40
 
@@ -619,8 +619,8 @@ def zero_rotation_certificates(graph: MultiGraph):
             continue
         block_of = {name: i for i, piece in enumerate(pieces)
                     for name in piece.block.edge_names}
-        actual = Counter(rec.edges for rec in crossings(immersion)
-                         if block_of[rec.edges[0]] == block_of[rec.edges[1]])
+        actual = Counter({pair: n for pair, n in immersion._pair_crossings.items()
+                          if block_of[pair[0]] == block_of[pair[1]]})
         predicted = sum((piece.predicted for piece in pieces), Counter())
         if actual != predicted:
             raise RuntimeError(

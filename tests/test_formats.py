@@ -29,8 +29,20 @@ from immersa.graphs import (
     petersen_graph,
     theta_graph,
 )
-from immersa.immersion import PlaneImmersion, validate
+from immersa.immersion import PlaneImmersion, crossings, validate
 from immersa.standard import standard_immersion
+
+
+PRIME = 2**61 - 1
+
+
+def _residue(text):
+    # The signed decimal text's value mod PRIME, digit by digit: a check of
+    # the codec that shares none of its arithmetic.
+    r = 0
+    for ch in text.lstrip("-"):
+        r = (r * 10 + ord(ch) - 48) % PRIME
+    return (-r if text.startswith("-") else r) % PRIME
 
 
 class TestNumberCodec:
@@ -86,6 +98,22 @@ class TestNumberCodec:
         for bad in ("1" * 5000 + ".2.3", "+-" + "1" * 5000, "1 " + "1" * 5000):
             with pytest.raises(ParseError, match="bad number"):
                 parse_number(bad, 1)
+
+    def test_200k_digit_round_trip(self):
+        # A 200,000-digit numerator over a 200,000-digit denominator.  Both
+        # directions split the digits recursively; converting 600 digits at
+        # a time took quadratic time.
+        rng = random.Random(8)
+        num = 3 * rng.randrange(10**199_999 // 3, 10**200_000 // 3) + 1
+        value = -Fraction(num, 3**419_180)
+        text = format_number(value)
+        p, q = text.split("/")
+        assert len(p) - 1 == len(q) == 200_000
+        assert _residue(p) == value.numerator % PRIME
+        assert _residue(q) == value.denominator % PRIME
+        back = parse_number(text, 1)
+        assert back == value
+        assert format_number(back) == text
 
     def test_huge_vertex_round_trips(self):
         big = Fraction(10**5000) + Fraction(1, 3)
@@ -206,7 +234,7 @@ class TestDiagramFormat:
 
     def test_over_accepts_edge_names(self):
         imm = standard_immersion("theta", n=3)
-        d = Diagram(imm, {rec.id: rec.edges[0] for rec in imm._scan[1]})
+        d = Diagram(imm, {rec.id: rec.edges[0] for rec in crossings(imm)})
         text = serialize_diagram(d)
         assert parse_diagram(text).over == d.over
 

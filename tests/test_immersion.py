@@ -1,5 +1,6 @@
 """Genericity validation, crossing extraction and rotation numbers."""
 
+import hashlib
 import math
 import random
 import warnings
@@ -11,8 +12,10 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from immersa import immersion, kernels
+from immersa.formats import serialize_immersion
 from immersa.geometry import param_location, segment_contact
 from immersa.graphs import (
+    INFINITE_DISTANCE,
     MultiGraph,
     complete_bipartite_graph,
     complete_graph,
@@ -35,6 +38,7 @@ from immersa.immersion import (
     sum_crossing,
     validate,
 )
+from immersa.verify import run_checks
 
 
 def oracle_pair_counts(imm):
@@ -623,6 +627,20 @@ def snapped(imm, den):
                           {e: [snap(p) for p in pts] for e, pts in imm.edge_polyline.items()})
 
 
+def near_coordinate_limit(imm):
+    # imm scaled to integer coordinates whose largest magnitude sits just
+    # under INT_COORD_LIMIT, so crossing numerators pass int64.
+    keys = [immersion._point_key(p) for pts in imm.edge_polyline.values() for p in pts]
+    points, scale = immersion._integer_scaled(keys)
+    factor = scale * (kernels.INT_COORD_LIMIT // int(np.abs(points).max()))
+
+    def grow(p):
+        return (p[0] * factor, p[1] * factor)
+
+    return PlaneImmersion(imm.graph, {v: grow(p) for v, p in imm.vertex_position.items()},
+                          {e: [grow(p) for p in pts] for e, pts in imm.edge_polyline.items()})
+
+
 def test_integer_and_rational_paths_agree(monkeypatch):
     drawings = [random_immersion(graph, seed)
                 for graph in (heawood_graph(), complete_graph(4), theta_graph(3))
@@ -630,12 +648,23 @@ def test_integer_and_rational_paths_agree(monkeypatch):
     drawings += [snapped(imm, den) for imm in drawings for den in (1, 2, 3)]
     square = TestRotation().square()
     straight = dict(square.edge_polyline, ab=((0, 0), (1, 0), (2, 0), (4, 0)))
+    big = near_coordinate_limit(random_immersion(complete_graph(5), 0))
     drawings += [
         dense_style_drawing(1, per_edge=12),
         PlaneImmersion(square.graph, square.vertex_position, straight),
         PlaneImmersion(MultiGraph(("v",), (("l", "v", "v"),)), {"v": (0, 0)},
                        {"l": ((0, 0), (4, 0), (4, 4), (6, 2), (0, 0))}),
+        straight_cross(),
+        big,
     ]
+    # An isolated vertex exactly on the crossing at (3/2, 1/2), a point off
+    # the polylines' integer grid.
+    on_crossing = PlaneImmersion(
+        MultiGraph(("a", "b", "c", "d", "v"), (("ab", "a", "b"), ("cd", "c", "d"))),
+        {"a": (0, 0), "b": (3, 1), "c": (0, 1), "d": (3, 0), "v": (Fraction(3, 2), Fraction(1, 2))},
+        {"ab": ((0, 0), (3, 1)), "cd": ((0, 1), (3, 0))},
+    )
+    drawings.append(on_crossing)
     kinds = set()
     for imm in drawings:
         with monkeypatch.context() as m:
@@ -647,6 +676,93 @@ def test_integer_and_rational_paths_agree(monkeypatch):
         kinds.update(kind for kind, _ in report.violations)
         if report.ok:
             assert crossings(imm) == crossings(rational)
+            assert list(imm._pair_crossings.items()) == list(rational._pair_crossings.items())
+            distances = {0, INFINITE_DISTANCE, *imm.graph._edge_distances.values()}
+            for k in distances:
+                assert kappa(imm, k) == kappa(rational, k)
             for cyc in enumerate_cycles(imm.graph):
                 assert rotation_number(imm, cyc) == rotation_number(rational, cyc)
     assert kinds >= {"overlap", "breakpoint-contact", "triple-point", "crossing-at-breakpoint"}
+    assert validate(on_crossing).violations == (
+        ("crossing-at-breakpoint", "crossing at node point (3/2, 1/2)"),)
+    assert validate(big).ok and kappa(straight_cross(), INFINITE_DISTANCE) == 1
+    assert int(np.abs(big._scan[2][0]).max()) > kernels.INT_COORD_LIMIT * 0.99
+    # Crossing numerators x0 * den + unum * rx of the big drawing pass int64.
+    table = big._scan[1]
+    _, _, dens, segs, _ = table.ints
+    x0 = segs[table.left, 0]
+    assert max(abs(x) * d for x, d in zip(x0.tolist(), dens.tolist())) > 2**63
+
+
+@pytest.fixture(scope="module")
+def byte_drawings():
+    graphs = (heawood_graph(), petersen_graph(), complete_graph(5),
+              complete_bipartite_graph(3, 3), multi_triangle(3), theta_graph(4))
+    return [random_immersion(graph, seed) for graph in graphs for seed in range(30)]
+
+
+def _digest(texts):
+    h = hashlib.sha256()
+    for text in texts:
+        h.update(text.encode())
+    return h.hexdigest()
+
+
+class TestByteIdentity:
+    # SHA-256 of the generator's drawings, their crossing records and the
+    # violations of their snapped copies, for HG, PG, K5, K3,3, T3 and
+    # theta_4 at seeds 0-29.  Any change to the values drawn, the records
+    # or the violation lists shows up here.
+    def test_serialized_drawings(self, byte_drawings):
+        assert _digest(serialize_immersion(f) for f in byte_drawings) == (
+            "1ccdfe63021092c5ff5f2245c75c610704e59d6f9701b0f09ab7f89254ea738d"
+        )
+
+    def test_crossing_records(self, byte_drawings):
+        assert _digest(repr(crossings(f)) for f in byte_drawings) == (
+            "011bdf6ff5b5dc7018aa98bff283d0ad44432b879bd96d430f897ec683e9e702"
+        )
+
+    def test_second_attempts(self):
+        # Seeds whose first attempt is not generic, so the lattice of the
+        # second attempt, with its finer jitter, draws them.
+        cases = [(heawood_graph(), 101), (petersen_graph(), 44),
+                 (complete_bipartite_graph(3, 3), 105), (multi_triangle(3), 108),
+                 (complete_graph(4), 120)]
+        drawings = [random_immersion(graph, seed) for graph, seed in cases]
+        assert _digest(text for f in drawings
+                       for text in (serialize_immersion(f), repr(crossings(f)))) == (
+            "077e06f72deca822de2bcb9bdaf95fc4bdbbac602adcb269ab37e0f6d79a48b5"
+        )
+
+    def test_snapped_violations(self, byte_drawings):
+        assert _digest(repr(validate(snapped(f, den)).violations)
+                       for f in byte_drawings for den in (1, 2, 3)) == (
+            "f1bbaac4bc4a5c649c00e724725504668c33d25b1301970abb0407cad44baed3"
+        )
+
+
+def test_checks_build_fewer_fractions_than_crossings(monkeypatch):
+    # validate, the parity checks and every per-cycle number read the
+    # integer crossing table; Fractions are made for records only.
+    made = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(None)
+            return super().__new__(cls, *args, **kwargs)
+
+    graph = heawood_graph()
+    cycles = enumerate_cycles(graph)
+    for seed in range(10):
+        drawn = random_immersion(graph, seed)
+        made.clear()
+        with monkeypatch.context() as m:
+            m.setattr(immersion, "Fraction", Counted)
+            f = PlaneImmersion(graph, drawn.vertex_position, drawn.edge_polyline)
+            assert validate(f).ok
+            assert all(v.ok for v in run_checks(f, "HG-parity"))
+            for cycle in cycles:
+                rotation_number(f, cycle)
+                cycle_crossing_number(f, cycle)
+        assert len(made) < len(crossings(f))
