@@ -36,7 +36,7 @@ from .formats import (
     serialize_diagram,
     serialize_immersion,
 )
-from .graphs import MultiGraph, heawood_graph, petersen_graph
+from .graphs import MultiGraph, cycle_lengths, heawood_graph, petersen_graph
 from .immersion import (
     PlaneImmersion,
     crossings,
@@ -149,7 +149,7 @@ def _cmd_census(args, argv):
     if args.k:
         ks = [int(t) for t in args.k.split(",")]
     else:
-        ks = sorted({len(c) for c in enumerate_cycles(graph)})
+        ks = cycle_lengths(graph)
     rows = census_table(graph, ks)
     header = ("k", "count", "count_times_k", "alpha_edge", "alpha_adjacent",
               "alpha_dist1", "alpha_dist2", "beta_dist1", "beta_dist2")
@@ -287,7 +287,7 @@ def _fuzz_checks(args, graph):
 def _tb_expectations(graph):
     base = girth(graph)
     ratios = {}
-    for k in sorted({len(c) for c in enumerate_cycles(graph)}):
+    for k in cycle_lengths(graph):
         if k == base:
             continue
         ratios[k] = tb_ratio(graph, base, k)

@@ -1,6 +1,14 @@
 """Diagrams: an over/under choice at every crossing of an immersion,
 plus the signed quantities read off them (crossing signs, pairwise
 linking sums, weighted L invariants, and writhe sums over cycle classes).
+
+A diagram is one over/under vector on its immersion's crossing table, in
+record order (the order of the crossing ids).  Every pairwise linking sum
+comes from it by one bincount over the crossings' edge pairs, and every
+writhe or L sum is one product of those sums with weights gathered once
+per immersion at its crossing pairs.  Nothing here builds CrossingRecords;
+they are made only for readers that need a crossing's point or
+parameters, such as the crossing listing and the SVG picture.
 """
 
 from __future__ import annotations
@@ -9,15 +17,24 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .census import _oriented, _weights
 from .epsilon import epsilon_table
-from .graphs import Cycle, enumerate_cycles
-from .immersion import PlaneImmersion, crossings
+from .graphs import Cycle, cycle_lengths
+from .immersion import PlaneImmersion
+
+_CHOICES = ("first", "second")
+# Over choice -> the factor it puts on the geometric sign.
+_FACTOR = {"first": 1, "second": -1}
 
 
 @dataclass(frozen=True, eq=False)
 class Diagram:
     """An immersion with a strand chosen to pass over at each crossing.
+
+    The choices are kept as one vector in record order; see the module
+    docstring.
 
     Attributes:
         immersion: A valid PlaneImmersion.
@@ -37,51 +54,45 @@ class Diagram:
     over: dict
 
     def __post_init__(self):
-        by_id = {rec.id: rec for rec in crossings(self.immersion)}
-        if set(self.over) != set(by_id):
-            missing = sorted(set(by_id) - set(self.over))
-            unknown = sorted(set(self.over) - set(by_id))
+        order = self.immersion._record_order
+        over = dict(self.over)
+        if over.keys() != order.row.keys():
+            missing = sorted(order.row.keys() - over.keys())
+            unknown = sorted(over.keys() - order.row.keys())
             raise ValueError(
                 f"over map must cover the crossings exactly "
                 f"(missing {missing}, unknown {unknown})"
             )
-        normalized = {}
-        for cid, choice in self.over.items():
-            rec = by_id[cid]
-            if choice in ("first", "second"):
-                normalized[cid] = choice
-            elif rec.is_self:
-                raise ValueError(f"self crossing {cid} needs 'first' or 'second'")
-            elif choice == rec.edges[0]:
-                normalized[cid] = "first"
-            elif choice == rec.edges[1]:
-                normalized[cid] = "second"
-            else:
-                raise ValueError(f"crossing {cid}: {choice!r} is not one of its edges")
-        object.__setattr__(self, "over", normalized)
+        choices = list(map(over.__getitem__, order.ids))
+        factors = list(map(_FACTOR.get, choices))
+        if None in factors:
+            for row, choice in enumerate(choices):
+                if factors[row] is not None:
+                    continue
+                cid = order.ids[row]
+                a, b = order.pairs[order.pair_of[row]]
+                if a == b:
+                    raise ValueError(f"self crossing {cid} needs 'first' or 'second'")
+                if choice not in (a, b):
+                    raise ValueError(f"crossing {cid}: {choice!r} is not one of its edges")
+                over[cid] = _CHOICES[choice == b]
+                factors[row] = _FACTOR[over[cid]]
+        object.__setattr__(self, "over", over)
+        object.__setattr__(self, "_factors", np.array(factors, dtype=np.int8))
 
     @cached_property
-    def _by_id(self) -> dict:
-        return {rec.id: rec for rec in crossings(self.immersion)}
-
-    @cached_property
-    def _signs(self) -> dict:
+    def _sign_vector(self):
         # The stored geometric sign is det[first tangent, second tangent];
         # the crossing sign wants the over tangent first.
-        out = {}
-        for cid, rec in self._by_id.items():
-            sign = rec.geometric_sign
-            out[cid] = sign if self.over[cid] == "first" else -sign
-        return out
+        return self.immersion._record_order.sign * self._factors
 
     @cached_property
-    def _pair_signs(self) -> dict:
-        # ell of every crossing pair: index-ordered (a, b), a == b for self
-        # crossings -> signed crossing count.
-        out = {}
-        for cid, rec in self._by_id.items():
-            out[rec.edges] = out.get(rec.edges, 0) + self._signs[cid]
-        return out
+    def _pair_signs(self):
+        # ell of every crossing pair, as an int64 vector over the record
+        # order's pairs.
+        order = self.immersion._record_order
+        return np.bincount(order.pair_of, weights=self._sign_vector,
+                           minlength=len(order.pairs)).astype(np.int64)
 
     def sign(self, crossing_id) -> int:
         """Sign of one crossing: +1 when the over strand's tangent followed
@@ -91,22 +102,53 @@ class Diagram:
         Raises:
             KeyError: Unknown crossing id.
         """
-        return self._signs[crossing_id]
+        return int(self._sign_vector[self.immersion._record_order.row[crossing_id]])
 
     def over_edge(self, crossing_id) -> str:
         """Name of the edge whose strand passes over at this crossing."""
-        rec = self._by_id[crossing_id]
-        return rec.edges[0] if self.over[crossing_id] == "first" else rec.edges[1]
+        order = self.immersion._record_order
+        a, b = order.pairs[order.pair_of[order.row[crossing_id]]]
+        return a if self.over[crossing_id] == "first" else b
+
+
+def _gathered(diagram, key, tables):
+    # int64 matrix, one row per table, of each pair weight table's values
+    # at the immersion's crossing pairs (0 where a table has none); kept
+    # under key in the record order's memo.
+    order = diagram.immersion._record_order
+    try:
+        return order.memo[key]
+    except KeyError:
+        rows = [[table.get(pair, 0) for pair in order.pairs] for table in tables]
+        matrix = np.array(rows, dtype=np.int64).reshape(len(rows), len(order.pairs))
+        order.memo[key] = matrix
+        return matrix
+
+
+def _fair_bits(rng, n):
+    # The n indices that n calls rng.choice(pair) draw.  Each call takes
+    # getrandbits(2) until it is below 2 (Random._randbelow); getrandbits(2)
+    # is the top two bits of one 32-bit Mersenne Twister word, and
+    # getrandbits(32 * m) holds the next m words, the first in its lowest
+    # bits.  The generator is private to the lift, so overdrawing is free.
+    bits = np.empty(0, dtype=np.uint32)
+    while len(bits) < n:
+        m = 2 * (n - len(bits)) + 32
+        words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype="<u4")
+        top = words >> 30
+        bits = np.concatenate((bits, top[top < 2]))
+    return bits[:n].tolist()
 
 
 def random_lift(immersion: PlaneImmersion, seed) -> Diagram:
     """Diagram with an independent fair over/under choice at each crossing.
 
-    Deterministic in the seed: crossings are visited in record order.
+    Deterministic in the seed: crossings are visited in record order, and
+    each choice is the one rng.choice(("first", "second")) makes.
     """
-    rng = random.Random(seed)
-    over = {rec.id: rng.choice(("first", "second")) for rec in crossings(immersion)}
-    return Diagram(immersion, over)
+    ids = immersion._record_order.ids
+    draws = _fair_bits(random.Random(seed), len(ids))
+    return Diagram(immersion, dict(zip(ids, [_CHOICES[b] for b in draws])))
 
 
 def crossing_change(diagram: Diagram, crossing_id) -> Diagram:
@@ -139,7 +181,8 @@ def ell(diagram: Diagram, d, e) -> int:
     if d_name == e_name:
         raise ValueError("ell needs two distinct edges")
     key = (d_name, e_name) if index[d_name] < index[e_name] else (e_name, d_name)
-    return d_sign * e_sign * diagram._pair_signs.get(key, 0)
+    row = diagram.immersion._record_order.pair_index.get(key)
+    return 0 if row is None else d_sign * e_sign * int(diagram._pair_signs[row])
 
 
 def L_invariant(diagram: Diagram, target: str) -> int:
@@ -155,9 +198,8 @@ def L_invariant(diagram: Diagram, target: str) -> int:
     table = epsilon_table(target)
     if diagram.immersion.graph != table.graph:
         raise ValueError(f"diagram graph is not the canonical {target} graph")
-    return sum(table.weight(*pair) * value
-               for pair, value in diagram._pair_signs.items()
-               if table.has_pair(*pair))
+    weights = _gathered(diagram, ("L", target), [table.weights])
+    return int(weights[0] @ diagram._pair_signs)
 
 
 def writhe_cycle(diagram: Diagram, cycle: Cycle) -> int:
@@ -169,16 +211,12 @@ def writhe_cycle(diagram: Diagram, cycle: Cycle) -> int:
     Raises:
         ValueError: The cycle does not validate against the diagram's graph.
     """
-    graph = diagram.immersion.graph
-    cycle.validate(graph)
+    cycle.validate(diagram.immersion.graph)
     direction = dict(cycle.steps)
-    names = cycle.edge_name_set
-    total = 0
-    for cid, rec in diagram._by_id.items():
-        a, b = rec.edges
-        if a in names and b in names:
-            total += diagram.sign(cid) * direction[a] * direction[b]
-    return total
+    pairs = diagram.immersion._record_order.pairs
+    return sum(direction[a] * direction[b] * value
+               for (a, b), value in zip(pairs, diagram._pair_signs.tolist())
+               if a in direction and b in direction)
 
 
 def tb(diagram: Diagram, k) -> int:
@@ -192,15 +230,16 @@ def tb(diagram: Diagram, k) -> int:
     weights = _weights(diagram.immersion.graph, k)
     if not weights.size:
         raise ValueError(f"graph has no cycle of length {k}")
-    signed = weights.signed
-    return sum(signed.get(p, 0) * value for p, value in diagram._pair_signs.items())
+    return int(_gathered(diagram, ("tb", k), [weights.signed])[0] @ diagram._pair_signs)
 
 
 def tb_by_length(diagram: Diagram) -> dict:
     """Writhe sum for each cycle length, as a length -> sum dict."""
     graph = diagram.immersion.graph
-    lengths = sorted({len(c) for c in enumerate_cycles(graph)})
-    return {k: tb(diagram, k) for k in lengths}
+    lengths = cycle_lengths(graph)
+    tables = [_weights(graph, k).signed for k in lengths]
+    sums = _gathered(diagram, "tb", tables) @ diagram._pair_signs
+    return dict(zip(lengths, sums.tolist()))
 
 
 def tb_total(diagram: Diagram) -> int:

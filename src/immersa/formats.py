@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .diagrams import Diagram
 from .graphs import MultiGraph, _check_name as _check_graph_name, build_named
-from .immersion import PlaneImmersion, crossings, validate
+from .immersion import PlaneImmersion, validate
 
 
 class ParseError(ValueError):
@@ -377,7 +377,7 @@ def parse_diagram(text) -> Diagram:
     report = validate(immersion)
     if not report.ok:
         raise ParseError(f"immersion is not generic: {report.summary()}")
-    ids = {rec.id for rec in crossings(immersion)}
+    ids = immersion._record_order.row.keys()
     over = {}
     lines = {}
     for lineno, cid, choice in overs:
@@ -420,6 +420,6 @@ def serialize_immersion(immersion: PlaneImmersion) -> str:
 def serialize_diagram(diagram: Diagram) -> str:
     """Diagram as text: the immersion plus one over line per crossing."""
     lines = serialize_immersion(diagram.immersion).splitlines()
-    for rec in crossings(diagram.immersion):
-        lines.append(f"over {rec.id} {diagram.over[rec.id]}")
+    for cid in diagram.immersion._record_order.ids:
+        lines.append(f"over {cid} {diagram.over[cid]}")
     return "\n".join(lines) + "\n"

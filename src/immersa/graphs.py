@@ -268,6 +268,12 @@ def enumerate_cycles(graph: MultiGraph, k=None):
     return tuple(c for c in cycles if len(c) == k)
 
 
+@per_graph
+def cycle_lengths(graph: MultiGraph):
+    """The distinct lengths of the graph's cycles, ascending, as a tuple."""
+    return tuple(sorted({len(c) for c in enumerate_cycles(graph)}))
+
+
 def edge_distance(graph: MultiGraph, d, e):
     """Distance between two edges: fewest edges on a path joining them.
 

@@ -14,10 +14,14 @@ otherwise.  The crossings stay one table: segment pair and sign per row,
 with the parameter numerators and denominator on the integer path.
 Validation decides triple points and crossings at breakpoints on its
 integers, and per-edge-pair crossing counts come from it by one np.unique.
-Fractions are built only for the few contacts that are not polyline
-joints, and for CrossingRecords, which are made once, on the first call of
-crossings().  Rotation numbers count signed passes of the tangent past a
-fixed direction (Whitney 1937), with the same exact sign predicates.
+The record order (ids, edge pairs and geometric signs of the crossings,
+sorted by id) is read off the table by one np.lexsort, with exact
+parameter comparisons only between crossings on one segment of one pair;
+diagrams read it directly.  On the integer path Fractions are built only
+for CrossingRecords, which are made in record order once, on the first
+call of crossings().  Rotation numbers count signed passes of the tangent
+past a fixed direction (Whitney 1937), with the same exact sign
+predicates.
 
 Per-cycle numbers come from one table per immersion: the crossing number
 and the rotation number of every cycle of the graph, filled by a few numpy
@@ -30,9 +34,9 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 
 import numpy as np
 
@@ -214,8 +218,7 @@ class PlaneImmersion:
                     ("overlap", f"{name_a}[{ia}] and {name_b}[{ib}] overlap collinearly")
                 )
                 continue
-            point, u, w = data
-            lu, lw = param_location(u), param_location(w)
+            point, lu, lw = data
             if not self._allowed_contact(name_a, ia, lu, name_b, ib, lw, point, seg_count):
                 violations.append(
                     ("breakpoint-contact",
@@ -284,29 +287,67 @@ class PlaneImmersion:
                 for p, c in zip(pairs.tolist(), counts.tolist())}
 
     @cached_property
+    def _distance_crossings(self):
+        # Edge distance -> crossings between distinct edges that far apart.
+        distance = self.graph._edge_distances
+        out = {}
+        for pair, n in self._pair_crossings.items():
+            if pair[0] != pair[1]:
+                out[distance[pair]] = out.get(distance[pair], 0) + n
+        return out
+
+    @cached_property
+    def _record_order(self):
+        # The _RecordOrder of a generic drawing, by id: by edge pair in index
+        # order, then along the pair's first strand.  Segments run in edge
+        # order, so a row's left segment is on the pair's first edge (the
+        # earlier strand of a self crossing).  ValueError when not generic.
+        _require_valid(self)
+        found = self._scan[1]
+        names = self.graph.edge_names
+        n = len(names)
+        # (edge a, edge b, segment on a) per row.
+        keys = np.concatenate((found.place[found.left], found.place[found.right]),
+                              axis=1)[:, [0, 2, 1]]
+        perm = np.lexsort(keys.T[::-1])
+        keys = keys[perm]
+        # Only rows on one segment of one pair need their parameters
+        # compared; np.lexsort is stable, so they arrive in table order.
+        starts = np.flatnonzero(np.append(True, (keys[1:] != keys[:-1]).any(axis=1)))
+        ends = np.append(starts[1:], len(perm))
+        if len(starts) < len(perm):
+            perm = perm.tolist()
+            for start, end in zip(starts.tolist(), ends.tolist()):
+                if end - start > 1:
+                    perm[start:end] = found.by_u(perm[start:end])
+            perm = np.array(perm, dtype=np.intp)
+        codes = keys[:, 0] * n + keys[:, 1]
+        uniq, first, pair_of = np.unique(codes, return_index=True, return_inverse=True)
+        pairs = [(names[c // n], names[c % n]) for c in uniq.tolist()]
+        prefix = [f"{x}:{y}:" for x, y in pairs]
+        ranks = (np.arange(len(perm)) - first[pair_of]).tolist()
+        ids = [prefix[p] + str(r) for p, r in zip(pair_of.tolist(), ranks)]
+        return _RecordOrder(perm, ids, pairs, pair_of, found.sign[perm].astype(np.int8))
+
+    @cached_property
     def _records(self):
-        # The CrossingRecords of a generic drawing, ordered by id: by edge
-        # pair in index order, then along the pair's first strand.  Segments
-        # run in edge order, so a row's left segment is on the pair's first
-        # edge (the earlier strand of a self crossing).
+        # The CrossingRecords of a generic drawing, in record order.
         found = self._scan[1]
         if found is None:
             return ()
         g = self.graph
-        names = g.edge_names
-        rows = [(ea, eb, ia, u, ib, w, point, sign)
-                for (ea, ia), (eb, ib), sign, (point, u, w) in zip(
-                    found.place[found.left].tolist(), found.place[found.right].tolist(),
-                    found.sign.tolist(), found.positions())]
-        rows.sort(key=lambda row: row[:4])
+        order = self._record_order
+        perm = order.perm
+        positions = found.positions()
         records = []
-        pair, rank = None, 0
-        for ea, eb, sa, ua, sb, ub, point, sign in rows:
-            rank = rank + 1 if (ea, eb) == pair else 0
-            pair = ea, eb
-            a, b = names[ea], names[eb]
+        for cid, p, row, sa, sb, sign in zip(
+                order.ids, order.pair_of.tolist(), perm.tolist(),
+                found.place[found.left[perm], 1].tolist(),
+                found.place[found.right[perm], 1].tolist(), order.sign.tolist()):
+            a, b = order.pairs[p]
+            point, ua, ub = positions[row]
             records.append(CrossingRecord(
-                id=f"{a}:{b}:{rank}",
+                id=cid,
                 point=point,
                 edges=(a, b),
                 seg_a=sa,
@@ -453,6 +494,21 @@ class _Crossings:
         return zip(unums.tolist(), wnums.tolist(), dens.tolist(), p[:, 0].tolist(),
                    p[:, 1].tolist(), (p[:, 2] - p[:, 0]).tolist(), (p[:, 3] - p[:, 1]).tolist())
 
+    def by_u(self, rows):
+        """rows sorted by their parameter along left, compared exactly."""
+        if self.ints is None:
+            return sorted(rows, key=lambda r: self.exact[r][1])
+        unums, _, dens = self.ints[:3]
+        u = {r: (int(unums[r]), int(dens[r])) for r in rows}
+
+        def compare(r, s):
+            # un_r / d_r against un_s / d_s, d > 0, in Python ints: the
+            # products pass int64.
+            x, y = u[r][0] * u[s][1], u[s][0] * u[r][1]
+            return (x > y) - (x < y)
+
+        return sorted(rows, key=cmp_to_key(compare))
+
     def point_keys(self):
         """The _point_key of each row's crossing point."""
         if self.ints is None:
@@ -499,6 +555,40 @@ class _Crossings:
         return out
 
 
+@dataclass(frozen=True, eq=False)
+class _RecordOrder:
+    """The crossings of a generic drawing in record order, the order of
+    their ids, read off its _Crossings table without building records.
+
+    Attributes:
+        perm: Row of the _Crossings table of each crossing.
+        ids: Crossing id "<a>:<b>:<rank>" of each crossing.
+        pairs: The distinct index-ordered edge-name pairs (a, b) that
+            cross, a == b for self crossings, in index order.
+        pair_of: Index into pairs of each crossing's edge pair.
+        sign: int8 geometric sign of each crossing.
+        memo: Readers' per-immersion data derived from the order, such as
+            weights gathered at pairs; it lives as long as the immersion.
+    """
+
+    perm: np.ndarray
+    ids: list
+    pairs: list
+    pair_of: np.ndarray
+    sign: np.ndarray
+    memo: dict = field(default_factory=dict)
+
+    @cached_property
+    def row(self):
+        # Crossing id -> its index in ids.
+        return {cid: r for r, cid in enumerate(self.ids)}
+
+    @cached_property
+    def pair_index(self):
+        # Edge pair -> its index in pairs.
+        return {pair: i for i, pair in enumerate(self.pairs)}
+
+
 def _ratio(num, den):
     # str of the Fraction num/den, from its reduced terms.
     return str(num) if den == 1 else f"{num}/{den}"
@@ -509,13 +599,15 @@ def _resolve_contacts(segments, pairs, table):
 
     crossings holds the _Crossings columns (left, right, sign, ints,
     exact) of the pairs that meet at a point interior to both segments.
-    contacts lists (i, j, kind, data), as segment_contact gives them, for
-    every other touching pair.  Both keep the order of pairs.  table is
-    (ints, scale, first) from _scan, or None to decide every pair in
-    rational arithmetic.  The integer path decides every pair, collinear
-    ones too, on the scaled integers, drops ordinary polyline joints
-    (always allowed), keeps the crossings as integer columns and builds
-    Fractions only for the other contacts.
+    contacts lists (i, j, kind, data) for every other touching pair: kind
+    "overlap", or "point" with data (point, location along i, location
+    along j), each location "start", "end" or "interior".  Both keep the
+    order of pairs.  table is (ints, scale, first) from _scan, or None to
+    decide every pair in rational arithmetic.  The integer path decides
+    every pair, collinear ones too, on the scaled integers, drops ordinary
+    polyline joints (always allowed), keeps the crossings as integer
+    columns and reads the other contacts' locations off the integer
+    parameters, building no Fraction.
     """
     contacts = []
     if table is None:
@@ -526,6 +618,9 @@ def _resolve_contacts(segments, pairs, table):
             if kind == "point" and 0 < data[1] < 1 and 0 < data[2] < 1:
                 det = cross(sub(a1, a0), sub(b1, b0))
                 proper.append((i, j, 1 if det > 0 else -1, data))
+            elif kind == "point":
+                point, u, w = data
+                contacts.append((i, j, kind, (point, param_location(u), param_location(w))))
             elif kind != "none":
                 contacts.append((i, j, kind, data))
         left, right, sign = (np.array([row[c] for row in proper], dtype=np.int64)
@@ -561,8 +656,13 @@ def _resolve_contacts(segments, pairs, table):
         (a0, a1), (b0, b1) = segments[i][2:], segments[j][2:]
         un, wn, d = int(unums[t]), int(wnums[t]), int(dens[t])
         point = a0 if un == 0 else a1 if un == d else b0 if wn == 0 else b1
-        contacts.append((i, j, "point", (point, Fraction(un, d), Fraction(wn, d))))
+        contacts.append((i, j, "point", (point, _location(un, d), _location(wn, d))))
     return (left[inner], right[inner], sign, columns, None), contacts
+
+
+def _location(num, den):
+    # param_location of num/den, den > 0.
+    return "start" if num == 0 else "end" if num == den else "interior"
 
 
 def validate(imm: PlaneImmersion) -> GenericityReport:
@@ -681,9 +781,7 @@ def sum_crossing(imm: PlaneImmersion, k) -> int:
 def kappa(imm: PlaneImmersion, k) -> int:
     """Total crossing count over all edge pairs at distance k."""
     _require_valid(imm)
-    distance = imm.graph._edge_distances.get
-    return sum([n for pair, n in imm._pair_crossings.items()
-                if pair[0] != pair[1] and distance(pair) == k])
+    return imm._distance_crossings.get(k, 0)
 
 
 def rotation_number(imm: PlaneImmersion, cycle: Cycle, orientation=1) -> int:

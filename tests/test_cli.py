@@ -1,7 +1,13 @@
 """Command line surface: outputs, exit codes, and determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import immersa
 from immersa import cli
 from immersa.diagrams import random_lift
 from immersa.formats import parse_diagram, parse_immersion, serialize_diagram
@@ -255,6 +261,14 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
         assert cli.main(["census", "--help"]) == 0
+
+    def test_runs_as_a_module(self):
+        src = str(Path(immersa.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        done = subprocess.run([sys.executable, "-m", "immersa", "--help"],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert done.returncode == 0 and "fuzz" in done.stdout
 
     def test_unknown_model(self, capsys):
         code, _, err = run(capsys, "render", "@PG-fancy")

@@ -1,6 +1,12 @@
 """Diagrams: over/under bookkeeping, signs, L invariants, writhe sums."""
 
+import hashlib
+import itertools
+import random
+
 import pytest
+
+from immersa import immersion
 
 from immersa.diagrams import (
     Diagram,
@@ -14,7 +20,14 @@ from immersa.diagrams import (
     writhe_cycle,
 )
 from immersa.epsilon import epsilon_table
-from immersa.graphs import MultiGraph, enumerate_cycles, heawood_graph, petersen_graph
+from immersa.formats import serialize_diagram
+from immersa.graphs import (
+    MultiGraph,
+    complete_graph,
+    enumerate_cycles,
+    heawood_graph,
+    petersen_graph,
+)
 from immersa.immersion import PlaneImmersion, crossings, kappa, random_immersion
 from immersa.standard import standard_immersion
 
@@ -83,6 +96,19 @@ class TestConstruction:
             Diagram(figure_eight, {rec.id: "l"})
         diagram = Diagram(figure_eight, {rec.id: "first"})
         assert diagram.sign(rec.id) == rec.geometric_sign
+
+    def test_edge_names_give_the_positional_diagram(self):
+        f = random_immersion(petersen_graph(), 3)
+        lift = random_lift(f, 5)
+        named = {}
+        for rec in crossings(f):
+            choice = lift.over[rec.id]
+            named[rec.id] = choice if rec.is_self else rec.edges[choice == "second"]
+        diagram = Diagram(f, named)
+        assert diagram.over == lift.over
+        assert L_invariant(diagram, "PG") == L_invariant(lift, "PG")
+        assert tb_by_length(diagram) == tb_by_length(lift)
+        assert all(diagram.sign(cid) == lift.sign(cid) for cid in lift.over)
 
 
 class TestSigns:
@@ -287,3 +313,83 @@ class TestRandomLift:
         imm = standard_immersion("PG-min")
         diagram = random_lift(imm, 0)
         assert set(diagram.over) == {rec.id for rec in crossings(imm)}
+
+    def test_draws_what_rng_choice_draws(self):
+        # random_lift reads its choices off whole words of the generator;
+        # they must be the ones a rng.choice loop over the crossings makes.
+        drawings = [random_immersion(heawood_graph(), s) for s in range(4)]
+        for seed in range(200):
+            f = drawings[seed % len(drawings)]
+            rng = random.Random(seed)
+            expected = {rec.id: rng.choice(("first", "second")) for rec in crossings(f)}
+            over = random_lift(f, seed).over
+            assert over == expected and list(over) == list(expected)
+
+
+def test_lift_sums_build_no_records(monkeypatch):
+    # A lift and its L, kappa and tb sums read the crossing table only.
+    made = []
+
+    class Counted(immersion.CrossingRecord):
+        def __init__(self, *args, **kwargs):
+            made.append(None)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(immersion, "CrossingRecord", Counted)
+    graph = heawood_graph()
+    for seed in range(5):
+        f = random_immersion(graph, seed)
+        for lift_seed in range(10):
+            diagram = random_lift(f, lift_seed)
+            assert L_invariant(diagram, "HG") % 2 == kappa(f, 2) % 2 == 1
+            tb_by_length(diagram)
+    assert made == []
+    assert len(crossings(f)) == len(made) > 0
+
+
+def _lift_cases():
+    figure_eight = PlaneImmersion(
+        MultiGraph(("v",), (("l", "v", "v"),)), {"v": (0, 0)},
+        {"l": ((0, 0), (4, 0), (4, 4), (6, 2), (0, 0))})
+    cases = [(random_immersion(heawood_graph(), s), "HG") for s in (0, 1)]
+    cases += [(random_immersion(petersen_graph(), s), "PG") for s in (0, 1)]
+    cases += [(random_immersion(complete_graph(5), s), None) for s in (0, 1)]
+    cases.append((figure_eight, None))
+    return [(f, target, random_lift(f, s)) for f, target in cases for s in range(20)]
+
+
+def _digest(texts):
+    h = hashlib.sha256()
+    for text in texts:
+        h.update(text.encode())
+    return h.hexdigest()
+
+
+class TestLiftByteIdentity:
+    # SHA-256 of lifts 0-19 of two HG, PG and K5 drawings and of a figure
+    # eight, and of their L, tb and ell values.  Any change to the choices
+    # drawn, the crossing ids or the signed sums shows up here.
+    @pytest.fixture(scope="class")
+    def lifts(self):
+        return _lift_cases()
+
+    def test_serialized_lifts(self, lifts):
+        assert _digest(serialize_diagram(d) for _, _, d in lifts) == (
+            "bd071b45f80bcb56ac82c54338e080be666e2742934e9c933f9d2c0a13567c22"
+        )
+
+    def test_L_invariants(self, lifts):
+        assert _digest(repr(L_invariant(d, t)) for _, t, d in lifts if t) == (
+            "60974e144c3d2eadff269b6eeca673094a93a765f9c7af096adffd70845f160b"
+        )
+
+    def test_tb_by_length(self, lifts):
+        assert _digest(repr(sorted(tb_by_length(d).items())) for _, _, d in lifts) == (
+            "7834a2dc267707418727a04a41b8c29b997f4de49dadb5e6918ae752ea7f65ac"
+        )
+
+    def test_ell_on_every_pair(self, lifts):
+        assert _digest(repr([ell(d, a, b) for a, b in itertools.combinations(f.graph.edge_names, 2)])
+                       for f, _, d in lifts) == (
+            "7ad7215d3c65cf60256cdc39af0ef8e769f023355fc1f0cda33f241d18084266"
+        )

@@ -19,6 +19,7 @@ from immersa.graphs import (
     build_named,
     complete_bipartite_graph,
     complete_graph,
+    cycle_lengths,
     disjoint_edge_pairs,
     edge_distance,
     edge_pairs_at_distance,
@@ -107,6 +108,14 @@ def test_cycle_counts_match_frozen_tables():
     assert by_len == HG_CYCLE_COUNTS
     assert sum(by_len.values()) == 213
     assert len(enumerate_cycles(hg, 14)) == 24
+
+
+def test_cycle_lengths_are_kept_per_graph():
+    hg = heawood_graph()
+    assert cycle_lengths(hg) == tuple(sorted(HG_CYCLE_COUNTS))
+    assert cycle_lengths(hg) is cycle_lengths(hg)
+    assert cycle_lengths(petersen_graph()) == tuple(sorted(PG_CYCLE_COUNTS))
+    assert cycle_lengths(MultiGraph(("a", "b"), (("e", "a", "b"),))) == ()
 
 
 def test_k4_has_seven_cycles():

@@ -766,3 +766,98 @@ def test_checks_build_fewer_fractions_than_crossings(monkeypatch):
                 rotation_number(f, cycle)
                 cycle_crossing_number(f, cycle)
         assert len(made) < len(crossings(f))
+
+
+def test_validate_builds_no_fractions(monkeypatch):
+    # Contacts at shared vertices are located on the integer parameters, so
+    # validating a generated drawing makes no Fraction at all.
+    made = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(None)
+            return super().__new__(cls, *args, **kwargs)
+
+    graph = heawood_graph()
+    for seed in range(10):
+        drawn = random_immersion(graph, seed)
+        with monkeypatch.context() as m:
+            m.setattr(immersion, "Fraction", Counted)
+            f = PlaneImmersion(graph, drawn.vertex_position, drawn.edge_polyline)
+            assert validate(f).ok
+        assert made == []
+
+
+def _zigzag(scale=1):
+    # Edge "cd" crosses the single segment of "ab" four times; ab runs right
+    # to left, so its parameter falls as x grows.  A loop "l" crosses
+    # itself once.
+    graph = MultiGraph(("a", "b", "c", "d", "v"),
+                       (("ab", "a", "b"), ("cd", "c", "d"), ("l", "v", "v")))
+    s = Fraction(scale)
+    pos = {"a": (10 * s, 0), "b": (0, 0), "c": (1 * s, -1 * s), "d": (9 * s, -1 * s),
+           "v": (20 * s, 0)}
+    poly = {
+        "ab": (pos["a"], pos["b"]),
+        "cd": (pos["c"], (2 * s, s), (4 * s, -s), (6 * s, s), (8 * s, s), pos["d"]),
+        "l": (pos["v"], (24 * s, 0), (24 * s, 4 * s), (26 * s, 2 * s), pos["v"]),
+    }
+    return PlaneImmersion(graph, pos, poly)
+
+
+def _check_record_order(f):
+    # The record order read off the crossing table against the rule it
+    # implements, applied to the records' own exact data: ids ranked by
+    # (edge pair in index order, segment along a, parameter along a), and
+    # geometric signs from the segments' directions.
+    recs = crossings(f)
+    index = f.graph.edge_index
+    ordered = sorted(recs, key=lambda r: (index[r.edges[0]], index[r.edges[1]],
+                                          r.seg_a, r.param_a))
+    assert list(ordered) == list(recs)
+    seen = {}
+    for rec in recs:
+        rank = seen[rec.edges] = seen.get(rec.edges, -1) + 1
+        assert rec.id == f"{rec.edges[0]}:{rec.edges[1]}:{rank}"
+        a = f.edge_polyline[rec.edges[0]][rec.seg_a:rec.seg_a + 2]
+        b = f.edge_polyline[rec.edges[1]][rec.seg_b:rec.seg_b + 2]
+        det = ((a[1][0] - a[0][0]) * (b[1][1] - b[0][1])
+               - (a[1][1] - a[0][1]) * (b[1][0] - b[0][0]))
+        assert rec.geometric_sign == (1 if det > 0 else -1)
+    order = f._record_order
+    assert order.ids == [rec.id for rec in recs]
+    assert order.sign.tolist() == [rec.geometric_sign for rec in recs]
+    assert [order.pairs[p] for p in order.pair_of.tolist()] == [rec.edges for rec in recs]
+    return recs
+
+
+class TestRecordOrder:
+    def test_parameter_ties_on_one_segment(self):
+        f = _zigzag()
+        assert f._scan[1].ints is not None
+        recs = _check_record_order(f)
+        on_ab = [rec for rec in recs if rec.edges == ("ab", "cd")]
+        assert len(on_ab) == 4 and {rec.seg_a for rec in on_ab} == {0}
+        assert [rec.point[0] for rec in on_ab] == [Fraction(17, 2), 5, 3, Fraction(3, 2)]
+
+    def test_self_crossing(self):
+        f = _zigzag()
+        (rec,) = [rec for rec in _check_record_order(f) if rec.is_self]
+        assert rec.id == "l:l:0" and (rec.seg_a, rec.seg_b) == (1, 3)
+
+    def test_rational_path(self):
+        # A scale with a denominator past INT_COORD_LIMIT forces Fractions.
+        f = _zigzag(Fraction(1, kernels.INT_COORD_LIMIT + 7))
+        assert f._scan[1].ints is None
+        recs = _check_record_order(f)
+        assert [rec.id for rec in recs] == [rec.id for rec in crossings(_zigzag())]
+
+    def test_generated_drawings(self, byte_drawings):
+        for f in byte_drawings[::7]:
+            _check_record_order(f)
+
+    def test_invalid_immersion_raises(self):
+        graph = MultiGraph(("a", "b"), (("e", "a", "b"),))
+        f = PlaneImmersion(graph, {"a": (0, 0), "b": (0, 0)}, {"e": ((0, 0), (0, 0))})
+        with pytest.raises(ValueError, match="not generic"):
+            f._record_order
