@@ -39,6 +39,7 @@ from .formats import (
 from .graphs import MultiGraph, cycle_lengths, heawood_graph, petersen_graph
 from .immersion import (
     PlaneImmersion,
+    crossing_count,
     crossings,
     cycle_crossing_number,
     kappa,
@@ -253,7 +254,7 @@ def _cmd_construct(args, argv):
         Path(args.svg).write_text(render_svg(immersion), encoding="utf-8")
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
-        n_cross = len(list(crossings(immersion)))
+        n_cross = crossing_count(immersion)
         print(f"constructed: {len(graph.vertices)} vertices, "
               f"{len(graph.edges)} edges, {n_cross} crossings, "
               f"every cycle rotation 0 -> {args.output}")

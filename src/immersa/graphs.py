@@ -181,7 +181,18 @@ class Cycle:
     steps: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "steps", _canonical_steps(tuple(self.steps)))
+        steps = _canonical_steps(tuple(self.steps))
+        object.__setattr__(self, "steps", steps)
+        # The dataclass hash, kept: every per-cycle lookup hashes the cycle.
+        object.__setattr__(self, "_hash", hash((steps,)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes differ between processes, so a pickle leaves the
+        # kept hash behind.
+        return Cycle, (self.steps,)
 
     def __len__(self):
         return len(self.steps)

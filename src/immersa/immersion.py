@@ -10,10 +10,18 @@ shorter than pi.  Crossing extraction scales every point once by a common
 denominator when that fits int64, runs a conservative float sort-and-sweep
 prefilter (see kernels) and decides the surviving pairs exactly, in scaled
 integer arithmetic when the scale fits and in rational arithmetic
-otherwise.  The crossings stay one table: segment pair and sign per row,
-with the parameter numerators and denominator on the integer path.
-Validation decides triple points and crossings at breakpoints on its
-integers, and per-edge-pair crossing counts come from it by one np.unique.
+otherwise.  The prefilter's float orientation test runs only ahead of the
+rational path, where it saves segment_contact calls; the integer kernel
+decides the same orientations exactly, so there the prefilter stops after
+the box test.  A contact between two segments is allowed only at one node,
+an ordinary polyline joint or terminal slots of two edge ends at one
+vertex, and that rule is one numpy comparison on both paths.  The
+crossings stay one table: segment pair and sign per row, with the
+parameter numerators and denominator on the integer path.  Validation
+decides triple points (sorted float parameters, exact comparison only
+between neighbours closer than their rounding error) and crossings at
+breakpoints on its integers, and per-edge-pair crossing counts come from it
+by one np.unique.
 The record order (ids, edge pairs and geometric signs of the crossings,
 sorted by id) is read off the table by one np.lexsort, with exact
 parameter comparisons only between crossings on one segment of one pair;
@@ -36,13 +44,15 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cached_property
+from itertools import chain
+from operator import eq
 
 import numpy as np
 
 from . import kernels
 from .census import _weights
-from .geometry import as_point, param_location, segment_contact, sub, cross
+from .geometry import as_point, segment_contact, sub, cross
 from .graphs import Cycle, MultiGraph, enumerate_cycles, per_graph
 
 
@@ -148,82 +158,91 @@ class PlaneImmersion:
         # None).
         g = self.graph
         pos = self.vertex_position
-        violations = []
+        names = g.edge_names
+        polylines = [self.edge_polyline[name] for name in names]
+        pts = list(chain.from_iterable(polylines))
+        keys = [_point_key(p) for p in pts]
+        scaled = _integer_scaled(keys)
+        counts = np.fromiter(map(len, polylines), np.intp, len(polylines))
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        # Points k and k + 1 bound a segment unless k ends an edge.
+        bound = np.ones(max(len(pts) - 1, 0), dtype=bool)
+        bound[ends[:-1] - 1] = False
+        same = np.fromiter(map(eq, keys, keys[1:]), bool, len(bound))
+        # Point indices k of zero-length segments.
+        zeros = (bound & same).nonzero()[0].tolist()
 
+        violations = []
+        vertex_keys = {v: _point_key(pos[v]) for v in g.vertices}
         taken = {}
-        for v in g.vertices:
-            key = _point_key(pos[v])
+        for v, key in vertex_keys.items():
             if key in taken:
                 violations.append(
                     ("duplicate-vertex-position", f"{taken[key]} and {v} both at {_fmt(pos[v])}")
                 )
             else:
                 taken[key] = v
-
-        keys = [_point_key(p) for name in g.edge_names for p in self.edge_polyline[name]]
-        scaled = _integer_scaled(keys)
-        segments = []
-        # Index of each segment's first point in keys; segment j continues
-        # segment i along one polyline exactly when first[j] == first[i] + 1.
-        first = []
-        place = []
-        seg_count = {}
-        k = 0
-        for e, name in enumerate(g.edge_names):
-            pts = self.edge_polyline[name]
+        for name, k, end in zip(names, starts.tolist(), ends.tolist()):
             t, h = g.endpoints[name]
-            if pts[0] != pos[t]:
+            if keys[k] != vertex_keys[t]:
                 violations.append(("endpoint-mismatch", f"edge {name} does not start at {t}"))
-            if pts[-1] != pos[h]:
+            if keys[end - 1] != vertex_keys[h]:
                 violations.append(("endpoint-mismatch", f"edge {name} does not end at {h}"))
-            seg_count[name] = len(pts) - 1
-            for i in range(len(pts) - 1):
-                if keys[k + i] == keys[k + i + 1]:
-                    violations.append(("zero-length-segment", f"edge {name} segment {i}"))
-                else:
-                    segments.append((name, i, pts[i], pts[i + 1]))
-                    first.append(k + i)
-                    place.append((e, i))
-            k += len(pts)
+            if zeros:
+                violations.extend(("zero-length-segment", f"edge {name} segment {z - k}")
+                                  for z in zeros if k <= z < end)
         if violations:
             return GenericityReport(False, tuple(violations)), None, scaled
 
+        # Segment s runs from point first[s] to first[s] + 1; place[s] is its
+        # (edge index, index in its polyline).
+        first = bound.nonzero()[0]
+        edge = np.repeat(np.arange(len(names)), counts - 1)
+        place = np.array((edge, first - starts[edge])).T
         if scaled is None:
-            arr = np.array(
-                [[_to_float(p0[0]), _to_float(p0[1]), _to_float(p1[0]), _to_float(p1[1])]
-                 for _, _, p0, p1 in segments],
-                dtype=np.float64,
-            ).reshape(len(segments), 4)
+            arr = np.array([_to_float(c) for k in first.tolist() for p in pts[k:k + 2] for c in p],
+                           dtype=np.float64).reshape(len(first), 4)
             table = None
         else:
             # Bit-equal to _to_float: every entry and the scale are at most
             # INT_COORD_LIMIT < 2**53, so both convert exactly, and IEEE
             # division rounds correctly, as Fraction.__float__ does.
             points, scale = scaled
-            first = np.array(first, dtype=np.int64)
             ints = np.concatenate((points[first], points[first + 1]), axis=1)
             arr = ints.astype(np.float64) / scale
-            table = ints, scale, first
-        m = float(np.max(np.abs(arr))) if len(segments) else 0.0
+            table = ints, scale
+        m = float(np.abs(arr).max()) if len(arr) else 0.0
         box_margin, orient_eps = kernels.rounding_bounds(m)
+        if table is not None:
+            # classify_pairs decides the same orientations exactly in int64,
+            # so the float test would only repeat its work.
+            orient_eps = math.inf
         pairs = kernels.candidate_pairs(arr, box_margin, orient_eps)
+        rows, contacts = _resolve_contacts(pts, first, pairs, table)
+        found = _Crossings(place, *rows)
 
-        rows, contacts = _resolve_contacts(segments, pairs, table)
-        found = _Crossings(np.array(place, dtype=np.int64).reshape(-1, 2), *rows)
-        for i, j, kind, data in contacts:
-            name_a, ia, _, _ = segments[i]
-            name_b, ib, _, _ = segments[j]
-            if kind == "overlap":
-                violations.append(
-                    ("overlap", f"{name_a}[{ia}] and {name_b}[{ib}] overlap collinearly")
-                )
-                continue
-            point, lu, lw = data
-            if not self._allowed_contact(name_a, ia, lu, name_b, ib, lw, point, seg_count):
-                violations.append(
-                    ("breakpoint-contact",
-                     f"{name_a}[{ia}] touches {name_b}[{ib}] at {_fmt(point)}")
-                )
+        # A touching pair is allowed only where both segments meet at one
+        # node: an ordinary polyline joint (one breakpoint), or two terminal
+        # slots at one vertex.  A polyline point's node is its vertex at an
+        # edge's ends and its own index past the vertices otherwise; the
+        # last entry, -1, is a contact's side strictly inside its segment.
+        edge_ends, isolated = _edge_ends(g)
+        node = np.arange(len(g.vertices), len(g.vertices) + len(pts) + 1)
+        node[starts], node[ends - 1], node[-1] = edge_ends[:, 0], edge_ends[:, 1], -1
+        _, _, overlap, slot_a, slot_b = contacts
+        at = node[slot_a]
+        bad = (overlap | (at < 0) | (at != node[slot_b])).nonzero()[0]
+        if len(bad):
+            labels = [f"{names[e]}[{i}]" for e, i in place.tolist()]
+            for i, j, ov, a, b in zip(*(column[bad].tolist() for column in contacts)):
+                if ov:
+                    violations.append(
+                        ("overlap", f"{labels[i]} and {labels[j]} overlap collinearly"))
+                else:
+                    point = pts[a if a >= 0 else b]
+                    violations.append(
+                        ("breakpoint-contact", f"{labels[i]} touches {labels[j]} at {_fmt(point)}"))
 
         # With no other violation, two crossings a x b and c x d at one point
         # share a segment at one parameter: a and c cross there too, as they
@@ -231,45 +250,12 @@ class PlaneImmersion:
         # breakpoint contact, so only an isolated vertex can sit on a
         # crossing.  Otherwise every crossing point is compared exactly,
         # which names each offender.
-        isolated = any(not g.incident[v] for v in g.vertices)
         if violations or found.ints is None or isolated or found.share_a_point():
             node_keys = set(keys).union(taken)
-            violations.extend(found.point_violations(g.edge_names, node_keys))
+            violations.extend(found.point_violations(names, node_keys))
         if violations:
             return GenericityReport(False, tuple(violations)), None, scaled
         return GenericityReport(True, ()), found, scaled
-
-    def _allowed_contact(self, name_a, ia, lu, name_b, ib, lw, point, seg_count):
-        g = self.graph
-        pos = self.vertex_position
-        if name_a == name_b:
-            # Segments arrive in index order, so ia < ib here.
-            if ib == ia + 1:
-                return lu == "end" and lw == "start"
-            if (
-                g.is_loop(name_a)
-                and ia == 0
-                and ib == seg_count[name_a] - 1
-                and seg_count[name_a] >= 3
-            ):
-                tail, _ = g.endpoints[name_a]
-                return lu == "start" and lw == "end" and point == pos[tail]
-            return False
-        ta, ha = g.endpoints[name_a]
-        tb, hb = g.endpoints[name_b]
-        for v in {ta, ha} & {tb, hb}:
-            if point != pos[v]:
-                continue
-            if self._is_terminal_slot(name_a, ia, lu, v, seg_count) and \
-               self._is_terminal_slot(name_b, ib, lw, v, seg_count):
-                return True
-        return False
-
-    def _is_terminal_slot(self, name, seg, loc, v, seg_count):
-        tail, head = self.graph.endpoints[name]
-        if v == tail and seg == 0 and loc == "start":
-            return True
-        return v == head and seg == seg_count[name] - 1 and loc == "end"
 
     @cached_property
     def _pair_crossings(self):
@@ -316,11 +302,8 @@ class PlaneImmersion:
         starts = np.flatnonzero(np.append(True, (keys[1:] != keys[:-1]).any(axis=1)))
         ends = np.append(starts[1:], len(perm))
         if len(starts) < len(perm):
-            perm = perm.tolist()
-            for start, end in zip(starts.tolist(), ends.tolist()):
-                if end - start > 1:
-                    perm[start:end] = found.by_u(perm[start:end])
-            perm = np.array(perm, dtype=np.intp)
+            perm = np.array(found.by_u(perm.tolist(), starts.tolist(), ends.tolist()),
+                            dtype=np.intp)
         codes = keys[:, 0] * n + keys[:, 1]
         uniq, first, pair_of = np.unique(codes, return_index=True, return_inverse=True)
         pairs = [(names[c // n], names[c % n]) for c in uniq.tolist()]
@@ -432,15 +415,16 @@ def _integer_scaled(keys):
     # array, the denominator), or None when segments between them would
     # break the classify_pairs contract.  keys holds each point's ratio key.
     limit = kernels.INT_COORD_LIMIT
+    try:
+        ratios = np.fromiter(chain.from_iterable(keys), np.int64, 4 * len(keys))
+    except OverflowError:
+        return None
+    ratios = ratios.reshape(len(keys), 4)
     scale = 1
-    for d in {k[1] for k in keys} | {k[3] for k in keys}:
+    for d in set(ratios[:, 1::2].ravel().tolist()):
         scale = math.lcm(scale, d)
         if scale > limit:
             return None
-    try:
-        ratios = np.array(keys, dtype=np.int64).reshape(len(keys), 4)
-    except OverflowError:
-        return None
     nums = ratios[:, 0::2]
     if (nums > limit).any() or (nums < -limit).any():
         return None
@@ -448,6 +432,15 @@ def _integer_scaled(keys):
     if (points > limit).any() or (points < -limit).any():
         return None
     return points, scale
+
+
+@per_graph
+def _edge_ends(graph):
+    # (vertex indices (tail, head) of each edge, whether some vertex has no
+    # edge).
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    ends = np.array([(index[t], index[h]) for _, t, h in graph.edges], dtype=np.intp)
+    return ends.reshape(-1, 2), any(not graph.incident[v] for v in graph.vertices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -494,20 +487,23 @@ class _Crossings:
         return zip(unums.tolist(), wnums.tolist(), dens.tolist(), p[:, 0].tolist(),
                    p[:, 1].tolist(), (p[:, 2] - p[:, 0]).tolist(), (p[:, 3] - p[:, 1]).tolist())
 
-    def by_u(self, rows):
-        """rows sorted by their parameter along left, compared exactly."""
-        if self.ints is None:
-            return sorted(rows, key=lambda r: self.exact[r][1])
-        unums, _, dens = self.ints[:3]
-        u = {r: (int(unums[r]), int(dens[r])) for r in rows}
-
-        def compare(r, s):
-            # un_r / d_r against un_s / d_s, d > 0, in Python ints: the
-            # products pass int64.
-            x, y = u[r][0] * u[s][1], u[s][0] * u[r][1]
-            return (x > y) - (x < y)
-
-        return sorted(rows, key=cmp_to_key(compare))
+    def by_u(self, perm, starts, ends):
+        """The list perm of rows with each run perm[start:end] sorted by the
+        rows' parameters along left, compared exactly."""
+        if self.ints is not None:
+            unums, dens = self.ints[0].tolist(), self.ints[2].tolist()
+        for start, end in zip(starts, ends):
+            if end - start < 2:
+                continue
+            run = perm[start:end]
+            if self.ints is None:
+                perm[start:end] = sorted(run, key=lambda r: self.exact[r][1])
+            else:
+                # un / d over the run's common denominator, in Python ints:
+                # the keys pass int64.
+                common = math.lcm(*(dens[r] for r in run))
+                perm[start:end] = sorted(run, key=lambda r: unums[r] * (common // dens[r]))
+        return perm
 
     def point_keys(self):
         """The _point_key of each row's crossing point."""
@@ -527,13 +523,31 @@ class _Crossings:
         if len(self.left) < 2:
             return False
         unums, wnums, dens = self.ints[:3]
-        sides = []
-        for seg, num in ((self.left, unums), (self.right, wnums)):
-            g = np.gcd(num, dens)
-            sides.append(np.stack((seg, num // g, dens // g), axis=1))
-        params = np.concatenate(sides)
-        params = params[np.lexsort(params.T)]
-        return bool((params[1:] == params[:-1]).all(axis=1).any())
+        segs = np.concatenate((self.left, self.right))
+        nums = np.concatenate((unums, wnums))
+        dens = np.concatenate((dens, dens))
+        # A parameter is at most 1 and its float quotient takes three
+        # roundings, so it is off by under 2**-51: equal parameters on one
+        # segment fall in one run of sorted neighbours less than 2**-48
+        # apart.  Only such runs, almost never met, are compared exactly.
+        t = nums / dens
+        order = np.lexsort((t, segs))
+        segs, t = segs[order], t[order]
+        near = (segs[1:] == segs[:-1]) & (t[1:] - t[:-1] < 2.0**-48)
+        runs = []
+        for k in np.flatnonzero(near).tolist():
+            if runs and runs[-1][-1] == k:
+                runs[-1].append(k + 1)
+            else:
+                runs.append([k, k + 1])
+        for run in runs:
+            reduced = set()
+            for n, d in zip(nums[order[run]].tolist(), dens[order[run]].tolist()):
+                g = math.gcd(n, d)
+                reduced.add((n // g, d // g))
+            if len(reduced) < len(run):
+                return True
+        return False
 
     def point_violations(self, names, node_keys):
         """triple-point and crossing-at-breakpoint violations, in the order
@@ -594,75 +608,71 @@ def _ratio(num, den):
     return str(num) if den == 1 else f"{num}/{den}"
 
 
-def _resolve_contacts(segments, pairs, table):
+def _resolve_contacts(pts, first, pairs, table):
     """Decide every candidate pair exactly; returns (crossings, contacts).
 
     crossings holds the _Crossings columns (left, right, sign, ints,
     exact) of the pairs that meet at a point interior to both segments.
-    contacts lists (i, j, kind, data) for every other touching pair: kind
-    "overlap", or "point" with data (point, location along i, location
-    along j), each location "start", "end" or "interior".  Both keep the
-    order of pairs.  table is (ints, scale, first) from _scan, or None to
-    decide every pair in rational arithmetic.  The integer path decides
-    every pair, collinear ones too, on the scaled integers, drops ordinary
-    polyline joints (always allowed), keeps the crossings as integer
-    columns and reads the other contacts' locations off the integer
-    parameters, building no Fraction.
+    contacts holds the columns (left, right, overlap, slot_a, slot_b) of
+    every other touching pair: overlap marks a collinear overlap; otherwise
+    the pair meets at one point, and slot_a is the index in pts of that
+    point when it is an end of left, else -1 (slot_b likewise for right).
+    Both keep the order of pairs.  pts lists every polyline point in edge
+    order and segment s runs from pts[first[s]] to pts[first[s] + 1].
+    table is (ints, scale) from _scan, or None to decide every pair in
+    rational arithmetic.  The integer path decides every pair, collinear
+    ones too, on the scaled integers, keeps the crossings as integer
+    columns and reads the contacts' slots off the integer parameters,
+    building no Fraction.
     """
-    contacts = []
     if table is None:
-        proper = []
+        proper, touch = [], []
+        first = first.tolist()
         for i, j in pairs.tolist():
-            (a0, a1), (b0, b1) = segments[i][2:], segments[j][2:]
+            a, b = first[i], first[j]
+            a0, a1, b0, b1 = pts[a], pts[a + 1], pts[b], pts[b + 1]
             kind, data = segment_contact(a0, a1, b0, b1)
             if kind == "point" and 0 < data[1] < 1 and 0 < data[2] < 1:
                 det = cross(sub(a1, a0), sub(b1, b0))
                 proper.append((i, j, 1 if det > 0 else -1, data))
             elif kind == "point":
-                point, u, w = data
-                contacts.append((i, j, kind, (point, param_location(u), param_location(w))))
+                _, u, w = data
+                touch.append((i, j, 0, a if u == 0 else a + 1 if u == 1 else -1,
+                              b if w == 0 else b + 1 if w == 1 else -1))
             elif kind != "none":
-                contacts.append((i, j, kind, data))
+                touch.append((i, j, 1, -1, -1))
         left, right, sign = (np.array([row[c] for row in proper], dtype=np.int64)
                              for c in range(3))
-        return (left, right, sign, None, [row[3] for row in proper]), contacts
-    ints, scale, first = table
+        contacts = np.array(touch, dtype=np.int64).reshape(-1, 5).T
+        return ((left, right, sign, None, [row[3] for row in proper]),
+                (*contacts[:2], contacts[2] == 1, *contacts[3:]))
+    ints, scale = table
     codes, unums, wnums, dens = kernels.classify_pairs(ints, pairs)
     left, right = pairs[:, 0], pairs[:, 1]
     # Collinear pairs, decided as segment_contact does: along a non-constant
     # axis, the spans overlap (code 2), touch at an end of each (code 1,
     # parameters 0 or 1) or miss (code 0).
-    col = np.flatnonzero(codes == 2)
-    p, q = ints[left[col]], ints[right[col]]
-    vertical = (p[:, 0] == p[:, 2])[:, None]
-    pa = np.where(vertical, p[:, 1::2], p[:, 0::2])
-    qa = np.where(vertical, q[:, 1::2], q[:, 0::2])
-    lo = np.maximum(pa.min(axis=1), qa.min(axis=1))
-    hi = np.minimum(pa.max(axis=1), qa.max(axis=1))
-    codes[col] = np.where(lo < hi, 2, np.where(lo == hi, 1, 0))
-    unums[col], wnums[col], dens[col] = pa[:, 0] != lo, qa[:, 0] != lo, 1
-    meet = codes == 1
-    inner = meet & (unums > 0) & (unums < dens) & (wnums > 0) & (wnums < dens)
-    joint = meet & (first[right] == first[left] + 1) & (unums == dens) & (wnums == 0)
+    col = (codes == 2).nonzero()[0]
+    if len(col):
+        p, q = ints[left[col]], ints[right[col]]
+        vertical = (p[:, 0] == p[:, 2])[:, None]
+        pa = np.where(vertical, p[:, 1::2], p[:, 0::2])
+        qa = np.where(vertical, q[:, 1::2], q[:, 0::2])
+        lo = np.maximum(pa.min(axis=1), qa.min(axis=1))
+        hi = np.minimum(pa.max(axis=1), qa.max(axis=1))
+        codes[col] = np.where(lo < hi, 2, np.where(lo == hi, 1, 0))
+        unums[col], wnums[col], dens[col] = pa[:, 0] != lo, qa[:, 0] != lo, 1
+    inner = (codes == 1) & (unums > 0) & (unums < dens) & (wnums > 0) & (wnums < dens)
     p, q = ints[left[inner]], ints[right[inner]]
     r, s = p[:, 2:] - p[:, :2], q[:, 2:] - q[:, :2]
     sign = np.where(r[:, 0] * s[:, 1] > r[:, 1] * s[:, 0], 1, -1)
     columns = unums[inner], wnums[inner], dens[inner], ints, scale
-    for t in np.flatnonzero((codes != 0) & ~inner & ~joint).tolist():
-        i, j = int(left[t]), int(right[t])
-        if codes[t] == 2:
-            contacts.append((i, j, "overlap", None))
-            continue
-        (a0, a1), (b0, b1) = segments[i][2:], segments[j][2:]
-        un, wn, d = int(unums[t]), int(wnums[t]), int(dens[t])
-        point = a0 if un == 0 else a1 if un == d else b0 if wn == 0 else b1
-        contacts.append((i, j, "point", (point, _location(un, d), _location(wn, d))))
+    t = ((codes != 0) & ~inner).nonzero()[0]
+    i, j, un, wn, d = left[t], right[t], unums[t], wnums[t], dens[t]
+    contacts = (i, j, codes[t] == 2,
+                np.where(un == 0, first[i], np.where(un == d, first[i] + 1, -1)),
+                np.where(wn == 0, first[j], np.where(wn == d, first[j] + 1, -1)))
     return (left[inner], right[inner], sign, columns, None), contacts
-
-
-def _location(num, den):
-    # param_location of num/den, den > 0.
-    return "start" if num == 0 else "end" if num == den else "interior"
 
 
 def validate(imm: PlaneImmersion) -> GenericityReport:
@@ -682,6 +692,17 @@ def crossings(imm: PlaneImmersion):
     """
     _require_valid(imm)
     return imm._records
+
+
+def crossing_count(imm: PlaneImmersion) -> int:
+    """Number of crossings of a valid immersion, read off its crossing
+    table without building records.
+
+    Raises:
+        ValueError: If the immersion fails validation.
+    """
+    _require_valid(imm)
+    return len(imm._scan[1].left)
 
 
 def _require_valid(imm):

@@ -12,7 +12,11 @@ and memory grow with the overlapping pairs, not with n^2.
 classify_pairs then decides the surviving pairs exactly on integer
 coordinates (the caller scales the rationals by a common denominator when
 that fits the int64 budget; otherwise it classifies in rational arithmetic
-without this kernel).  Both kernels are vectorized numpy.
+without this kernel).  classify_pairs computes the orientations of the float
+test exactly, so a caller on the integer path passes an infinite orient_eps
+and candidate_pairs stops after the box test; the float orientation test
+runs only ahead of rational classification, where each pair it drops saves
+an exact segment_contact call.  Both kernels are vectorized numpy.
 """
 
 import numpy as np
@@ -47,7 +51,8 @@ def candidate_pairs(segs, box_margin, orient_eps):
         segs: float64 array of shape (n, 4) holding x0, y0, x1, y1 per
             segment (rounded from exact rationals).
         box_margin: Bounding-box slack, from rounding_bounds; >= 0.
-        orient_eps: Orientation determinant slack, from rounding_bounds.
+        orient_eps: Orientation determinant slack, from rounding_bounds;
+            infinite skips the orientation test.
 
     Returns:
         int64 array of shape (m, 2) in lexicographic order.  Guaranteed to
@@ -80,15 +85,17 @@ def candidate_pairs(segs, box_margin, orient_eps):
         k = 1 - axis
         box = (lo[i, k] <= hi[j, k]) & (lo[j, k] <= hi[i, k])
         i, j = i[box], j[box]
-        # Orientations of b's endpoints against a's line, for (a, b) = (i, j)
-        # and (j, i): both strictly on one side separates the pair.
-        a, b = segs[np.concatenate((i, j))], segs[np.concatenate((j, i))]
-        d = a[:, 2:] - a[:, :2]
-        e = b.reshape(-1, 2, 2) - a[:, None, :2]
-        o = d[:, None, 0] * e[:, :, 1] - d[:, None, 1] * e[:, :, 0]
-        off = (o > orient_eps).all(axis=1) | (o < -orient_eps).all(axis=1)
-    keep = ~off.reshape(2, -1).any(axis=0) | shaky[i] | shaky[j]
-    i, j = i[keep], j[keep]
+        # An infinite orient_eps separates nothing, so the test is skipped.
+        if orient_eps < np.inf:
+            # Orientations of b's endpoints against a's line, for (a, b) =
+            # (i, j) and (j, i): both strictly on one side separates the pair.
+            a, b = segs[np.concatenate((i, j))], segs[np.concatenate((j, i))]
+            d = a[:, 2:] - a[:, :2]
+            e = b.reshape(-1, 2, 2) - a[:, None, :2]
+            o = d[:, None, 0] * e[:, :, 1] - d[:, None, 1] * e[:, :, 0]
+            off = (o > orient_eps).all(axis=1) | (o < -orient_eps).all(axis=1)
+            keep = ~off.reshape(2, -1).any(axis=0) | shaky[i] | shaky[j]
+            i, j = i[keep], j[keep]
     rank = np.lexsort((j, i))
     return np.stack((i[rank], j[rank]), axis=1).astype(np.int64, copy=False)
 

@@ -861,3 +861,184 @@ class TestRecordOrder:
         f = PlaneImmersion(graph, {"a": (0, 0), "b": (0, 0)}, {"e": ((0, 0), (0, 0))})
         with pytest.raises(ValueError, match="not generic"):
             f._record_order
+
+
+def agreement_drawings():
+    # The drawings of test_integer_and_rational_paths_agree, in its order.
+    drawings = [random_immersion(graph, seed)
+                for graph in (heawood_graph(), complete_graph(4), theta_graph(3))
+                for seed in range(3)]
+    drawings += [snapped(imm, den) for imm in drawings for den in (1, 2, 3)]
+    square = TestRotation().square()
+    straight = dict(square.edge_polyline, ab=((0, 0), (1, 0), (2, 0), (4, 0)))
+    drawings += [
+        dense_style_drawing(1, per_edge=12),
+        PlaneImmersion(square.graph, square.vertex_position, straight),
+        PlaneImmersion(MultiGraph(("v",), (("l", "v", "v"),)), {"v": (0, 0)},
+                       {"l": ((0, 0), (4, 0), (4, 4), (6, 2), (0, 0))}),
+        straight_cross(),
+        near_coordinate_limit(random_immersion(complete_graph(5), 0)),
+        PlaneImmersion(
+            MultiGraph(("a", "b", "c", "d", "v"), (("ab", "a", "b"), ("cd", "c", "d"))),
+            {"a": (0, 0), "b": (3, 1), "c": (0, 1), "d": (3, 0),
+             "v": (Fraction(3, 2), Fraction(1, 2))},
+            {"ab": ((0, 0), (3, 1)), "cd": ((0, 1), (3, 0))},
+        ),
+    ]
+    return drawings
+
+
+def rational_contact_calls(imm, monkeypatch):
+    # segment_contact calls of a rational-path validation of imm.
+    calls = []
+    real = immersion.segment_contact
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(immersion, "_integer_scaled", lambda keys: None)
+        m.setattr(immersion, "segment_contact", counted)
+        validate(PlaneImmersion(imm.graph, imm.vertex_position, imm.edge_polyline))
+    return len(calls)
+
+
+def test_rational_path_calls_segment_contact_no_more(monkeypatch):
+    # Counts recorded before the integer path stopped running the float
+    # orientation test: the rational path still runs it.
+    recorded = [396, 321, 462, 60, 69, 64, 37, 43, 28, 0, 0, 444, 0, 0, 354, 0, 0, 491,
+                90, 81, 61, 0, 81, 74, 0, 0, 71, 0, 39, 35, 0, 47, 48, 0, 0, 30,
+                145, 6, 5, 1, 118, 1]
+    counts = [rational_contact_calls(f, monkeypatch) for f in agreement_drawings()]
+    assert len(counts) == len(recorded)
+    assert all(c <= r for c, r in zip(counts, recorded))
+
+
+def scan_with_contacts(imm, monkeypatch, finite_eps):
+    # (report, crossing table columns, contact columns, candidate pairs) of
+    # a fresh scan of imm; finite_eps forces the float orientation test on
+    # the integer path too.
+    seen = {}
+    real_pairs, real_resolve = kernels.candidate_pairs, immersion._resolve_contacts
+
+    def pairs(segs, box_margin, orient_eps):
+        if finite_eps:
+            orient_eps = kernels.rounding_bounds(float(np.max(np.abs(segs))))[1]
+        seen["pairs"] = real_pairs(segs, box_margin, orient_eps)
+        return seen["pairs"]
+
+    def resolve(*args):
+        seen["rows"], seen["contacts"] = real_resolve(*args)
+        return seen["rows"], seen["contacts"]
+
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "candidate_pairs", pairs)
+        m.setattr(immersion, "_resolve_contacts", resolve)
+        report = validate(PlaneImmersion(imm.graph, imm.vertex_position, imm.edge_polyline))
+    if "rows" not in seen:
+        return report, None, None, None
+    left, right, sign, ints, _ = seen["rows"]
+    table = [left, right, sign, *ints[:3]]
+    return report, table, seen["contacts"], seen["pairs"]
+
+
+def test_scan_equals_a_scan_with_the_float_orientation_test(monkeypatch):
+    graphs = (heawood_graph(), petersen_graph(), complete_graph(5), multi_triangle(3),
+              theta_graph(4))
+    drawings = [random_immersion(graph, seed) for graph in graphs for seed in range(4)]
+    drawings += [snapped(f, den) for f in drawings for den in (1, 2, 3)]
+    dropped = 0
+    for f in drawings:
+        report, table, contacts, pairs = scan_with_contacts(f, monkeypatch, False)
+        want = scan_with_contacts(f, monkeypatch, True)
+        assert report == want[0]
+        if table is None:
+            assert want[1] is None
+            continue
+        for got, expected in ((table, want[1]), (contacts, want[2])):
+            assert len(got) == len(expected)
+            for a, b in zip(got, expected):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        dropped += len(pairs) - len(want[3])
+    # The forced test drops pairs that the exact classifier then rejects.
+    assert dropped > 0
+
+
+def both_paths(imm, monkeypatch):
+    # The reports of the integer and the rational path on imm.
+    with monkeypatch.context() as m:
+        m.setattr(immersion, "_integer_scaled", lambda keys: None)
+        rational = PlaneImmersion(imm.graph, imm.vertex_position, imm.edge_polyline)
+        report = validate(rational)
+    assert imm._scan[2] is not None and rational._scan[2] is None
+    return validate(imm), report
+
+
+class TestVertexContacts:
+    def test_three_segment_loop_meets_itself_at_its_vertex(self, monkeypatch):
+        g = MultiGraph(("v", "w"), (("l", "v", "v"), ("e", "v", "w")))
+        imm = PlaneImmersion(g, {"v": (0, 0), "w": (0, -3)},
+                             {"l": ((0, 0), (4, 0), (2, 3), (0, 0)), "e": ((0, 0), (0, -3))})
+        for report in both_paths(imm, monkeypatch):
+            assert report.ok
+        (cycle,) = [c for c in enumerate_cycles(g) if len(c) == 1]
+        assert rotation_number(imm, cycle) in (1, -1)
+
+    def test_terminal_slot_on_a_breakpoint(self, monkeypatch):
+        # ab leaves a; the breakpoint of cd sits on a.
+        g = two_disjoint_edges()
+        imm = PlaneImmersion(g, {"a": (0, 0), "b": (4, 0), "c": (-2, 2), "d": (2, 2)},
+                             {"ab": ((0, 0), (4, 0)), "cd": ((-2, 2), (0, 0), (2, 2))})
+        for report in both_paths(imm, monkeypatch):
+            assert report.violations == (
+                ("breakpoint-contact", "ab[0] touches cd[0] at (0, 0)"),
+                ("breakpoint-contact", "ab[0] touches cd[1] at (0, 0)"),
+            )
+
+    def test_two_edges_leave_a_vertex_in_one_direction(self, monkeypatch):
+        g = MultiGraph(("a", "b", "c"), (("ab", "a", "b"), ("ac", "a", "c")))
+        imm = PlaneImmersion(g, {"a": (0, 0), "b": (2, 0), "c": (4, 3)},
+                             {"ab": ((0, 0), (2, 0)), "ac": ((0, 0), (4, 0), (4, 3))})
+        for report in both_paths(imm, monkeypatch):
+            assert report.violations == (("overlap", "ab[0] and ac[0] overlap collinearly"),)
+
+
+def test_crossings_closer_than_float_resolution_stay_apart():
+    # cd and ef cross ab at parameters 1/2 and 1/2 - 1/(n (2n - 1)), closer
+    # than the share_a_point float filter resolves, so the exact comparison
+    # tells them apart.
+    n = 2**26
+    g = MultiGraph(("a", "b", "c", "d", "e", "f"),
+                   (("ab", "a", "b"), ("cd", "c", "d"), ("ef", "e", "f")))
+    pos = {"a": (0, 0), "b": (1, 0), "c": (0, 1), "d": (1, -1),
+           "e": (Fraction(n // 2 + 1, n), 1), "f": (Fraction(n // 2 - 1, n), Fraction(1 - n, n))}
+    imm = PlaneImmersion(g, pos, {name: (pos[t], pos[h]) for name, t, h in g.edges})
+    assert validate(imm).ok and imm._scan[2] is not None
+    assert not imm._scan[1].share_a_point()
+    on_ab = sorted(rec.param_a for rec in crossings(imm) if rec.edges[0] == "ab")
+    assert on_ab == [Fraction(1, 2) - Fraction(1, n * (2 * n - 1)), Fraction(1, 2)]
+    assert immersion.crossing_count(imm) == len(crossings(imm)) == 3
+
+
+def test_share_a_point_compares_float_neighbours_exactly():
+    # Rows 0 and 2 sit at 17/140 of segment 0 in different terms, whose
+    # quotients of rounded floats, as numpy divides int64, are one ulp
+    # apart; row 1 has row 0's float but another value.  Only an exact
+    # comparison over the whole run finds the pair.
+    a, b = 2222188194313764, 18300373364936880
+    c, d = 8376228159744851, 68980702492016420
+    assert Fraction(a, b) == Fraction(c, d) and float(a) / float(b) != float(c) / float(d)
+    assert float(16 * a + 1) / float(16 * b) == float(a) / float(b)
+    assert Fraction(16 * a + 1, 16 * b) != Fraction(a, b)
+
+    def table(unums, dens):
+        n = len(unums)
+        return immersion._Crossings(
+            np.zeros((4, 2), dtype=np.int64), np.zeros(n, dtype=np.int64),
+            np.arange(1, n + 1), np.ones(n, dtype=np.int64),
+            (np.array(unums), np.ones(n, dtype=np.int64), np.array(dens), None, 1), None)
+
+    assert table([a, c], [b, d]).share_a_point()
+    assert table([a, 16 * a + 1, c], [b, 16 * b, d]).share_a_point()
+    assert not table([a, 16 * a + 1], [b, 16 * b]).share_a_point()
