@@ -38,21 +38,6 @@ class EpsilonTable:
     graph: MultiGraph
     weights: dict
 
-    def weight(self, d, e):
-        """Weight of the unordered pair {d, e}.
-
-        Raises:
-            KeyError: The pair is not in the table's domain.
-        """
-        index = self.graph.edge_index
-        key = (d, e) if index[d] < index[e] else (e, d)
-        return self.weights[key]
-
-    def has_pair(self, d, e):
-        index = self.graph.edge_index
-        key = (d, e) if index[d] < index[e] else (e, d)
-        return key in self.weights
-
     def items(self):
         return self.weights.items()
 

@@ -2,7 +2,8 @@
 
 Points are pairs of Fractions.  Every predicate here is decided in exact
 arithmetic; floating point only ever appears upstream as a conservative
-prefilter.
+prefilter.  The scan decides contacts on integer tables (kernels);
+segment_contact is the rational reference they are tested against.
 """
 
 from __future__ import annotations
@@ -80,12 +81,3 @@ def segment_contact(p0, p1, q0, q1):
         return ("none", None)
     point = (p0[0] + u * r[0], p0[1] + u * r[1])
     return ("point", (point, u, w))
-
-
-def param_location(t):
-    """Where a parameter sits on a segment: "start", "end" or "interior"."""
-    if t == 0:
-        return "start"
-    if t == 1:
-        return "end"
-    return "interior"

@@ -6,30 +6,29 @@ transversal double points interior to two segments, away from breakpoints
 and vertices, with no triple points and no collinear overlaps.  An exact
 180-degree turn, at a breakpoint or where two edges leave a vertex in one
 direction, is a collinear overlap, so every turn of a valid drawing is
-shorter than pi.  Crossing extraction scales every point once by a common
-denominator when that fits int64, runs a conservative float sort-and-sweep
-prefilter (see kernels) and decides the surviving pairs exactly, in scaled
-integer arithmetic when the scale fits and in rational arithmetic
-otherwise.  The prefilter's float orientation test runs only ahead of the
-rational path, where it saves segment_contact calls; the integer kernel
-decides the same orientations exactly, so there the prefilter stops after
-the box test.  A contact between two segments is allowed only at one node,
-an ordinary polyline joint or terminal slots of two edge ends at one
-vertex, and that rule is one numpy comparison on both paths.  The
-crossings stay one table: segment pair and sign per row, with the
-parameter numerators and denominator on the integer path.  Validation
-decides triple points (sorted float parameters, exact comparison only
-between neighbours closer than their rounding error) and crossings at
-breakpoints on its integers, and per-edge-pair crossing counts come from it
-by one np.unique.
+shorter than pi.  Crossing extraction decides every drawing on one integer
+segment table.  When every point scaled by the common denominator fits
+kernels.INT_COORD_LIMIT, the table is int64 on that one scale; otherwise it
+holds Python ints, each segment over the lcm of its own coordinates'
+denominators, and each candidate pair is scaled to the lcm of its two
+segments' denominators.  A conservative float sort-and-sweep prefilter (see
+kernels) runs its box test on the table's floats, and classify_pairs
+decides the surviving pairs exactly, with the same numpy code on both
+dtypes.  A contact between two segments is allowed only at one node, an
+ordinary polyline joint or terminal slots of two edge ends at one vertex,
+and that rule is one numpy comparison.  The crossings stay one table:
+segment pair, sign and the parameter numerators and denominator per row.
+Validation decides triple points (sorted float parameters, exact
+comparison only between neighbours closer than their rounding error) and
+crossings at breakpoints on its integers, and per-edge-pair crossing counts
+come from it by one np.unique.
 The record order (ids, edge pairs and geometric signs of the crossings,
 sorted by id) is read off the table by one np.lexsort, with exact
 parameter comparisons only between crossings on one segment of one pair;
-diagrams read it directly.  On the integer path Fractions are built only
-for CrossingRecords, which are made in record order once, on the first
-call of crossings().  Rotation numbers count signed passes of the tangent
-past a fixed direction (Whitney 1937), with the same exact sign
-predicates.
+diagrams read it directly.  Fractions are built only for CrossingRecords,
+which are made in record order once, on the first call of crossings().
+Rotation numbers count signed passes of the tangent past a fixed direction
+(Whitney 1937), with the same exact sign predicates on the segment table.
 
 Per-cycle numbers come from one table per immersion: the crossing number
 and the rotation number of every cycle of the graph, filled by a few numpy
@@ -52,7 +51,7 @@ import numpy as np
 
 from . import kernels
 from .census import _weights
-from .geometry import as_point, segment_contact, sub, cross
+from .geometry import as_point
 from .graphs import Cycle, MultiGraph, enumerate_cycles, per_graph
 
 
@@ -60,11 +59,13 @@ def _fmt(point):
     return f"({point[0]}, {point[1]})"
 
 
-def _to_float(x):
+def _to_float(num, den=1):
+    # num / den as the nearest float, infinite past the float range.  Python
+    # divides ints with one correct rounding, as Fraction.__float__ does.
     try:
-        return float(x)
+        return float(num / den)
     except OverflowError:
-        return math.inf if x > 0 else -math.inf
+        return math.inf if num > 0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -154,21 +155,23 @@ class PlaneImmersion:
     @cached_property
     def _scan(self):
         # (GenericityReport, the _Crossings of a generic drawing or None,
-        # the _integer_scaled table of every polyline point in edge order or
-        # None).
+        # the _segment_table (segs, w) of the drawing's segments in edge
+        # order).
         g = self.graph
         pos = self.vertex_position
         names = g.edge_names
         polylines = [self.edge_polyline[name] for name in names]
         pts = list(chain.from_iterable(polylines))
         keys = [_point_key(p) for p in pts]
-        scaled = _integer_scaled(keys)
         counts = np.fromiter(map(len, polylines), np.intp, len(polylines))
         ends = np.cumsum(counts)
         starts = ends - counts
-        # Points k and k + 1 bound a segment unless k ends an edge.
+        # Points k and k + 1 bound a segment unless k ends an edge.  Segment
+        # s runs from point first[s] to first[s] + 1.
         bound = np.ones(max(len(pts) - 1, 0), dtype=bool)
         bound[ends[:-1] - 1] = False
+        first = bound.nonzero()[0]
+        segs, w = table = _segment_table(keys, first)
         same = np.fromiter(map(eq, keys, keys[1:]), bool, len(bound))
         # Point indices k of zero-length segments.
         zeros = (bound & same).nonzero()[0].tolist()
@@ -193,34 +196,25 @@ class PlaneImmersion:
                 violations.extend(("zero-length-segment", f"edge {name} segment {z - k}")
                                   for z in zeros if k <= z < end)
         if violations:
-            return GenericityReport(False, tuple(violations)), None, scaled
+            return GenericityReport(False, tuple(violations)), None, table
 
-        # Segment s runs from point first[s] to first[s] + 1; place[s] is its
-        # (edge index, index in its polyline).
-        first = bound.nonzero()[0]
+        # place[s] is segment s's (edge index, index in its polyline).
         edge = np.repeat(np.arange(len(names)), counts - 1)
         place = np.array((edge, first - starts[edge])).T
-        if scaled is None:
-            arr = np.array([_to_float(c) for k in first.tolist() for p in pts[k:k + 2] for c in p],
-                           dtype=np.float64).reshape(len(first), 4)
-            table = None
+        # Floats bit-equal to _to_float of each coordinate: int64 entries
+        # and scales are at most INT_COORD_LIMIT < 2**53, so they convert
+        # exactly and IEEE division rounds correctly; Python ints divide
+        # with one correct rounding.
+        if segs.dtype == object:
+            arr = np.frompyfunc(_to_float, 2, 1)(segs, w[:, None]).astype(np.float64)
         else:
-            # Bit-equal to _to_float: every entry and the scale are at most
-            # INT_COORD_LIMIT < 2**53, so both convert exactly, and IEEE
-            # division rounds correctly, as Fraction.__float__ does.
-            points, scale = scaled
-            ints = np.concatenate((points[first], points[first + 1]), axis=1)
-            arr = ints.astype(np.float64) / scale
-            table = ints, scale
+            arr = segs / w[:, None]
         m = float(np.abs(arr).max()) if len(arr) else 0.0
-        box_margin, orient_eps = kernels.rounding_bounds(m)
-        if table is not None:
-            # classify_pairs decides the same orientations exactly in int64,
-            # so the float test would only repeat its work.
-            orient_eps = math.inf
-        pairs = kernels.candidate_pairs(arr, box_margin, orient_eps)
-        rows, contacts = _resolve_contacts(pts, first, pairs, table)
-        found = _Crossings(place, *rows)
+        # classify_pairs decides the orientations exactly, so the float
+        # orientation test would only repeat its work.
+        pairs = kernels.candidate_pairs(arr, kernels.rounding_bounds(m)[0], math.inf)
+        rows, contacts = _resolve_contacts(first, pairs, segs, w)
+        found = _Crossings(place, *rows, segs, w)
 
         # A touching pair is allowed only where both segments meet at one
         # node: an ordinary polyline joint (one breakpoint), or two terminal
@@ -250,12 +244,12 @@ class PlaneImmersion:
         # breakpoint contact, so only an isolated vertex can sit on a
         # crossing.  Otherwise every crossing point is compared exactly,
         # which names each offender.
-        if violations or found.ints is None or isolated or found.share_a_point():
+        if violations or isolated or found.share_a_point():
             node_keys = set(keys).union(taken)
             violations.extend(found.point_violations(names, node_keys))
         if violations:
-            return GenericityReport(False, tuple(violations)), None, scaled
-        return GenericityReport(True, ()), found, scaled
+            return GenericityReport(False, tuple(violations)), None, table
+        return GenericityReport(True, ()), found, table
 
     @cached_property
     def _pair_crossings(self):
@@ -349,22 +343,17 @@ class PlaneImmersion:
         # passes past +x at the edge's own corners).  Reversal turns the
         # reference direction +x into -x, so a reversed edge gets its own
         # count; negating the forward one would be wrong.
-        scaled = self._scan[2]
-        # Differences of consecutive points in edge order; those that span
-        # two edges are skipped below.
-        if scaled is None:
-            pts = [p for name in self.graph.edge_names for p in self.edge_polyline[name]]
-            diffs = [sub(b, a) for a, b in zip(pts, pts[1:])]
-        else:
-            points = scaled[0]
-            diffs = (points[1:] - points[:-1]).tolist()
+        # Each segment's direction, on its own positive scale: _passes reads
+        # only signs, which a positive scale keeps.
+        segs = self._scan[2][0]
+        diffs = (segs[:, 2:] - segs[:, :2]).tolist()
         table = {}
         k = 0
         for name in self.graph.edge_names:
             n = len(self.edge_polyline[name]) - 1
             dirs = diffs[k:k + n]
             back = [(-x, -y) for x, y in reversed(dirs)]
-            k += n + 1
+            k += n
             table[name, 1] = (dirs[0], dirs[-1], sum(map(_passes, dirs, dirs[1:])))
             table[name, -1] = (back[0], back[-1], sum(map(_passes, back, back[1:])))
         return table
@@ -410,10 +399,29 @@ def _passes(d1, d2):
     return -1 if turn < 0 else 0
 
 
+def _segment_table(keys, first):
+    # (segs, w): segment s runs from (x0, y0) / w[s] to (x1, y1) / w[s],
+    # where (x0, y0, x1, y1) is row s of segs and w[s] > 0.  Both are int64,
+    # w one common denominator, when _integer_scaled fits; otherwise they
+    # hold Python ints and w[s] is the lcm of segment s's own four
+    # denominators.  keys holds each point's ratio key, and segment s runs
+    # from point first[s] to first[s] + 1.
+    scaled = _integer_scaled(keys)
+    if scaled is not None:
+        points, scale = scaled
+        segs = np.concatenate((points[first], points[first + 1]), axis=1)
+        return segs, np.full(len(first), scale, dtype=np.int64)
+    ratios = np.array(keys, dtype=object).reshape(-1, 4)
+    ratios = np.concatenate((ratios[first], ratios[first + 1]), axis=1)
+    nums, dens = ratios[:, 0::2], ratios[:, 1::2]
+    w = np.lcm(np.lcm(dens[:, 0], dens[:, 1]), np.lcm(dens[:, 2], dens[:, 3]))
+    return nums * (w[:, None] // dens), w
+
+
 def _integer_scaled(keys):
     # (points scaled to int64 by their common denominator as an (n, 2)
-    # array, the denominator), or None when segments between them would
-    # break the classify_pairs contract.  keys holds each point's ratio key.
+    # array, the denominator), or None when a scaled coordinate would pass
+    # INT_COORD_LIMIT.  keys holds each point's ratio key.
     limit = kernels.INT_COORD_LIMIT
     try:
         ratios = np.fromiter(chain.from_iterable(keys), np.int64, 4 * len(keys))
@@ -428,6 +436,7 @@ def _integer_scaled(keys):
     nums = ratios[:, 0::2]
     if (nums > limit).any() or (nums < -limit).any():
         return None
+    # Both factors are at most INT_COORD_LIMIT = 10^9: products < 2**63.
     points = nums * (scale // ratios[:, 1::2])
     if (points > limit).any() or (points < -limit).any():
         return None
@@ -451,66 +460,59 @@ class _Crossings:
         place: int64 (edge index, index in its polyline) of each segment.
         left, right: int64 segment indices of each row, left < right.
         sign: int64 sign of det[direction of left, direction of right].
-        ints: On the integer path, the int64 columns u numerator, w
-            numerator and denominator, the scaled segment table (x0, y0,
-            x1, y1 per segment) and the scale: a row crosses at u =
-            unum/den along left and at w = wnum/den along right.  None on
-            the rational path.
-        exact: On the rational path, (point, u, w) per row as Fractions;
-            None on the integer path.
+        unum, wnum, den: Integer columns: a row crosses at u = unum/den
+            along left and at w = wnum/den along right.
+        segs, w: The _segment_table of the drawing: segment s runs from
+            (x0, y0) / w[s] to (x1, y1) / w[s], (x0, y0, x1, y1) being row
+            s of segs.
     """
 
     place: np.ndarray
     left: np.ndarray
     right: np.ndarray
     sign: np.ndarray
-    ints: tuple
-    exact: list
+    unum: np.ndarray
+    wnum: np.ndarray
+    den: np.ndarray
+    segs: np.ndarray
+    w: np.ndarray
 
     def positions(self):
         """(point, u, w) per row as Fractions."""
-        if self.ints is None:
-            return self.exact
-        scale, out = self.ints[-1], []
-        for un, wn, d, x0, y0, rx, ry in self._integer_rows():
-            # x0 * d + un * rx reaches about 4e24, past int64: Python ints.
+        out = []
+        for un, wn, d, x0, y0, rx, ry, scale in self._integer_rows():
             den = d * scale
             out.append(((Fraction(x0 * d + un * rx, den), Fraction(y0 * d + un * ry, den)),
                         Fraction(un, d), Fraction(wn, d)))
         return out
 
     def _integer_rows(self):
-        # (unum, wnum, den, x0, y0, rx, ry) per row as Python ints, (x0, y0)
-        # and (rx, ry) being left's scaled start and direction.
-        unums, wnums, dens, segs, _ = self.ints
-        p = segs[self.left]
-        return zip(unums.tolist(), wnums.tolist(), dens.tolist(), p[:, 0].tolist(),
-                   p[:, 1].tolist(), (p[:, 2] - p[:, 0]).tolist(), (p[:, 3] - p[:, 1]).tolist())
+        # (unum, wnum, den, x0, y0, rx, ry, w) per row as Python ints, (x0,
+        # y0) and (rx, ry) being left's start and direction on left's w.
+        # The point's numerators x0 * den + unum * rx pass int64.
+        p = self.segs[self.left]
+        return zip(self.unum.tolist(), self.wnum.tolist(), self.den.tolist(), p[:, 0].tolist(),
+                   p[:, 1].tolist(), (p[:, 2] - p[:, 0]).tolist(), (p[:, 3] - p[:, 1]).tolist(),
+                   self.w[self.left].tolist())
 
     def by_u(self, perm, starts, ends):
         """The list perm of rows with each run perm[start:end] sorted by the
         rows' parameters along left, compared exactly."""
-        if self.ints is not None:
-            unums, dens = self.ints[0].tolist(), self.ints[2].tolist()
+        unums, dens = self.unum.tolist(), self.den.tolist()
         for start, end in zip(starts, ends):
             if end - start < 2:
                 continue
             run = perm[start:end]
-            if self.ints is None:
-                perm[start:end] = sorted(run, key=lambda r: self.exact[r][1])
-            else:
-                # un / d over the run's common denominator, in Python ints:
-                # the keys pass int64.
-                common = math.lcm(*(dens[r] for r in run))
-                perm[start:end] = sorted(run, key=lambda r: unums[r] * (common // dens[r]))
+            # un / d over the run's common denominator, in Python ints: the
+            # keys pass int64.
+            common = math.lcm(*(dens[r] for r in run))
+            perm[start:end] = sorted(run, key=lambda r: unums[r] * (common // dens[r]))
         return perm
 
     def point_keys(self):
         """The _point_key of each row's crossing point."""
-        if self.ints is None:
-            return [_point_key(point) for point, _, _ in self.exact]
-        scale, keys = self.ints[-1], []
-        for un, _, d, x0, y0, rx, ry in self._integer_rows():
+        keys = []
+        for un, _, d, x0, y0, rx, ry, scale in self._integer_rows():
             den = d * scale
             x, y = x0 * d + un * rx, y0 * d + un * ry
             gx, gy = math.gcd(x, den), math.gcd(y, den)
@@ -518,19 +520,20 @@ class _Crossings:
         return keys
 
     def share_a_point(self):
-        """Whether two rows of the integer path meet one segment at one
-        parameter, and so cross at one point."""
+        """Whether two rows meet one segment at one parameter, and so cross
+        at one point."""
         if len(self.left) < 2:
             return False
-        unums, wnums, dens = self.ints[:3]
         segs = np.concatenate((self.left, self.right))
-        nums = np.concatenate((unums, wnums))
-        dens = np.concatenate((dens, dens))
-        # A parameter is at most 1 and its float quotient takes three
-        # roundings, so it is off by under 2**-51: equal parameters on one
-        # segment fall in one run of sorted neighbours less than 2**-48
-        # apart.  Only such runs, almost never met, are compared exactly.
-        t = nums / dens
+        nums = np.concatenate((self.unum, self.wnum))
+        dens = np.concatenate((self.den, self.den))
+        # A parameter is at most 1 and its float quotient takes at most
+        # three roundings (int64 to float and the division; Python ints
+        # divide with one), so it is off by under 2**-51: equal parameters
+        # on one segment fall in one run of sorted neighbours less than
+        # 2**-48 apart.  Only such runs, almost never met, are compared
+        # exactly.
+        t = np.asarray(nums / dens, dtype=np.float64)
         order = np.lexsort((t, segs))
         segs, t = segs[order], t[order]
         near = (segs[1:] == segs[:-1]) & (t[1:] - t[:-1] < 2.0**-48)
@@ -608,53 +611,38 @@ def _ratio(num, den):
     return str(num) if den == 1 else f"{num}/{den}"
 
 
-def _resolve_contacts(pts, first, pairs, table):
+def _resolve_contacts(first, pairs, segs, w):
     """Decide every candidate pair exactly; returns (crossings, contacts).
 
-    crossings holds the _Crossings columns (left, right, sign, ints,
-    exact) of the pairs that meet at a point interior to both segments.
+    crossings holds the _Crossings columns (left, right, sign, unum, wnum,
+    den) of the pairs that meet at a point interior to both segments.
     contacts holds the columns (left, right, overlap, slot_a, slot_b) of
     every other touching pair: overlap marks a collinear overlap; otherwise
-    the pair meets at one point, and slot_a is the index in pts of that
+    the pair meets at one point, and slot_a is the index of that polyline
     point when it is an end of left, else -1 (slot_b likewise for right).
-    Both keep the order of pairs.  pts lists every polyline point in edge
-    order and segment s runs from pts[first[s]] to pts[first[s] + 1].
-    table is (ints, scale) from _scan, or None to decide every pair in
-    rational arithmetic.  The integer path decides every pair, collinear
-    ones too, on the scaled integers, keeps the crossings as integer
-    columns and reads the contacts' slots off the integer parameters,
-    building no Fraction.
+    Both keep the order of pairs.  Segment s runs from polyline point
+    first[s] to first[s] + 1, and (segs, w) is the _segment_table.  Every
+    pair, collinear ones too, is decided on integers, and the contacts'
+    slots are read off the integer parameters, building no Fraction.
     """
-    if table is None:
-        proper, touch = [], []
-        first = first.tolist()
-        for i, j in pairs.tolist():
-            a, b = first[i], first[j]
-            a0, a1, b0, b1 = pts[a], pts[a + 1], pts[b], pts[b + 1]
-            kind, data = segment_contact(a0, a1, b0, b1)
-            if kind == "point" and 0 < data[1] < 1 and 0 < data[2] < 1:
-                det = cross(sub(a1, a0), sub(b1, b0))
-                proper.append((i, j, 1 if det > 0 else -1, data))
-            elif kind == "point":
-                _, u, w = data
-                touch.append((i, j, 0, a if u == 0 else a + 1 if u == 1 else -1,
-                              b if w == 0 else b + 1 if w == 1 else -1))
-            elif kind != "none":
-                touch.append((i, j, 1, -1, -1))
-        left, right, sign = (np.array([row[c] for row in proper], dtype=np.int64)
-                             for c in range(3))
-        contacts = np.array(touch, dtype=np.int64).reshape(-1, 5).T
-        return ((left, right, sign, None, [row[3] for row in proper]),
-                (*contacts[:2], contacts[2] == 1, *contacts[3:]))
-    ints, scale = table
-    codes, unums, wnums, dens = kernels.classify_pairs(ints, pairs)
     left, right = pairs[:, 0], pairs[:, 1]
-    # Collinear pairs, decided as segment_contact does: along a non-constant
-    # axis, the spans overlap (code 2), touch at an end of each (code 1,
-    # parameters 0 or 1) or miss (code 0).
+    ints = segs
+    if segs.dtype == object:
+        # Each pair on the lcm of its two segments' denominators: rows k and
+        # k + len(pairs) of ints hold pair k.
+        common = np.lcm(w[left], w[right])
+        ints = np.concatenate((segs[left] * (common // w[left])[:, None],
+                               segs[right] * (common // w[right])[:, None]))
+        pairs = np.arange(2 * len(pairs)).reshape(2, -1).T
+    # a and b index pair k's two rows of ints.
+    a, b = pairs[:, 0], pairs[:, 1]
+    codes, unums, wnums, dens = kernels.classify_pairs(ints, pairs)
+    # Collinear pairs, decided as geometry.segment_contact does: along a
+    # non-constant axis, the spans overlap (code 2), touch at an end of each
+    # (code 1, parameters 0 or 1) or miss (code 0).
     col = (codes == 2).nonzero()[0]
     if len(col):
-        p, q = ints[left[col]], ints[right[col]]
+        p, q = ints[a[col]], ints[b[col]]
         vertical = (p[:, 0] == p[:, 2])[:, None]
         pa = np.where(vertical, p[:, 1::2], p[:, 0::2])
         qa = np.where(vertical, q[:, 1::2], q[:, 0::2])
@@ -663,16 +651,15 @@ def _resolve_contacts(pts, first, pairs, table):
         codes[col] = np.where(lo < hi, 2, np.where(lo == hi, 1, 0))
         unums[col], wnums[col], dens[col] = pa[:, 0] != lo, qa[:, 0] != lo, 1
     inner = (codes == 1) & (unums > 0) & (unums < dens) & (wnums > 0) & (wnums < dens)
-    p, q = ints[left[inner]], ints[right[inner]]
+    p, q = ints[a[inner]], ints[b[inner]]
     r, s = p[:, 2:] - p[:, :2], q[:, 2:] - q[:, :2]
     sign = np.where(r[:, 0] * s[:, 1] > r[:, 1] * s[:, 0], 1, -1)
-    columns = unums[inner], wnums[inner], dens[inner], ints, scale
     t = ((codes != 0) & ~inner).nonzero()[0]
     i, j, un, wn, d = left[t], right[t], unums[t], wnums[t], dens[t]
     contacts = (i, j, codes[t] == 2,
                 np.where(un == 0, first[i], np.where(un == d, first[i] + 1, -1)),
                 np.where(wn == 0, first[j], np.where(wn == d, first[j] + 1, -1)))
-    return (left[inner], right[inner], sign, columns, None), contacts
+    return (left[inner], right[inner], sign, unums[inner], wnums[inner], dens[inner]), contacts
 
 
 def validate(imm: PlaneImmersion) -> GenericityReport:

@@ -10,21 +10,22 @@ those take the box test on the other axis and the orientation test, so time
 and memory grow with the overlapping pairs, not with n^2.
 
 classify_pairs then decides the surviving pairs exactly on integer
-coordinates (the caller scales the rationals by a common denominator when
-that fits the int64 budget; otherwise it classifies in rational arithmetic
-without this kernel).  classify_pairs computes the orientations of the float
-test exactly, so a caller on the integer path passes an infinite orient_eps
-and candidate_pairs stops after the box test; the float orientation test
-runs only ahead of rational classification, where each pair it drops saves
-an exact segment_contact call.  Both kernels are vectorized numpy.
+coordinates: the caller scales each pair of segments to integers.  It runs
+on int64 when every scaled coordinate is at most INT_COORD_LIMIT = L in
+magnitude: differences then reach 2 L, products 4 L^2, and the orientation
+determinants, parameter numerators and denominators 8 L^2 < 2^63 for
+L = 10^9.  Larger coordinates run through the same numpy code on arrays of
+Python ints (dtype object), which cannot overflow.  classify_pairs computes
+the orientations of the float test exactly, so a caller passes an infinite
+orient_eps and candidate_pairs stops after the box test.  Both kernels are
+vectorized numpy.
 """
 
 import numpy as np
 
-# Largest scaled coordinate magnitude classify_pairs accepts.  Orientation
-# determinants on inputs up to this size stay below 8e16 < 2**63, so the
-# int64 arithmetic is overflow-free.
-INT_COORD_LIMIT = 10**8
+# Largest scaled coordinate magnitude classify_pairs takes in int64: its
+# determinants stay below 8 * INT_COORD_LIMIT**2 = 8e18 < 2**63.
+INT_COORD_LIMIT = 10**9
 
 
 def rounding_bounds(max_abs_coordinate):
@@ -104,21 +105,23 @@ def classify_pairs(segs_int, pairs):
     """Exact contact decision for candidate pairs on integer coordinates.
 
     Args:
-        segs_int: int64 array of shape (n, 4) holding x0, y0, x1, y1 per
-            segment, pre-scaled by a common denominator; the caller must
-            keep every value within INT_COORD_LIMIT in magnitude and every
-            segment nondegenerate.
+        segs_int: Integer array of shape (n, 4) holding x0, y0, x1, y1 per
+            segment, the two segments of each pair scaled by one positive
+            common denominator; every segment nondegenerate.  int64 needs
+            every value within INT_COORD_LIMIT in magnitude; dtype object
+            (Python ints) takes any size.
         pairs: int64 array of shape (m, 2) of segment index pairs.
 
     Returns:
-        Arrays (code, unum, wnum, den) of length m.  code 0 means no
-        contact.  code 1 means a single common point, at parameter
-        unum/den along the first segment and wnum/den along the second,
-        with den > 0 and both parameters in [0, 1] (fractions are left
-        unreduced).  code 2 means the segments are collinear; the caller
-        decides those pairs in rational arithmetic.
+        Arrays (code, unum, wnum, den) of length m, of the dtype of
+        segs_int except for the int8 code.  code 0 means no contact.
+        code 1 means a single common point, at parameter unum/den along
+        the first segment and wnum/den along the second, with den > 0 and
+        both parameters in [0, 1] (fractions are left unreduced).  code 2
+        means the segments are collinear; the caller compares their spans
+        on the same integers.
     """
-    segs_int = np.asarray(segs_int, dtype=np.int64)
+    segs_int = np.asarray(segs_int)
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     p = segs_int[pairs[:, 0]]
     q = segs_int[pairs[:, 1]]
@@ -146,10 +149,4 @@ def classify_pairs(segs_int, pairs):
     outside = (unum < 0) | (unum > den) | (wnum < 0) | (wnum > den)
     code = np.where(collinear, 2, np.where(off | outside, 0, 1)).astype(np.int8)
     point = code == 1
-    zero = np.int64(0)
-    return (
-        code,
-        np.where(point, unum, zero),
-        np.where(point, wnum, zero),
-        np.where(point, den, zero),
-    )
+    return code, np.where(point, unum, 0), np.where(point, wnum, 0), np.where(point, den, 0)

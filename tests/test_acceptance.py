@@ -307,11 +307,12 @@ def test_criterion_5_weighted_linking_invariants(lift_batches, tmp_path):
             before = L_invariant(diagram, name)
             touched = 0
             for rec in crossings(diagram.immersion):
-                if not table.has_pair(*rec.edges):
+                # rec.edges is index-ordered, as the table's keys are.
+                if rec.edges not in table.weights:
                     continue
                 flipped = crossing_change(diagram, rec.id)
                 delta = L_invariant(flipped, name) - before
-                eps = table.weight(*rec.edges)
+                eps = table.weights[rec.edges]
                 assert delta == -2 * diagram.sign(rec.id) * eps
                 assert abs(delta) == 2 * abs(eps)
                 touched += 1

@@ -211,8 +211,9 @@ class TestLInvariant:
         base = L_invariant(diagram, "PG")
         for rec in crossings(imm):
             changed = L_invariant(crossing_change(diagram, rec.id), "PG")
-            if table.has_pair(*rec.edges):
-                want = base - 2 * diagram.sign(rec.id) * table.weight(*rec.edges)
+            # rec.edges is index-ordered, as the table's keys are.
+            if rec.edges in table.weights:
+                want = base - 2 * diagram.sign(rec.id) * table.weights[rec.edges]
             else:
                 want = base
             assert changed == want, rec.id

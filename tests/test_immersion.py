@@ -11,9 +11,9 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from immersa import immersion, kernels
+from immersa import geometry, immersion, kernels
 from immersa.formats import serialize_immersion
-from immersa.geometry import param_location, segment_contact
+from immersa.geometry import segment_contact
 from immersa.graphs import (
     INFINITE_DISTANCE,
     MultiGraph,
@@ -39,6 +39,15 @@ from immersa.immersion import (
     validate,
 )
 from immersa.verify import run_checks
+
+
+def param_location(t):
+    # Where a parameter sits on a segment: "start", "end" or "interior".
+    if t == 0:
+        return "start"
+    if t == 1:
+        return "end"
+    return "interior"
 
 
 def oracle_pair_counts(imm):
@@ -557,7 +566,12 @@ def dense_style_drawing(seed, per_edge=40):
 def test_scaled_prefilter_floats_equal_per_coordinate_floats(monkeypatch):
     drawings = [random_immersion(heawood_graph(), seed) for seed in range(20)]
     drawings.append(dense_style_drawing(5))
-    for imm in drawings:
+    hg, k4 = drawings[0], random_immersion(complete_graph(4), 0)
+    # Python-int tables, down to subnormal floats and past the float range,
+    # where the prefilter keeps every pair and the integers decide alone.
+    huge = moved(k4, 10**400)
+    beyond = [prime_shifted(hg), moved(hg, 10**12), moved(hg, Fraction(1, 10**315)), huge]
+    for imm in drawings + beyond:
         want = np.array(
             [[_to_float(c) for c in (*pts[i], *pts[i + 1])]
              for pts in (imm.edge_polyline[e] for e in imm.graph.edge_names)
@@ -567,6 +581,10 @@ def test_scaled_prefilter_floats_equal_per_coordinate_floats(monkeypatch):
         got = prefilter_input(imm, monkeypatch)
         assert got.dtype == np.float64 and got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert imm._scan[2][0].dtype == (object if imm in beyond else np.int64)
+    assert np.isinf(prefilter_input(huge, monkeypatch)).any()
+    assert [(r.id, r.geometric_sign) for r in crossings(huge)] == [
+        (r.id, r.geometric_sign) for r in crossings(k4)]
 
 
 def float_rotation(imm, cycle, orientation):
@@ -641,6 +659,66 @@ def near_coordinate_limit(imm):
                           {e: [grow(p) for p in pts] for e, pts in imm.edge_polyline.items()})
 
 
+def moved(imm, factor, shift=lambda p: (0, 0)):
+    # imm with every point p sent to factor * p + shift(p).
+    def move(p):
+        dx, dy = shift(p)
+        return (p[0] * factor + dx, p[1] * factor + dy)
+
+    return PlaneImmersion(imm.graph, {v: move(p) for v, p in imm.vertex_position.items()},
+                          {e: [move(p) for p in pts] for e, pts in imm.edge_polyline.items()})
+
+
+def prime_shifted(imm, bits=31):
+    # imm with each distinct point shifted by (1/p, 1/p), p its own prime of
+    # the given bit length, so that no common denominator stays small.
+    primes = {}
+    candidate = 2**bits - 1
+
+    def shift(p):
+        nonlocal candidate
+        if p not in primes:
+            while not _is_prime(candidate):
+                candidate -= 2
+            primes[p] = Fraction(1, candidate)
+            candidate -= 2
+        return (primes[p], primes[p])
+
+    return moved(imm, 1, shift)
+
+
+def _is_prime(n):
+    # Miller-Rabin on the first 13 prime bases: exact below 3.3e24.
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or any(n % a == 0 for a in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def python_int_scan(imm, monkeypatch):
+    # A fresh copy of imm, scanned with INT_COORD_LIMIT forced to 0, so its
+    # segment table holds Python ints whatever the size of its coordinates.
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "INT_COORD_LIMIT", 0)
+        forced = PlaneImmersion(imm.graph, imm.vertex_position, imm.edge_polyline)
+        forced._scan
+    assert forced._scan[2][0].dtype == object
+    return forced
+
+
 def test_integer_and_rational_paths_agree(monkeypatch):
     drawings = [random_immersion(graph, seed)
                 for graph in (heawood_graph(), complete_graph(4), theta_graph(3))
@@ -665,23 +743,27 @@ def test_integer_and_rational_paths_agree(monkeypatch):
         {"ab": ((0, 0), (3, 1)), "cd": ((0, 1), (3, 0))},
     )
     drawings.append(on_crossing)
+    # Drawings past int64 on their own, which take the Python-int path
+    # unforced: each point shifted by its own prime reciprocal, and a
+    # drawing scaled by 10^12.
+    hg = random_immersion(heawood_graph(), 0)
+    beyond = [prime_shifted(hg), moved(hg, 10**12)]
+    drawings += beyond
     kinds = set()
     for imm in drawings:
-        with monkeypatch.context() as m:
-            m.setattr(immersion, "_integer_scaled", lambda keys: None)
-            rational = PlaneImmersion(imm.graph, imm.vertex_position, imm.edge_polyline)
-            report = validate(rational)
-        assert imm._scan[2] is not None and rational._scan[2] is None
+        forced = python_int_scan(imm, monkeypatch)
+        report = validate(forced)
+        assert imm._scan[2][0].dtype == (object if imm in beyond else np.int64)
         assert validate(imm) == report
         kinds.update(kind for kind, _ in report.violations)
         if report.ok:
-            assert crossings(imm) == crossings(rational)
-            assert list(imm._pair_crossings.items()) == list(rational._pair_crossings.items())
+            assert crossings(imm) == crossings(forced)
+            assert list(imm._pair_crossings.items()) == list(forced._pair_crossings.items())
             distances = {0, INFINITE_DISTANCE, *imm.graph._edge_distances.values()}
             for k in distances:
-                assert kappa(imm, k) == kappa(rational, k)
+                assert kappa(imm, k) == kappa(forced, k)
             for cyc in enumerate_cycles(imm.graph):
-                assert rotation_number(imm, cyc) == rotation_number(rational, cyc)
+                assert rotation_number(imm, cyc) == rotation_number(forced, cyc)
     assert kinds >= {"overlap", "breakpoint-contact", "triple-point", "crossing-at-breakpoint"}
     assert validate(on_crossing).violations == (
         ("crossing-at-breakpoint", "crossing at node point (3/2, 1/2)"),)
@@ -689,9 +771,13 @@ def test_integer_and_rational_paths_agree(monkeypatch):
     assert int(np.abs(big._scan[2][0]).max()) > kernels.INT_COORD_LIMIT * 0.99
     # Crossing numerators x0 * den + unum * rx of the big drawing pass int64.
     table = big._scan[1]
-    _, _, dens, segs, _ = table.ints
-    x0 = segs[table.left, 0]
-    assert max(abs(x) * d for x, d in zip(x0.tolist(), dens.tolist())) > 2**63
+    x0 = table.segs[table.left, 0]
+    assert max(abs(x) * d for x, d in zip(x0.tolist(), table.den.tolist())) > 2**63
+    # The drawings past int64 keep the generated drawing's crossings.
+    for f in beyond:
+        assert validate(f).ok
+        assert [(r.id, r.geometric_sign) for r in crossings(f)] == [
+            (r.id, r.geometric_sign) for r in crossings(hg)]
 
 
 @pytest.fixture(scope="module")
@@ -834,7 +920,7 @@ def _check_record_order(f):
 class TestRecordOrder:
     def test_parameter_ties_on_one_segment(self):
         f = _zigzag()
-        assert f._scan[1].ints is not None
+        assert f._scan[1].segs.dtype == np.int64
         recs = _check_record_order(f)
         on_ab = [rec for rec in recs if rec.edges == ("ab", "cd")]
         assert len(on_ab) == 4 and {rec.seg_a for rec in on_ab} == {0}
@@ -845,12 +931,16 @@ class TestRecordOrder:
         (rec,) = [rec for rec in _check_record_order(f) if rec.is_self]
         assert rec.id == "l:l:0" and (rec.seg_a, rec.seg_b) == (1, 3)
 
-    def test_rational_path(self):
-        # A scale with a denominator past INT_COORD_LIMIT forces Fractions.
+    def test_rational_path(self, monkeypatch):
+        # A scale with a denominator past INT_COORD_LIMIT takes the
+        # Python-int path, as does any drawing with the limit forced to 0.
+        want = [rec.id for rec in crossings(_zigzag())]
         f = _zigzag(Fraction(1, kernels.INT_COORD_LIMIT + 7))
-        assert f._scan[1].ints is None
+        assert f._scan[1].segs.dtype == object
         recs = _check_record_order(f)
-        assert [rec.id for rec in recs] == [rec.id for rec in crossings(_zigzag())]
+        assert [rec.id for rec in recs] == want
+        recs = _check_record_order(python_int_scan(_zigzag(), monkeypatch))
+        assert [rec.id for rec in recs] == want
 
     def test_generated_drawings(self, byte_drawings):
         for f in byte_drawings[::7]:
@@ -889,30 +979,33 @@ def agreement_drawings():
 
 
 def rational_contact_calls(imm, monkeypatch):
-    # segment_contact calls of a rational-path validation of imm.
-    calls = []
-    real = immersion.segment_contact
+    # (segment_contact calls, Fractions built) of a Python-int-path
+    # validation of imm.
+    calls, made = [], []
+    real = geometry.segment_contact
 
     def counted(*args):
         calls.append(None)
         return real(*args)
 
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(None)
+            return super().__new__(cls, *args, **kwargs)
+
     with monkeypatch.context() as m:
-        m.setattr(immersion, "_integer_scaled", lambda keys: None)
-        m.setattr(immersion, "segment_contact", counted)
-        validate(PlaneImmersion(imm.graph, imm.vertex_position, imm.edge_polyline))
-    return len(calls)
+        m.setattr(geometry, "segment_contact", counted)
+        m.setattr(immersion, "Fraction", Counted)
+        validate(python_int_scan(imm, monkeypatch))
+    return len(calls), len(made)
 
 
-def test_rational_path_calls_segment_contact_no_more(monkeypatch):
-    # Counts recorded before the integer path stopped running the float
-    # orientation test: the rational path still runs it.
-    recorded = [396, 321, 462, 60, 69, 64, 37, 43, 28, 0, 0, 444, 0, 0, 354, 0, 0, 491,
-                90, 81, 61, 0, 81, 74, 0, 0, 71, 0, 39, 35, 0, 47, 48, 0, 0, 30,
-                145, 6, 5, 1, 118, 1]
-    counts = [rational_contact_calls(f, monkeypatch) for f in agreement_drawings()]
-    assert len(counts) == len(recorded)
-    assert all(c <= r for c, r in zip(counts, recorded))
+def test_python_int_path_calls_no_segment_contact_and_builds_no_fractions(monkeypatch):
+    hg = random_immersion(heawood_graph(), 0)
+    drawings = agreement_drawings() + [prime_shifted(hg), moved(hg, 10**12)]
+    assert not hasattr(immersion, "segment_contact")
+    for f in drawings:
+        assert rational_contact_calls(f, monkeypatch) == (0, 0)
 
 
 def scan_with_contacts(imm, monkeypatch, finite_eps):
@@ -938,9 +1031,7 @@ def scan_with_contacts(imm, monkeypatch, finite_eps):
         report = validate(PlaneImmersion(imm.graph, imm.vertex_position, imm.edge_polyline))
     if "rows" not in seen:
         return report, None, None, None
-    left, right, sign, ints, _ = seen["rows"]
-    table = [left, right, sign, *ints[:3]]
-    return report, table, seen["contacts"], seen["pairs"]
+    return report, list(seen["rows"]), seen["contacts"], seen["pairs"]
 
 
 def test_scan_equals_a_scan_with_the_float_orientation_test(monkeypatch):
@@ -966,12 +1057,9 @@ def test_scan_equals_a_scan_with_the_float_orientation_test(monkeypatch):
 
 
 def both_paths(imm, monkeypatch):
-    # The reports of the integer and the rational path on imm.
-    with monkeypatch.context() as m:
-        m.setattr(immersion, "_integer_scaled", lambda keys: None)
-        rational = PlaneImmersion(imm.graph, imm.vertex_position, imm.edge_polyline)
-        report = validate(rational)
-    assert imm._scan[2] is not None and rational._scan[2] is None
+    # The reports of the int64 and the Python-int path on imm.
+    report = validate(python_int_scan(imm, monkeypatch))
+    assert imm._scan[2][0].dtype == np.int64
     return validate(imm), report
 
 
@@ -1014,7 +1102,7 @@ def test_crossings_closer_than_float_resolution_stay_apart():
     pos = {"a": (0, 0), "b": (1, 0), "c": (0, 1), "d": (1, -1),
            "e": (Fraction(n // 2 + 1, n), 1), "f": (Fraction(n // 2 - 1, n), Fraction(1 - n, n))}
     imm = PlaneImmersion(g, pos, {name: (pos[t], pos[h]) for name, t, h in g.edges})
-    assert validate(imm).ok and imm._scan[2] is not None
+    assert validate(imm).ok and imm._scan[2][0].dtype == np.int64
     assert not imm._scan[1].share_a_point()
     on_ab = sorted(rec.param_a for rec in crossings(imm) if rec.edges[0] == "ab")
     assert on_ab == [Fraction(1, 2) - Fraction(1, n * (2 * n - 1)), Fraction(1, 2)]
@@ -1037,7 +1125,7 @@ def test_share_a_point_compares_float_neighbours_exactly():
         return immersion._Crossings(
             np.zeros((4, 2), dtype=np.int64), np.zeros(n, dtype=np.int64),
             np.arange(1, n + 1), np.ones(n, dtype=np.int64),
-            (np.array(unums), np.ones(n, dtype=np.int64), np.array(dens), None, 1), None)
+            np.array(unums), np.ones(n, dtype=np.int64), np.array(dens), None, None)
 
     assert table([a, c], [b, d]).share_a_point()
     assert table([a, 16 * a + 1, c], [b, 16 * b, d]).share_a_point()

@@ -1,0 +1,93 @@
+"""Exact similarities: moving a drawing by a translation and a power-of-ten
+scale changes no verdict, crossing or rotation number, whichever integer
+path (int64 or Python ints) each drawing takes."""
+
+from fractions import Fraction
+from functools import lru_cache
+
+import numpy as np
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from immersa import kernels
+from immersa.graphs import complete_graph, enumerate_cycles, heawood_graph, theta_graph
+from immersa.immersion import PlaneImmersion, crossings, random_immersion, rotation_number, validate
+
+GRAPHS = {"HG": heawood_graph, "K5": lambda: complete_graph(5), "T3": lambda: theta_graph(3)}
+
+
+@lru_cache(maxsize=None)
+def graph(name):
+    # One graph object per name, so its drawings share the per-graph data.
+    return GRAPHS[name]()
+
+
+@lru_cache(maxsize=None)
+def drawing(name, seed):
+    return random_immersion(graph(name), seed)
+
+
+def similar(imm, factor, shift):
+    # imm with every point p sent to factor * p + shift.
+    def move(p):
+        return (p[0] * factor + shift[0], p[1] * factor + shift[1])
+
+    return PlaneImmersion(imm.graph, {v: move(p) for v, p in imm.vertex_position.items()},
+                          {e: [move(p) for p in pts] for e, pts in imm.edge_polyline.items()})
+
+
+denominators = st.sampled_from([1, 3, 64, 10**8 + 7, 2**31 - 1, 2**61 - 1])
+shifts = st.builds(Fraction, st.integers(-10**9, 10**9), denominators)
+
+
+@given(st.sampled_from(sorted(GRAPHS)), st.integers(0, 4), st.integers(0, 14),
+       st.tuples(shifts, shifts))
+@example("HG", 0, 0, (Fraction(0), Fraction(0)))
+@example("HG", 0, 14, (Fraction(1, 3), Fraction(-2)))
+@example("K5", 1, 3, (Fraction(1, 2**61 - 1), Fraction(5, 64)))
+def test_similarity_keeps_crossings_and_rotations(name, seed, k, shift):
+    imm = drawing(name, seed)
+    factor = 10**k
+    moved = similar(imm, factor, shift)
+    assert validate(moved) == validate(imm)
+    assert list(moved._pair_crossings.items()) == list(imm._pair_crossings.items())
+    before, after = crossings(imm), crossings(moved)
+    assert [(r.id, r.geometric_sign) for r in after] == [
+        (r.id, r.geometric_sign) for r in before]
+    for r, s in zip(before, after):
+        assert s.point == (r.point[0] * factor + shift[0], r.point[1] * factor + shift[1])
+        assert (s.param_a, s.param_b) == (r.param_a, r.param_b)
+    cycles = enumerate_cycles(graph(name))
+    assert [rotation_number(moved, c) for c in cycles] == [
+        rotation_number(imm, c) for c in cycles]
+
+
+def test_similarities_cross_the_int64_limit_both_ways():
+    # The generated drawings are int64; scaling by 10^14 or shifting by a
+    # reciprocal past INT_COORD_LIMIT takes them to Python ints, and the
+    # inverse similarity brings them back.
+    imm = drawing("HG", 0)
+    assert imm._scan[2][0].dtype == np.int64
+    for factor, shift in ((10**14, (0, 0)), (1, (Fraction(1, 2**61 - 1), 0))):
+        moved = similar(imm, factor, shift)
+        assert moved._scan[2][0].dtype == object
+        back = similar(moved, Fraction(1, factor),
+                       (Fraction(-shift[0], factor), Fraction(-shift[1], factor)))
+        assert back._scan[2][0].dtype == np.int64
+        assert back.edge_polyline == imm.edge_polyline
+
+
+def test_int64_kernel_at_the_coordinate_limit():
+    # Coordinates of magnitude INT_COORD_LIMIT = L reach the largest int64
+    # values classify_pairs forms: the diagonals of the square [-L, L]^2
+    # have det = -8 L^2, and the int64 result equals the Python-int one.
+    lim = kernels.INT_COORD_LIMIT
+    assert 8 * lim**2 < 2**63
+    segs = np.array([[-lim, -lim, lim, lim], [-lim, lim, lim, -lim], [lim, -lim, -lim, lim],
+                     [-lim, -lim, lim, -lim], [lim, lim, -lim, lim]], dtype=np.int64)
+    pairs = np.array([(i, j) for i in range(5) for j in range(i + 1, 5)], dtype=np.int64)
+    got = kernels.classify_pairs(segs, pairs)
+    want = kernels.classify_pairs(segs.astype(object), pairs)
+    for a, b in zip(got, want):
+        assert a.dtype != object and a.tolist() == b.tolist()
+    assert got[3][0] == 8 * lim**2 and got[1][0] == got[2][0] == 4 * lim**2
