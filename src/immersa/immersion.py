@@ -6,13 +6,19 @@ transversal double points interior to two segments, away from breakpoints
 and vertices, with no triple points and no collinear overlaps.  An exact
 180-degree turn, at a breakpoint or where two edges leave a vertex in one
 direction, is a collinear overlap, so every turn of a valid drawing is
-shorter than pi.  Crossing extraction decides every drawing on one integer
-segment table.  When every point scaled by the common denominator fits
-kernels.INT_COORD_LIMIT, the table is int64 on that one scale; otherwise it
-holds Python ints, each segment over the lcm of its own coordinates'
-denominators, and each candidate pair is scaled to the lcm of its two
-segments' denominators.  A conservative float sort-and-sweep prefilter (see
-kernels) runs its box test on the table's floats, and classify_pairs
+shorter than pi.  A drawing is one integer point table: numerators and a
+denominator per point.  When every point scaled by the least common
+denominator fits kernels.INT_COORD_LIMIT, the table is int64 on that one
+scale; otherwise it holds Python ints, each point over the lcm of its own
+coordinates' denominators.  The generators (random_immersion and the
+zero-rotation constructor of sp) hand their integer lattices straight to
+it; a drawing given as Fractions fills the same table, and the Fraction
+vertex_position and edge_polyline of a generated drawing are views built
+on first read.  Crossing extraction decides every drawing on the segment
+table read off the point table, each segment over the lcm of its two
+points' denominators, and each candidate pair is scaled to the lcm of its
+two segments' denominators.  A conservative float sort-and-sweep prefilter
+(see kernels) runs its box test on the table's floats, and classify_pairs
 decides the surviving pairs exactly, with the same numpy code on both
 dtypes.  A contact between two segments is allowed only at one node, an
 ordinary polyline joint or terminal slots of two edge ends at one vertex,
@@ -31,9 +37,11 @@ Rotation numbers count signed passes of the tangent past a fixed direction
 (Whitney 1937), with the same exact sign predicates on the segment table.
 
 Per-cycle numbers come from one table per immersion: the crossing number
-and the rotation number of every cycle of the graph, filled by a few numpy
-gathers from per-edge-pair crossing counts and per-corner tangent passes,
-through index arrays kept once per graph.
+and the rotation number of every cycle of the graph.  The crossing numbers
+are one quadratic form of the edge-pair crossing counts on a cycle-by-edge
+incidence table, and the rotation numbers a few numpy gathers of
+per-corner tangent passes; the incidence and corner index arrays are kept
+once per graph.
 """
 
 from __future__ import annotations
@@ -45,7 +53,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from operator import eq
 
 import numpy as np
 
@@ -53,10 +60,6 @@ from . import kernels
 from .census import _weights
 from .geometry import as_point
 from .graphs import Cycle, MultiGraph, enumerate_cycles, per_graph
-
-
-def _fmt(point):
-    return f"({point[0]}, {point[1]})"
 
 
 def _to_float(num, den=1):
@@ -117,40 +120,83 @@ class GenericityReport:
         return "; ".join(f"{kind}: {detail}" for kind, detail in self.violations)
 
 
-@dataclass(frozen=True, eq=False)
 class PlaneImmersion:
     """A polyline drawing of a multigraph in the plane.
 
     Attributes:
         graph: The underlying multigraph.
-        vertex_position: Vertex name -> exact point.
+        vertex_position: Vertex name -> exact point, a pair of Fractions.
         edge_polyline: Edge name -> point tuple from tail position to head
-            position.  All coordinates are coerced to Fractions.
+            position, pairs of Fractions.
+
+    The drawing is one integer point table (_points).  The constructor
+    coerces its arguments to Fractions, keeps them as the two dicts and
+    fills the table from them when it is first read; a generator hands its
+    integer lattice to _from_lattice, and the dicts are then Fraction views
+    of the table, built when first read.
 
     Treated as immutable after construction; compared by identity.
     """
 
-    graph: MultiGraph
-    vertex_position: dict
-    edge_polyline: dict
-
-    def __post_init__(self):
-        pos = {v: as_point(p) for v, p in self.vertex_position.items()}
-        if set(pos) != set(self.graph.vertices):
+    def __init__(self, graph: MultiGraph, vertex_position: dict, edge_polyline: dict):
+        pos = {v: as_point(p) for v, p in vertex_position.items()}
+        if set(pos) != set(graph.vertices):
             raise ValueError("vertex positions must cover exactly the graph's vertices")
         poly = {}
-        for name in self.graph.edge_names:
-            if name not in self.edge_polyline:
+        for name in graph.edge_names:
+            if name not in edge_polyline:
                 raise ValueError(f"missing polyline for edge {name!r}")
-            pts = tuple(as_point(p) for p in self.edge_polyline[name])
+            pts = tuple(as_point(p) for p in edge_polyline[name])
             if len(pts) < 2:
                 raise ValueError(f"edge {name!r} needs at least two polyline points")
             poly[name] = pts
-        unknown = set(self.edge_polyline) - set(poly)
+        unknown = set(edge_polyline) - set(poly)
         if unknown:
             raise ValueError(f"polylines for unknown edges: {sorted(unknown)}")
-        object.__setattr__(self, "vertex_position", pos)
-        object.__setattr__(self, "edge_polyline", poly)
+        self.graph = graph
+        self.vertex_position = pos
+        self.edge_polyline = poly
+
+    @classmethod
+    def _from_lattice(cls, graph, vertices, polylines, den):
+        """The drawing with vertex i of graph at vertices[i] / den and edge
+        j's polyline at polylines[j] / den: integer (x, y) numerators, in
+        vertex and edge order, every polyline of at least two points."""
+        imm = cls.__new__(cls)
+        imm.graph = graph
+        imm._points = _PointTable(
+            _lattice_rows(list(chain(vertices, chain.from_iterable(polylines))), den),
+            np.fromiter(map(len, polylines), np.intp, len(polylines)))
+        return imm
+
+    @cached_property
+    def _points(self):
+        polylines = [self.edge_polyline[name] for name in self.graph.edge_names]
+        points = chain(map(self.vertex_position.__getitem__, self.graph.vertices),
+                       chain.from_iterable(polylines))
+        return _PointTable(_rational_rows(list(map(_point_key, points))),
+                           np.fromiter(map(len, polylines), np.intp, len(polylines)))
+
+    @cached_property
+    def vertex_position(self):
+        return {v: _fraction_point(row) for v, row in self._row_lists[0].items()}
+
+    @cached_property
+    def edge_polyline(self):
+        return {name: tuple(map(_fraction_point, rows))
+                for name, rows in self._row_lists[1].items()}
+
+    @cached_property
+    def _row_lists(self):
+        # (vertex -> its _points row, edge -> its polyline's rows), rows as
+        # lists [x, y, d] of Python ints.
+        rows = self._points.rows.tolist()
+        k = len(self.graph.vertices)
+        polylines = {}
+        for name, n in zip(self.graph.edge_names, self._points.counts.tolist()):
+            polylines[name] = rows[k:k + n]
+            k += n
+        return dict(zip(self.graph.vertices, rows)), polylines
 
     @cached_property
     def _scan(self):
@@ -158,12 +204,9 @@ class PlaneImmersion:
         # the _segment_table (segs, w) of the drawing's segments in edge
         # order).
         g = self.graph
-        pos = self.vertex_position
         names = g.edge_names
-        polylines = [self.edge_polyline[name] for name in names]
-        pts = list(chain.from_iterable(polylines))
-        keys = [_point_key(p) for p in pts]
-        counts = np.fromiter(map(len, polylines), np.intp, len(polylines))
+        rows, counts = self._points.rows, self._points.counts
+        verts, pts = rows[:len(g.vertices)], rows[len(g.vertices):]
         ends = np.cumsum(counts)
         starts = ends - counts
         # Points k and k + 1 bound a segment unless k ends an edge.  Segment
@@ -171,28 +214,30 @@ class PlaneImmersion:
         bound = np.ones(max(len(pts) - 1, 0), dtype=bool)
         bound[ends[:-1] - 1] = False
         first = bound.nonzero()[0]
-        segs, w = table = _segment_table(keys, first)
-        same = np.fromiter(map(eq, keys, keys[1:]), bool, len(bound))
-        # Point indices k of zero-length segments.
-        zeros = (bound & same).nonzero()[0].tolist()
+        segs, w = table = _segment_table(pts, first)
+        # Point indices k of zero-length segments; equal points have equal
+        # rows.
+        zeros = (bound & (pts[:-1] == pts[1:]).all(axis=1)).nonzero()[0].tolist()
+        edge_ends, isolated = _edge_ends(g)
 
         violations = []
-        vertex_keys = {v: _point_key(pos[v]) for v in g.vertices}
         taken = {}
-        for v, key in vertex_keys.items():
-            if key in taken:
-                violations.append(
-                    ("duplicate-vertex-position", f"{taken[key]} and {v} both at {_fmt(pos[v])}")
-                )
+        for v, row in zip(g.vertices, map(tuple, verts.tolist())):
+            if row in taken:
+                violations.append(("duplicate-vertex-position",
+                                   f"{taken[row]} and {v} both at {_point_text(row)}"))
             else:
-                taken[key] = v
-        for name, k, end in zip(names, starts.tolist(), ends.tolist()):
-            t, h = g.endpoints[name]
-            if keys[k] != vertex_keys[t]:
-                violations.append(("endpoint-mismatch", f"edge {name} does not start at {t}"))
-            if keys[end - 1] != vertex_keys[h]:
-                violations.append(("endpoint-mismatch", f"edge {name} does not end at {h}"))
-            if zeros:
+                taken[row] = v
+        off_tail = (pts[starts] != verts[edge_ends[:, 0]]).any(axis=1)
+        off_head = (pts[ends - 1] != verts[edge_ends[:, 1]]).any(axis=1)
+        if zeros or off_tail.any() or off_head.any():
+            for name, k, end, tail, head in zip(names, starts.tolist(), ends.tolist(),
+                                                off_tail.tolist(), off_head.tolist()):
+                t, h = g.endpoints[name]
+                if tail:
+                    violations.append(("endpoint-mismatch", f"edge {name} does not start at {t}"))
+                if head:
+                    violations.append(("endpoint-mismatch", f"edge {name} does not end at {h}"))
                 violations.extend(("zero-length-segment", f"edge {name} segment {z - k}")
                                   for z in zeros if k <= z < end)
         if violations:
@@ -210,18 +255,15 @@ class PlaneImmersion:
         else:
             arr = segs / w[:, None]
         m = float(np.abs(arr).max()) if len(arr) else 0.0
-        # classify_pairs decides the orientations exactly, so the float
-        # orientation test would only repeat its work.
-        pairs = kernels.candidate_pairs(arr, kernels.rounding_bounds(m)[0], math.inf)
-        rows, contacts = _resolve_contacts(first, pairs, segs, w)
-        found = _Crossings(place, *rows, segs, w)
+        pairs = kernels.candidate_pairs(arr, kernels.rounding_bounds(m))
+        crossing, contacts = _resolve_contacts(first, pairs, segs, w)
+        found = _Crossings(place, *crossing, segs, w)
 
         # A touching pair is allowed only where both segments meet at one
         # node: an ordinary polyline joint (one breakpoint), or two terminal
         # slots at one vertex.  A polyline point's node is its vertex at an
         # edge's ends and its own index past the vertices otherwise; the
         # last entry, -1, is a contact's side strictly inside its segment.
-        edge_ends, isolated = _edge_ends(g)
         node = np.arange(len(g.vertices), len(g.vertices) + len(pts) + 1)
         node[starts], node[ends - 1], node[-1] = edge_ends[:, 0], edge_ends[:, 1], -1
         _, _, overlap, slot_a, slot_b = contacts
@@ -234,9 +276,9 @@ class PlaneImmersion:
                     violations.append(
                         ("overlap", f"{labels[i]} and {labels[j]} overlap collinearly"))
                 else:
-                    point = pts[a if a >= 0 else b]
+                    point = _point_text(pts[a if a >= 0 else b].tolist())
                     violations.append(
-                        ("breakpoint-contact", f"{labels[i]} touches {labels[j]} at {_fmt(point)}"))
+                        ("breakpoint-contact", f"{labels[i]} touches {labels[j]} at {point}"))
 
         # With no other violation, two crossings a x b and c x d at one point
         # share a segment at one parameter: a and c cross there too, as they
@@ -245,7 +287,7 @@ class PlaneImmersion:
         # crossing.  Otherwise every crossing point is compared exactly,
         # which names each offender.
         if violations or isolated or found.share_a_point():
-            node_keys = set(keys).union(taken)
+            node_keys = set(map(_row_key, rows.tolist()))
             violations.extend(found.point_violations(names, node_keys))
         if violations:
             return GenericityReport(False, tuple(violations)), None, table
@@ -349,8 +391,7 @@ class PlaneImmersion:
         diffs = (segs[:, 2:] - segs[:, :2]).tolist()
         table = {}
         k = 0
-        for name in self.graph.edge_names:
-            n = len(self.edge_polyline[name]) - 1
+        for name, n in zip(self.graph.edge_names, (self._points.counts - 1).tolist()):
             dirs = diffs[k:k + n]
             back = [(-x, -y) for x, y in reversed(dirs)]
             k += n
@@ -360,21 +401,27 @@ class PlaneImmersion:
 
     @cached_property
     def _cycle_table(self):
-        # (rows, crossing numbers, rotation numbers): rows maps each cycle of
-        # the graph to its entry in the two lists.  A cycle's rotation number
-        # adds up over its corners: the passes from the last direction of
-        # one step to the first of the next, plus the inner passes of the
-        # next.
+        # (rows, crossing numbers, rotation numbers) of a generic drawing:
+        # rows maps each cycle of the graph to its entry in the two lists.
+        # With x a cycle's row of the incidence table and U[a, b] the
+        # crossings of edges a <= b (in edge order), the cycle crosses
+        # itself x^T U x times; that is (x^T C x + x . diag C) / 2 for the
+        # symmetric count matrix C.  A cycle's rotation number adds up over
+        # its corners: the passes from the last direction of one step to the
+        # first of the next, plus the inner passes of the next.
         index = _cycle_index(self.graph)
         if not index.rows:
             return index.rows, (), ()
-        counts = self._pair_crossings
-        pairs = np.array([counts.get(p, 0) for p in index.pairs], dtype=np.int64)
+        n = len(self.graph.edges)
+        found = self._scan[1]
+        # Segments run in edge order, so left < right keeps a <= b.
+        a, b = found.place[found.left, 0], found.place[found.right, 0]
+        upper = np.bincount(a * n + b, minlength=n * n).reshape(n, n)
+        x = index.incidence
         t = self._tangents
         corners = np.array([_passes(t[a][1], t[b][0]) + t[b][2] for a, b in index.corners],
                            dtype=np.int64)
-        return (index.rows,
-                np.add.reduceat(pairs[index.pair_ids], index.pair_starts).tolist(),
+        return (index.rows, ((x @ upper) * x).sum(axis=1).tolist(),
                 np.add.reduceat(corners[index.corner_ids], index.corner_starts).tolist())
 
 
@@ -382,6 +429,23 @@ def _point_key(p):
     # (xn, xd, yn, yd): the same equality as the Fraction pair, and much
     # cheaper to hash.
     return (*p[0].as_integer_ratio(), *p[1].as_integer_ratio())
+
+
+def _row_key(row):
+    # The _point_key of the point (x / d, y / d) of a row (x, y, d).
+    x, y, d = row
+    gx, gy = math.gcd(x, d), math.gcd(y, d)
+    return (x // gx, d // gx, y // gy, d // gy)
+
+
+def _point_text(row):
+    # The point of a row (x, y, d) as str shows its pair of Fractions.
+    x, xd, y, yd = _row_key(row)
+    return f"({_ratio(x, xd)}, {_ratio(y, yd)})"
+
+
+def _fraction_point(row):
+    return (Fraction(row[0], row[2]), Fraction(row[1], row[2]))
 
 
 def _passes(d1, d2):
@@ -399,23 +463,73 @@ def _passes(d1, d2):
     return -1 if turn < 0 else 0
 
 
-def _segment_table(keys, first):
-    # (segs, w): segment s runs from (x0, y0) / w[s] to (x1, y1) / w[s],
-    # where (x0, y0, x1, y1) is row s of segs and w[s] > 0.  Both are int64,
-    # w one common denominator, when _integer_scaled fits; otherwise they
-    # hold Python ints and w[s] is the lcm of segment s's own four
-    # denominators.  keys holds each point's ratio key, and segment s runs
-    # from point first[s] to first[s] + 1.
+@dataclass(frozen=True, eq=False)
+class _PointTable:
+    """The points of a drawing on integers.
+
+    Attributes:
+        rows: Array of shape (n, 3): row (x, y, d), d > 0, is the point
+            (x / d, y / d).  The vertex positions come first, in vertex
+            order, then every edge's polyline, in edge order.  The rows are
+            int64 on one common denominator, the least, when every entry
+            then fits INT_COORD_LIMIT; otherwise they hold Python ints, and
+            each point lies over the lcm of its own coordinates'
+            denominators.  Either way the rows are a function of the
+            points' values: two points are equal exactly when their rows
+            are.
+        counts: intp number of points of each edge's polyline.
+    """
+
+    rows: np.ndarray
+    counts: np.ndarray
+
+
+def _rational_rows(keys):
+    # The _PointTable rows of points given by their _point_keys.
     scaled = _integer_scaled(keys)
     if scaled is not None:
         points, scale = scaled
-        segs = np.concatenate((points[first], points[first + 1]), axis=1)
-        return segs, np.full(len(first), scale, dtype=np.int64)
-    ratios = np.array(keys, dtype=object).reshape(-1, 4)
-    ratios = np.concatenate((ratios[first], ratios[first + 1]), axis=1)
-    nums, dens = ratios[:, 0::2], ratios[:, 1::2]
-    w = np.lcm(np.lcm(dens[:, 0], dens[:, 1]), np.lcm(dens[:, 2], dens[:, 3]))
-    return nums * (w[:, None] // dens), w
+        return np.concatenate((points, np.full((len(points), 1), scale, np.int64)), axis=1)
+    rows = []
+    for xn, xd, yn, yd in keys:
+        d = math.lcm(xd, yd)
+        rows.append((xn * (d // xd), yn * (d // yd), d))
+    return np.array(rows, dtype=object).reshape(-1, 3)
+
+
+def _lattice_rows(points, den):
+    # The _PointTable rows of the points (x / den, y / den), for integer
+    # pairs (x, y) and den > 0: the same rows as _rational_rows builds.
+    flat = list(chain.from_iterable(points))
+    g = math.gcd(den, *flat)
+    if g > 1:
+        den //= g
+        flat = [c // g for c in flat]
+    limit = kernels.INT_COORD_LIMIT
+    if den <= limit and max(map(abs, flat), default=0) <= limit:
+        rows = np.empty((len(points), 3), dtype=np.int64)
+        rows[:, :2] = np.array(flat, dtype=np.int64).reshape(-1, 2)
+        rows[:, 2] = den
+        return rows
+    rows = []
+    for x, y in zip(flat[::2], flat[1::2]):
+        h = math.gcd(x, y, den)
+        rows.append((x // h, y // h, den // h))
+    return np.array(rows, dtype=object).reshape(-1, 3)
+
+
+def _segment_table(pts, first):
+    # (segs, w): segment s runs from (x0, y0) / w[s] to (x1, y1) / w[s],
+    # where (x0, y0, x1, y1) is row s of segs and w[s] > 0, the lcm of its
+    # two points' denominators.  pts holds the _PointTable rows of the
+    # polyline points, and segment s runs from point first[s] to
+    # first[s] + 1.  int64 rows share one denominator, which is w.
+    a, b = pts[first], pts[first + 1]
+    if pts.dtype != object:
+        return np.concatenate((a[:, :2], b[:, :2]), axis=1), a[:, 2]
+    w = np.lcm(a[:, 2], b[:, 2])
+    return np.concatenate((a[:, :2] * (w // a[:, 2])[:, None],
+                           b[:, :2] * (w // b[:, 2])[:, None]), axis=1), w
 
 
 def _integer_scaled(keys):
@@ -511,13 +625,8 @@ class _Crossings:
 
     def point_keys(self):
         """The _point_key of each row's crossing point."""
-        keys = []
-        for un, _, d, x0, y0, rx, ry, scale in self._integer_rows():
-            den = d * scale
-            x, y = x0 * d + un * rx, y0 * d + un * ry
-            gx, gy = math.gcd(x, den), math.gcd(y, den)
-            keys.append((x // gx, den // gx, y // gy, den // gy))
-        return keys
+        return [_row_key((x0 * d + un * rx, y0 * d + un * ry, d * scale))
+                for un, _, d, x0, y0, rx, ry, scale in self._integer_rows()]
 
     def share_a_point(self):
         """Whether two rows meet one segment at one parameter, and so cross
@@ -705,13 +814,11 @@ class _CycleIndex:
     Attributes:
         rows: Cycle -> its row, in the order of enumerate_cycles.
         lengths: Cycle length per row, ascending.
-        pairs: Index-ordered edge pairs (a, b), a <= b, that share a cycle;
-            self pairs included.
+        incidence: int64 cycle-by-edge table: entry (row, e) is 1 when edge
+            e (in edge order) lies on the row's cycle, else 0.
         corners: Pairs (step, next step) of oriented steps (edge,
             direction) that follow each other on a cycle traversed in its
             canonical orientation.
-        pair_ids: Row by row, the ids in pairs of the row's edge pairs.
-        pair_starts: Offset of each row's run in pair_ids.
         corner_ids: Row by row, the ids in corners of the row's corners,
             one per step.
         corner_starts: Offset of each row's run in corner_ids.
@@ -719,10 +826,8 @@ class _CycleIndex:
 
     rows: dict
     lengths: list
-    pairs: list
+    incidence: np.ndarray
     corners: list
-    pair_ids: np.ndarray
-    pair_starts: np.ndarray
     corner_ids: np.ndarray
     corner_starts: np.ndarray
 
@@ -730,23 +835,22 @@ class _CycleIndex:
 @per_graph
 def _cycle_index(graph):
     index = graph.edge_index
+    n = len(index)
     cycles = enumerate_cycles(graph)
-    pairs, pair_ids, pair_starts = {}, [], []
+    cells = []
     corners, corner_ids, corner_starts = {}, [], []
-    for c in cycles:
+    for row, c in enumerate(cycles):
         steps = c.steps
-        names = sorted([name for name, _ in steps], key=index.__getitem__)
-        pair_starts.append(len(pair_ids))
-        for i, a in enumerate(names):
-            for b in names[i:]:
-                pair_ids.append(pairs.setdefault((a, b), len(pairs)))
+        cells.extend(row * n + index[name] for name, _ in steps)
         corner_starts.append(len(corner_ids))
         for corner in zip(steps[-1:] + steps[:-1], steps):
             corner_ids.append(corners.setdefault(corner, len(corners)))
+    incidence = np.zeros(len(cycles) * n, dtype=np.int64)
+    incidence[cells] = 1
     return _CycleIndex(
         {c: row for row, c in enumerate(cycles)}, [len(c) for c in cycles],
-        list(pairs), list(corners),
-        *(np.array(a, dtype=np.intp) for a in (pair_ids, pair_starts, corner_ids, corner_starts)),
+        incidence.reshape(len(cycles), n), list(corners),
+        np.array(corner_ids, dtype=np.intp), np.array(corner_starts, dtype=np.intp),
     )
 
 
@@ -771,7 +875,8 @@ def cycle_crossing_number(imm: PlaneImmersion, cycle: Cycle) -> int:
     Counts every crossing whose both strands lie on the cycle's edges,
     including self crossings of those edges.
     """
-    return imm._cycle_table[1][_cycle_row(imm, cycle)]
+    row = _cycle_row(imm, cycle)
+    return imm._cycle_table[1][row]
 
 
 def sum_crossing(imm: PlaneImmersion, k) -> int:
@@ -804,7 +909,8 @@ def rotation_number(imm: PlaneImmersion, cycle: Cycle, orientation=1) -> int:
     Raises:
         ValueError: Invalid immersion or cycle.
     """
-    rot = imm._cycle_table[2][_cycle_row(imm, cycle)]
+    row = _cycle_row(imm, cycle)
+    rot = imm._cycle_table[2][row]
     if orientation == -1:
         return -rot
     if orientation != 1:
@@ -842,7 +948,7 @@ def random_immersion(graph: MultiGraph, seed, breakpoints=(3, 5), box=4,
     to head and moves by a jitter on the grid 1/(2 denom (a + 1)).  Every
     point therefore lies on one lattice 1/lat, lat = denom * lcm(bmin + 1,
     ..., bmax + 1, 2 (a + 1)); the drawing is computed there in integers and
-    each coordinate becomes one Fraction at the end.
+    handed to the immersion as they are.
 
     Args:
         graph: The graph to draw.
@@ -861,10 +967,10 @@ def random_immersion(graph: MultiGraph, seed, breakpoints=(3, 5), box=4,
     bmin, bmax = breakpoints
     if bmin < 2:
         raise ValueError("need at least 2 breakpoints per edge for loops")
-    half = Fraction(box)
+    box_num, box_den = box.as_integer_ratio()
     for attempt in range(max_attempts):
         denom = 64 + 13 * attempt
-        span = int(half * denom)
+        span = box_num * denom // box_den
         lat = denom * math.lcm(*range(bmin + 1, bmax + 2), 2 * (attempt + 1))
         grid, jitter = lat // denom, lat // (2 * denom * (attempt + 1))
 
@@ -889,13 +995,9 @@ def random_immersion(graph: MultiGraph, seed, breakpoints=(3, 5), box=4,
                             ty + (hy - ty) * i // (nb + 1) + jy))
             inner[name] = pts
 
-        def exact(p):
-            return (Fraction(p[0], lat), Fraction(p[1], lat))
-
-        positions = {v: exact(p) for v, p in lattice.items()}
-        polylines = {name: (positions[t], *map(exact, inner[name]), positions[h])
-                     for name, t, h in graph.edges}
-        imm = PlaneImmersion(graph, positions, polylines)
+        imm = PlaneImmersion._from_lattice(
+            graph, [lattice[v] for v in graph.vertices],
+            [(lattice[t], *inner[name], lattice[h]) for name, t, h in graph.edges], lat)
         if validate(imm).ok:
             return imm
     raise RuntimeError(

@@ -6,8 +6,8 @@ is provably separated even after accounting for float rounding of the exact
 rational inputs, so the exact classifier downstream never misses a contact.
 It sorts and sweeps (Bentley and Ottmann, IEEE Trans. Computers 1979): only
 segments whose widened intervals overlap on one axis become pairs, and only
-those take the box test on the other axis and the orientation test, so time
-and memory grow with the overlapping pairs, not with n^2.
+those take the box test on the other axis, so time and memory grow with the
+overlapping pairs, not with n^2.
 
 classify_pairs then decides the surviving pairs exactly on integer
 coordinates: the caller scales each pair of segments to integers.  It runs
@@ -15,10 +15,9 @@ on int64 when every scaled coordinate is at most INT_COORD_LIMIT = L in
 magnitude: differences then reach 2 L, products 4 L^2, and the orientation
 determinants, parameter numerators and denominators 8 L^2 < 2^63 for
 L = 10^9.  Larger coordinates run through the same numpy code on arrays of
-Python ints (dtype object), which cannot overflow.  classify_pairs computes
-the orientations of the float test exactly, so a caller passes an infinite
-orient_eps and candidate_pairs stops after the box test.  Both kernels are
-vectorized numpy.
+Python ints (dtype object), which cannot overflow.  classify_pairs decides
+the orientations exactly, so the prefilter needs no float orientation test.
+Both kernels are vectorized numpy.
 """
 
 import numpy as np
@@ -29,31 +28,25 @@ INT_COORD_LIMIT = 10**9
 
 
 def rounding_bounds(max_abs_coordinate):
-    """Conservative float-error allowances for coordinates up to M.
+    """Conservative bounding-box slack for coordinates up to M.
 
-    Returns (box_margin, orient_eps).  Coordinates are correctly rounded
-    rationals (error <= M * 2^-52 each); an orientation determinant on such
-    inputs, evaluated in double precision, differs from the exact value by
-    well under 2^-46 * (M^2 + 1), and bounding boxes by under 2^-40 * (M+1).
-    The determinant's terms reach 8 M^2, which overflows for M >= 2^510;
-    from there orient_eps is infinite, so only the box test drops pairs.
+    Coordinates are correctly rounded rationals (error <= M * 2^-52 each),
+    so bounding boxes are off by under 2^-40 * (M + 1); infinite M gives an
+    infinite margin.
     """
     m = float(max_abs_coordinate)
     if not np.isfinite(m):
-        return float("inf"), float("inf")
-    eps = float("inf") if m >= 2.0**510 else 2.0**-46 * (m * m + 1.0)
-    return 2.0**-40 * (m + 1.0), eps
+        return float("inf")
+    return 2.0**-40 * (m + 1.0)
 
 
-def candidate_pairs(segs, box_margin, orient_eps):
+def candidate_pairs(segs, box_margin):
     """Indices (i, j), i < j, of segment pairs that might intersect.
 
     Args:
         segs: float64 array of shape (n, 4) holding x0, y0, x1, y1 per
             segment (rounded from exact rationals).
         box_margin: Bounding-box slack, from rounding_bounds; >= 0.
-        orient_eps: Orientation determinant slack, from rounding_bounds;
-            infinite skips the orientation test.
 
     Returns:
         int64 array of shape (m, 2) in lexicographic order.  Guaranteed to
@@ -64,8 +57,8 @@ def candidate_pairs(segs, box_margin, orient_eps):
     if n < 2:
         return np.empty((0, 2), dtype=np.int64)
     # Rows with non-finite floats are never provably separated: they get an
-    # infinite interval on both axes and skip the orientation test.  Other
-    # overflows only widen an interval or meet an infinite orient_eps.
+    # infinite interval on both axes.  Other overflows only widen an
+    # interval.
     shaky = ~np.isfinite(segs).all(axis=1)
     with np.errstate(invalid="ignore", over="ignore"):
         lo = np.minimum(segs[:, :2], segs[:, 2:]) - box_margin
@@ -86,17 +79,6 @@ def candidate_pairs(segs, box_margin, orient_eps):
         k = 1 - axis
         box = (lo[i, k] <= hi[j, k]) & (lo[j, k] <= hi[i, k])
         i, j = i[box], j[box]
-        # An infinite orient_eps separates nothing, so the test is skipped.
-        if orient_eps < np.inf:
-            # Orientations of b's endpoints against a's line, for (a, b) =
-            # (i, j) and (j, i): both strictly on one side separates the pair.
-            a, b = segs[np.concatenate((i, j))], segs[np.concatenate((j, i))]
-            d = a[:, 2:] - a[:, :2]
-            e = b.reshape(-1, 2, 2) - a[:, None, :2]
-            o = d[:, None, 0] * e[:, :, 1] - d[:, None, 1] * e[:, :, 0]
-            off = (o > orient_eps).all(axis=1) | (o < -orient_eps).all(axis=1)
-            keep = ~off.reshape(2, -1).any(axis=0) | shaky[i] | shaky[j]
-            i, j = i[keep], j[keep]
     rank = np.lexsort((j, i))
     return np.stack((i[rank], j[rank]), axis=1).astype(np.int64, copy=False)
 

@@ -8,22 +8,29 @@ to -1, 0, or +1; the parallel join places the children in disjoint boxes
 and routes their terminal strands through a reversal band so that any two
 paths through distinct children cross exactly once, forcing the count of
 self-crossings on every cycle to be odd and the rotation number to zero.
-Blocks are glued at cut vertex images by exact rational similarities, which
-preserve crossings, height monotonicity and rotation numbers.  Loop edges
-become small figure eights: the only closed curves with zero rotation, so
-loop blocks carry no height certificate.  Every construction is audited
-once, on the assembled drawing, before it is returned: the immersion must
-validate, its crossings within each block must equal the predicted
-multiset, the height certificates must hold, and every cycle must have
-rotation number exactly zero.
+The realization runs on integers: a piece's points are numerators over one
+denominator, and every step is an exact per-axis affine map.  Blocks are
+glued at cut vertex images by exact similarities, a power-of-two scale and
+a rotation by a rational point on the unit circle, done as integer affine
+maps; they preserve crossings, height monotonicity and rotation numbers,
+and the glued drawing goes to the immersion as one integer lattice.  Loop
+edges become small figure eights: the only closed curves with zero
+rotation, so loop blocks carry no height certificate.  Every construction is
+audited once, on the assembled drawing, before it is returned: the
+immersion must validate, its crossings within each block must equal the
+predicted multiset, the height certificates must hold, and every cycle must
+have rotation number exactly zero.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect_right
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from operator import gt
 
 from .graphs import (
     MultiGraph,
@@ -147,29 +154,36 @@ class HeightCertificate:
     def check(self, immersion: PlaneImmersion):
         """Verify the certificate against an immersion, exactly.
 
+        Heights are compared as integers: the functional times the lcm of
+        its denominators, on the immersion's integer points brought to one
+        positive scale.
+
         Raises:
             ValueError: Some edge is not strictly monotone along its
                 orientation, or a terminal misses the height extreme.
         """
         a, b = self.functional
+        scale = math.lcm(a.denominator, b.denominator)
+        fa, fb = a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator)
+        verts, lines = immersion._row_lists
+        u, v = self.terminals
+        walks = [(name, lines[name] if direction > 0 else lines[name][::-1])
+                 for name, direction in self.down.items()]
+        common = math.lcm(verts[u][2], verts[v][2], *(d for _, pts in walks for _, _, d in pts))
 
-        def h(p):
-            return a * p[0] + b * p[1]
+        def h(row):
+            x, y, d = row
+            return (fa * x + fb * y) * (common // d)
 
         seen = []
-        for name, direction in self.down.items():
-            points = immersion.edge_polyline[name]
-            if direction < 0:
-                points = points[::-1]
-            heights = [h(p) for p in points]
-            for i in range(len(heights) - 1):
-                if not heights[i] > heights[i + 1]:
-                    raise ValueError(f"edge {name} is not height-monotone")
+        for name, pts in walks:
+            heights = list(map(h, pts))
+            if not all(map(gt, heights, heights[1:])):
+                raise ValueError(f"edge {name} is not height-monotone")
             seen.extend(heights)
-        u, v = self.terminals
-        if h(immersion.vertex_position[u]) != max(seen):
+        if h(verts[u]) != max(seen):
             raise ValueError(f"terminal {u} is not the highest point")
-        if h(immersion.vertex_position[v]) != min(seen):
+        if h(verts[v]) != min(seen):
             raise ValueError(f"terminal {v} is not the lowest point")
 
 
@@ -212,53 +226,69 @@ def _components_off_terminals(graph, a, b):
 
 
 def _block_chain(sub, a, b):
-    # Path of blocks from a to b in the block-cut structure of sub, or None
-    # when a and b live in one block.
-    blocks = [blk for blk, _ in block_decomposition(sub)]
-    holders = {}
-    for i, blk in enumerate(blocks):
-        for vert in blk.vertices:
-            holders.setdefault(vert, []).append(i)
-    start = holders[a]
-    prev = {i: None for i in start}
-    queue = deque(start)
-    goal = None
-    while queue:
-        i = queue.popleft()
-        if b in blocks[i].vertices:
-            goal = i
-            break
-        for vert in blocks[i].vertices:
-            for j in holders[vert]:
-                if j not in prev:
-                    prev[j] = i
-                    queue.append(j)
-    if goal is None:
+    # Path of blocks from a to b in the block-cut structure of sub, with
+    # the cut vertices between them, or None when a and b live in one
+    # block.  Read off one a-b path: a path vertex is such a cut vertex
+    # unless a chord (an edge between path vertices) or a group (the edges
+    # at one component of sub minus the path) spans it, meeting the path
+    # on both of its sides.  A group meeting the path at most once lies on
+    # no a-b path.
+    prev = {a: None}
+    queue = deque([a])
+    while queue and b not in prev:
+        x = queue.popleft()
+        for name in sub.incident[x]:
+            y = sub.other_end(name, x)
+            if y not in prev:
+                prev[y] = x
+                queue.append(y)
+    if b not in prev:
         raise ValueError("terminals are not connected")
-    path = []
-    i = goal
-    while i is not None:
-        path.append(i)
-        i = prev[i]
+    path = [b]
+    while path[-1] != a:
+        path.append(prev[path[-1]])
     path.reverse()
-    if len(path) == 1:
+    at = {x: i for i, x in enumerate(path)}
+    parent = {x: x for x in sub.vertices if x not in at}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def group(name, t, h):
+        # An edge's group by its component's root; a chord is its own.
+        return find(t) if t in parent else find(h) if h in parent else (name,)
+
+    for _, t, h in sub.edges:
+        if t in parent and h in parent:
+            parent[find(t)] = find(h)
+    # The path positions each chord and each group meets.
+    meets = {}
+    for name, t, h in sub.edges:
+        meets.setdefault(group(name, t, h), set()).update(at[x] for x in (t, h) if x in at)
+    spanned = [0] * len(path)
+    for pos in meets.values():
+        if len(pos) > 1 and max(pos) - min(pos) > 1:
+            spanned[min(pos) + 1] += 1
+            spanned[max(pos)] -= 1
+    cuts, depth = [], 0
+    for i in range(1, len(path) - 1):
+        depth += spanned[i]
+        if depth == 0:
+            cuts.append(i)
+    if not cuts:
         return None
-    chain = [blocks[i] for i in path]
-    covered = set()
-    for blk in chain:
-        covered.update(blk.edge_names)
-    if covered != set(sub.edge_names):
+    if any(len(pos) < 2 for pos in meets.values()):
         raise ValueError(
             "a vertex lies on no path between the terminals; "
             "the piece is not two-terminal series-parallel"
         )
-    cuts = []
-    for left, right in zip(chain, chain[1:]):
-        shared = set(left.vertices) & set(right.vertices)
-        if len(shared) != 1:
-            raise ValueError("blocks share more than one vertex")
-        cuts.append(shared.pop())
-    return chain, tuple(cuts)
+    parts = [[] for _ in range(len(cuts) + 1)]
+    for name, t, h in sub.edges:
+        parts[bisect_right(cuts, min(meets[group(name, t, h)]))].append(name)
+    return [sub.subgraph_on_edges(names) for names in parts], tuple(path[i] for i in cuts)
 
 
 def _decompose(sub, a, b):
@@ -330,23 +360,17 @@ def _checked_tree(graph, u, v):
 # ---------------------------------------------------------------------------
 # Geometric realization
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-_TOP = (_ZERO, _ONE)
-_BOTTOM = (_ZERO, _ZERO)
-
 
 @dataclass
 class _Fragment:
     # One realized subtree in the frame |x| <= 1, 0 <= y <= 1, with the
-    # upper terminal at (0, 1) and the lower at (0, 0).  Paths run from the
-    # upper end down.  Above top_row and below bottom_row the drawing holds
-    # nothing but the straight terminal fan segments.
+    # upper terminal at (0, 1) and the lower at (0, 0), on integers: a point
+    # (x, y) stands for (x / den, y / den).  Paths run from the upper end
+    # down.
+    den: int
     verts: dict
     paths: dict
     down: dict
-    top_row: Fraction
-    bottom_row: Fraction
     predicted: Counter
 
 
@@ -359,13 +383,11 @@ def _realize(tree: SPTree, graph: MultiGraph) -> _Fragment:
     u, v = tree.terminals
     if tree.kind == "leaf":
         tail = graph.endpoints[tree.edge][0]
-        path = (_TOP, (_ZERO, Fraction(3, 4)), (_ZERO, Fraction(1, 4)), _BOTTOM)
         return _Fragment(
-            verts={u: _TOP, v: _BOTTOM},
-            paths={tree.edge: path},
+            den=4,
+            verts={u: (0, 4), v: (0, 0)},
+            paths={tree.edge: ((0, 4), (0, 3), (0, 1), (0, 0))},
             down={tree.edge: 1 if tail == u else -1},
-            top_row=Fraction(3, 4),
-            bottom_row=Fraction(1, 4),
             predicted=Counter(),
         )
     if tree.kind == "series":
@@ -374,75 +396,76 @@ def _realize(tree: SPTree, graph: MultiGraph) -> _Fragment:
 
 
 def _realize_series(tree, graph):
+    # Child i of r (from 1) is lifted to y = (r - i) / r + y / r.
     parts = [_realize(child, graph) for child in tree.children]
     r = len(parts)
+    common = math.lcm(*(part.den for part in parts))
     verts = {}
     paths = {}
     down = {}
     predicted = Counter()
     for i, part in enumerate(parts, 1):
-        base = Fraction(r - i, r)
+        f = common // part.den
 
-        def lift(p, base=base):
-            return (p[0], base + p[1] / r)
+        def lift(p, f=f, base=(r - i) * common):
+            return (p[0] * f * r, base + p[1] * f)
 
         for vert, p in part.verts.items():
             verts[vert] = lift(p)
         for name, pts in part.paths.items():
-            paths[name] = tuple(lift(p) for p in pts)
+            paths[name] = tuple(map(lift, pts))
         down.update(part.down)
         predicted.update(part.predicted)
-    top_row = Fraction(r - 1, r) + parts[0].top_row / r
-    bottom_row = parts[-1].bottom_row / r
-    return _Fragment(verts, paths, down, top_row, bottom_row, predicted)
+    return _Fragment(r * common, verts, paths, down, predicted)
 
 
 def _realize_parallel(tree, graph):
+    # Child k of n (from 1) goes into the box x = k + 3 x / 8, y = 1/4 +
+    # y / 4; its fan strands run through the rows 3/4, 9/16 and 3/16, and
+    # the whole is squeezed to x / (n + 2).
     u, v = tree.terminals
     parts = [_realize(child, graph) for child in tree.children]
     n = len(parts)
-    mid_top = Fraction(3, 4)
-    mid_bottom = Fraction(9, 16)
-    fan_bottom = Fraction(3, 16)
+    fans = []
+    for part in parts:
+        top = (0, part.den)
+        fans.append(([name for name, pts in part.paths.items() if pts[0] == top],
+                     [name for name, pts in part.paths.items() if pts[-1] == (0, 0)]))
+    # One denominator b for the boxes, the rows, the skews k^2 / (16 n^2)
+    # and the slot spreads j / (4 (m + 1)) of m fan strands.
+    b = math.lcm(16 * n * n, *(8 * part.den for part in parts),
+                 *(4 * (len(names) + 1) for fan in fans for names in fan))
     verts = {}
     paths = {}
     down = {}
     predicted = Counter()
     upper_edges = []
-    for k, part in enumerate(parts, 1):
-        # Quadratic horizontal skew keeps the reversal crossings of three or
-        # more corridors away from a common point.
-        skew = Fraction(k * k, 16 * n * n)
+    for k, (part, (uppers, lowers)) in enumerate(zip(parts, fans), 1):
+        f = b // (8 * part.den)
 
-        def box(p, k=k):
-            return (k + 3 * p[0] / 8, Fraction(1, 4) + p[1] / 4)
+        def box(p, k=k, f=f):
+            return (k * b + 3 * f * p[0], b // 4 + 2 * f * p[1])
 
         for vert, p in part.verts.items():
             if vert not in (u, v):
                 verts[vert] = box(p)
-        mapped_paths = {}
-        uppers = []
-        lowers = []
-        for name, pts in part.paths.items():
-            mapped_paths[name] = [box(p) for p in pts]
-            if pts[0] == _TOP:
-                uppers.append(name)
-            if pts[-1] == _BOTTOM:
-                lowers.append(name)
+        mapped_paths = {name: list(map(box, pts)) for name, pts in part.paths.items()}
         # Fan slots are re-spread evenly at every level so that the angles
         # at the terminals never inherit the child's compressed spacing.
         uppers.sort(key=lambda name: mapped_paths[name][1][0])
         lowers.sort(key=lambda name: mapped_paths[name][-2][0])
+        # Quadratic horizontal skew keeps the reversal crossings of three or
+        # more corridors away from a common point.
+        skew = k * k * b // (16 * n * n)
         for j, name in enumerate(uppers, 1):
             mapped = mapped_paths[name]
             slot = mapped[1]
-            spread = Fraction(j, 4 * (len(uppers) + 1))
-            reversal = (Fraction(n + 1 - k) + skew + spread, mid_top)
-            mapped_paths[name] = [_TOP, reversal, (slot[0], mid_bottom)] + mapped[1:]
+            reversal = ((n + 1 - k) * b + skew + j * b // (4 * (len(uppers) + 1)), 3 * b // 4)
+            mapped_paths[name] = [(0, b), reversal, (slot[0], 9 * b // 16)] + mapped[1:]
         for j, name in enumerate(lowers, 1):
             mapped = mapped_paths[name]
-            spread = Fraction(j, 4 * (len(lowers) + 1))
-            mapped_paths[name] = mapped[:-1] + [(k + spread, fan_bottom), _BOTTOM]
+            spread = j * b // (4 * (len(lowers) + 1))
+            mapped_paths[name] = mapped[:-1] + [(k * b + spread, 3 * b // 16), (0, 0)]
         paths.update(
             (name, tuple(pts)) for name, pts in mapped_paths.items()
         )
@@ -454,14 +477,15 @@ def _realize_parallel(tree, graph):
             for d in upper_edges[i]:
                 for e in upper_edges[j]:
                     predicted[_pair_key(graph, d, e)] += 1
-    verts[u] = _TOP
-    verts[v] = _BOTTOM
-    scale = Fraction(n + 2)
-    for vert, p in verts.items():
-        verts[vert] = (p[0] / scale, p[1])
+    verts[u] = (0, b)
+    verts[v] = (0, 0)
+    # x / (n + 2) over b (n + 2) keeps x and multiplies y.
+    m = n + 2
+    for vert, (x, y) in verts.items():
+        verts[vert] = (x, y * m)
     for name, pts in paths.items():
-        paths[name] = tuple((p[0] / scale, p[1]) for p in pts)
-    return _Fragment(verts, paths, down, mid_top, fan_bottom, predicted)
+        paths[name] = tuple((x, y * m) for x, y in pts)
+    return _Fragment(b * m, verts, paths, down, predicted)
 
 
 # ---------------------------------------------------------------------------
@@ -471,12 +495,12 @@ def _realize_parallel(tree, graph):
 @dataclass
 class _Piece:
     block: MultiGraph
+    den: int            # a point (x, y) stands for (x / den, y / den)
     verts: dict
     paths: dict
     down: dict          # empty for loop pieces
     terminals: tuple    # () for loop pieces
     predicted: Counter  # the block's own crossings, by edge pair
-    anchor_default: tuple = (_ZERO, _ZERO)
 
 
 def _block_piece(block: MultiGraph) -> _Piece:
@@ -484,14 +508,8 @@ def _block_piece(block: MultiGraph) -> _Piece:
     if tail == head:
         # A loop can never be height-monotone; the figure eight is the
         # closed curve with rotation number zero.
-        pts = (
-            (_ZERO, _ZERO),
-            (Fraction(1, 2), _ZERO),
-            (Fraction(1, 2), Fraction(1, 2)),
-            (Fraction(3, 4), Fraction(1, 4)),
-            (_ZERO, _ZERO),
-        )
-        return _Piece(block, {tail: (_ZERO, _ZERO)}, {name: pts}, {}, (),
+        pts = ((0, 0), (2, 0), (2, 2), (3, 1), (0, 0))
+        return _Piece(block, 4, {tail: (0, 0)}, {name: pts}, {}, (),
                       Counter({(name, name): 1}))
     terminals = (tail, head)
     # No K4 check here: the whole graph has passed one, and adding a copy
@@ -501,64 +519,77 @@ def _block_piece(block: MultiGraph) -> _Piece:
     paths = {}
     for ename, pts in frag.paths.items():
         paths[ename] = pts if frag.down[ename] > 0 else pts[::-1]
-    return _Piece(block, frag.verts, paths, dict(frag.down), terminals, frag.predicted)
+    return _Piece(block, frag.den, frag.verts, paths, dict(frag.down), terminals,
+                  frag.predicted)
 
 
-def _pythagorean(t):
-    # Exact rational point on the unit circle; t = 0 is the identity.
-    num = Fraction(1 + t * t)
-    return (Fraction(1 - t * t) / num, Fraction(2 * t) / num)
+def _functional(t):
+    # The upward direction (-s, c) of a piece turned by the rotation (c, s)
+    # = (1 - t^2, 2t) / (1 + t^2), an exact rational point on the unit
+    # circle; t = 0 is the identity.
+    m = 1 + t * t
+    return (Fraction(-2 * t, m), Fraction(1 - t * t, m))
 
 
-def _place(piece, anchor_from, anchor_to, rho, rot):
-    c, s = rot
+def _place(piece, target, source, k, t):
+    # (den, verts, paths): the piece's points p sent to target + 2^-k
+    # R (p - source), R the rotation of _functional(t), as numerators over
+    # den.  target is (x, y, its den); source is a point of the piece.
+    tx, ty, tden = target
+    scale = ((1 + t * t) * piece.den) << k
+    den = math.lcm(tden, scale)
+    f = den // scale
+    c, s = f * (1 - t * t), f * 2 * t
+    ox, oy = tx * (den // tden), ty * (den // tden)
+    sx, sy = source
 
     def send(p):
-        dx = p[0] - anchor_from[0]
-        dy = p[1] - anchor_from[1]
-        return (
-            anchor_to[0] + rho * (c * dx - s * dy),
-            anchor_to[1] + rho * (s * dx + c * dy),
-        )
+        dx, dy = p[0] - sx, p[1] - sy
+        return (ox + c * dx - s * dy, oy + s * dx + c * dy)
 
     verts = {vert: send(p) for vert, p in piece.verts.items()}
-    paths = {name: tuple(send(p) for p in pts) for name, pts in piece.paths.items()}
-    return verts, paths, (-s, c)
+    paths = {name: list(map(send, pts)) for name, pts in piece.paths.items()}
+    return den, verts, paths
 
 
 def _assemble(graph, pieces, attempt):
+    # (vertex numerators in vertex order, polyline numerators in edge
+    # order, their one denominator, each piece's rotation parameter t).
     holders = {}
     for i, piece in enumerate(pieces):
         for vert in piece.block.vertices:
             holders.setdefault(vert, []).append(i)
     positions = {}
     polylines = {}
-    functionals = {}
+    turns = {}
     placed = set()
-    offset = _ZERO
+    offset = 0
     sibling_rank = Counter()
     for root in range(len(pieces)):
         if root in placed:
             continue
         placed.add(root)
-        queue = deque([(root, 0, (offset, _ZERO), pieces[root].anchor_default, 0)])
+        queue = deque([(root, 0, (offset, 0, 1), (0, 0), 0)])
         offset += 4
         while queue:
             i, depth, target, source, rank = queue.popleft()
             piece = pieces[i]
             if depth == 0:
-                rho, rot = _ONE, (_ONE, _ZERO)
+                k = t = 0
             else:
                 # The rotation parameter must separate pieces that meet at a
                 # shared vertex even when they hang from different anchors,
                 # so it varies with the piece index as well as the rank.
-                rho = Fraction(1, 16) * Fraction(1, 4) ** depth
-                rho *= Fraction(1, 2) ** (attempt + rank * (attempt + 1))
-                rot = _pythagorean(1 + i + 3 * rank + 7 * attempt)
-            verts, paths, up = _place(piece, source, target, rho, rot)
-            positions.update(verts)
-            polylines.update(paths)
-            functionals[i] = up
+                # The scale is 1/16 (1/4)^depth (1/2)^(attempt + rank
+                # (attempt + 1)).
+                k = 4 + 2 * depth + attempt + rank * (attempt + 1)
+                t = 1 + i + 3 * rank + 7 * attempt
+            den, verts, paths = _place(piece, target, source, k, t)
+            for vert, (x, y) in verts.items():
+                positions[vert] = (x, y, den)
+            for name, pts in paths.items():
+                polylines[name] = (pts, den)
+            turns[i] = t
             for vert in sorted(piece.block.vertices, key=graph.vertices.index):
                 for j in holders[vert]:
                     if j not in placed:
@@ -566,15 +597,24 @@ def _assemble(graph, pieces, attempt):
                         rank_j = sibling_rank[vert]
                         sibling_rank[vert] += 1
                         queue.append(
-                            (j, depth + 1, positions[vert],
-                             pieces[j].verts[vert], rank_j)
+                            (j, depth + 1, positions[vert], pieces[j].verts[vert], rank_j)
                         )
-    spare = max((p[0] for p in positions.values()), default=_ZERO) + 1
+    common = math.lcm(*(den for _, den in polylines.values()))
+    spare = max((x * (common // den) for x, _, den in positions.values()), default=0) + common
+    vertices = []
     for vert in graph.vertices:
-        if vert not in positions:
-            positions[vert] = (spare, _ZERO)
-            spare += 1
-    return positions, polylines, functionals
+        if vert in positions:
+            x, y, den = positions[vert]
+            vertices.append((x * (common // den), y * (common // den)))
+        else:
+            vertices.append((spare, 0))
+            spare += common
+    lines = []
+    for name in graph.edge_names:
+        pts, den = polylines[name]
+        f = common // den
+        lines.append([(x * f, y * f) for x, y in pts])
+    return vertices, lines, common, turns
 
 
 def construct_zero_rotation(graph: MultiGraph) -> PlaneImmersion:
@@ -606,13 +646,10 @@ def zero_rotation_certificates(graph: MultiGraph):
             trace,
         )
     pieces = [_block_piece(block) for block, _ in block_decomposition(graph)]
-    for piece in pieces:
-        if piece.terminals:
-            piece.anchor_default = piece.verts[piece.terminals[1]]
     failure = None
     for attempt in range(_MAX_PLACEMENTS):
-        positions, polylines, functionals = _assemble(graph, pieces, attempt)
-        immersion = PlaneImmersion(graph, positions, polylines)
+        vertices, polylines, den, turns = _assemble(graph, pieces, attempt)
+        immersion = PlaneImmersion._from_lattice(graph, vertices, polylines, den)
         report = validate(immersion)
         if not report.ok:
             failure = report.summary()
@@ -631,7 +668,7 @@ def zero_rotation_certificates(graph: MultiGraph):
             if not piece.terminals:
                 continue
             certificates.append(
-                HeightCertificate(piece.terminals, dict(piece.down), functionals[i])
+                HeightCertificate(piece.terminals, dict(piece.down), _functional(turns[i]))
             )
             certificates[-1].check(immersion)
         ok, offender = verify_zero(immersion)

@@ -842,10 +842,12 @@ def test_checks_build_fewer_fractions_than_crossings(monkeypatch):
     cycles = enumerate_cycles(graph)
     for seed in range(10):
         drawn = random_immersion(graph, seed)
+        # The generator's Fraction views, built before the count starts.
+        pos, poly = drawn.vertex_position, drawn.edge_polyline
         made.clear()
         with monkeypatch.context() as m:
             m.setattr(immersion, "Fraction", Counted)
-            f = PlaneImmersion(graph, drawn.vertex_position, drawn.edge_polyline)
+            f = PlaneImmersion(graph, pos, poly)
             assert validate(f).ok
             assert all(v.ok for v in run_checks(f, "HG-parity"))
             for cycle in cycles:
@@ -867,9 +869,11 @@ def test_validate_builds_no_fractions(monkeypatch):
     graph = heawood_graph()
     for seed in range(10):
         drawn = random_immersion(graph, seed)
+        # The generator's Fraction views, built before the count starts.
+        pos, poly = drawn.vertex_position, drawn.edge_polyline
         with monkeypatch.context() as m:
             m.setattr(immersion, "Fraction", Counted)
-            f = PlaneImmersion(graph, drawn.vertex_position, drawn.edge_polyline)
+            f = PlaneImmersion(graph, pos, poly)
             assert validate(f).ok
         assert made == []
 
@@ -1006,54 +1010,6 @@ def test_python_int_path_calls_no_segment_contact_and_builds_no_fractions(monkey
     assert not hasattr(immersion, "segment_contact")
     for f in drawings:
         assert rational_contact_calls(f, monkeypatch) == (0, 0)
-
-
-def scan_with_contacts(imm, monkeypatch, finite_eps):
-    # (report, crossing table columns, contact columns, candidate pairs) of
-    # a fresh scan of imm; finite_eps forces the float orientation test on
-    # the integer path too.
-    seen = {}
-    real_pairs, real_resolve = kernels.candidate_pairs, immersion._resolve_contacts
-
-    def pairs(segs, box_margin, orient_eps):
-        if finite_eps:
-            orient_eps = kernels.rounding_bounds(float(np.max(np.abs(segs))))[1]
-        seen["pairs"] = real_pairs(segs, box_margin, orient_eps)
-        return seen["pairs"]
-
-    def resolve(*args):
-        seen["rows"], seen["contacts"] = real_resolve(*args)
-        return seen["rows"], seen["contacts"]
-
-    with monkeypatch.context() as m:
-        m.setattr(kernels, "candidate_pairs", pairs)
-        m.setattr(immersion, "_resolve_contacts", resolve)
-        report = validate(PlaneImmersion(imm.graph, imm.vertex_position, imm.edge_polyline))
-    if "rows" not in seen:
-        return report, None, None, None
-    return report, list(seen["rows"]), seen["contacts"], seen["pairs"]
-
-
-def test_scan_equals_a_scan_with_the_float_orientation_test(monkeypatch):
-    graphs = (heawood_graph(), petersen_graph(), complete_graph(5), multi_triangle(3),
-              theta_graph(4))
-    drawings = [random_immersion(graph, seed) for graph in graphs for seed in range(4)]
-    drawings += [snapped(f, den) for f in drawings for den in (1, 2, 3)]
-    dropped = 0
-    for f in drawings:
-        report, table, contacts, pairs = scan_with_contacts(f, monkeypatch, False)
-        want = scan_with_contacts(f, monkeypatch, True)
-        assert report == want[0]
-        if table is None:
-            assert want[1] is None
-            continue
-        for got, expected in ((table, want[1]), (contacts, want[2])):
-            assert len(got) == len(expected)
-            for a, b in zip(got, expected):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
-        dropped += len(pairs) - len(want[3])
-    # The forced test drops pairs that the exact classifier then rejects.
-    assert dropped > 0
 
 
 def both_paths(imm, monkeypatch):

@@ -46,31 +46,31 @@ def test_prefilter_keeps_every_contacting_pair():
     for trial in range(8):
         segs = random_segments(rng, 40)
         arr = to_array(segs)
-        margin, eps = kernels.rounding_bounds(float(np.max(np.abs(arr))))
-        got = {tuple(p) for p in kernels.candidate_pairs(arr, margin, eps)}
+        margin = kernels.rounding_bounds(float(np.max(np.abs(arr))))
+        got = {tuple(p) for p in kernels.candidate_pairs(arr, margin)}
         assert exact_contact_pairs(segs) <= got
 
 
 def test_empty_input():
     arr = np.zeros((0, 4))
-    assert len(kernels.candidate_pairs(arr, 0.1, 0.1)) == 0
+    assert len(kernels.candidate_pairs(arr, 0.1)) == 0
 
 
 def test_far_apart_segments_are_dropped():
     arr = np.array([[0, 0, 1, 0], [100, 100, 101, 100]], dtype=np.float64)
-    margin, eps = kernels.rounding_bounds(101.0)
-    assert len(kernels.candidate_pairs(arr, margin, eps)) == 0
+    margin = kernels.rounding_bounds(101.0)
+    assert len(kernels.candidate_pairs(arr, margin)) == 0
 
 
 def test_nonfinite_segments_always_survive():
     arr = np.array([[0, 0, 1, 0], [math.inf, 0, 100, 0]], dtype=np.float64)
-    margin, eps = kernels.rounding_bounds(math.inf)
-    got = kernels.candidate_pairs(arr, margin, eps)
+    margin = kernels.rounding_bounds(math.inf)
+    got = kernels.candidate_pairs(arr, margin)
     assert [tuple(p) for p in got] == [(0, 1)]
 
 
-def dense_reference(segs, box_margin, orient_eps):
-    # All-pairs prefilter with n x n temporaries: the reference that the
+def dense_reference(segs, box_margin):
+    # All-pairs box test with n x n temporaries: the reference that the
     # sort-and-sweep in candidate_pairs must match in values and order.
     segs = np.ascontiguousarray(segs, dtype=np.float64)
     if segs.shape[0] < 2:
@@ -83,22 +83,14 @@ def dense_reference(segs, box_margin, orient_eps):
         maxy = np.maximum(y0, y1) + box_margin
         sep = (minx[:, None] > maxx[None, :]) | (miny[:, None] > maxy[None, :])
         sep |= sep.T
-        rx = (x1 - x0)[:, None]
-        ry = (y1 - y0)[:, None]
-        o1 = rx * (y0[None, :] - y0[:, None]) - ry * (x0[None, :] - x0[:, None])
-        o2 = rx * (y1[None, :] - y0[:, None]) - ry * (x1[None, :] - x0[:, None])
-        off = ((o1 > orient_eps) & (o2 > orient_eps)) | (
-            (o1 < -orient_eps) & (o2 < -orient_eps)
-        )
-    sep |= off | off.T
     shaky = ~np.isfinite(segs).all(axis=1)
     sep &= ~(shaky[:, None] | shaky[None, :])
     return np.argwhere(np.triu(~sep, k=1)).astype(np.int64)
 
 
-def assert_matches_reference(arr, box_margin, orient_eps):
-    got = kernels.candidate_pairs(arr, box_margin, orient_eps)
-    want = dense_reference(arr, box_margin, orient_eps)
+def assert_matches_reference(arr, box_margin):
+    got = kernels.candidate_pairs(arr, box_margin)
+    want = dense_reference(arr, box_margin)
     assert got.dtype == np.int64 and got.shape == want.shape
     assert np.array_equal(got, want)
 
@@ -108,7 +100,7 @@ def test_sweep_matches_dense_reference():
     cases = []
     for _ in range(4):
         arr = to_array(random_segments(rng, 40))
-        cases.append((arr, *kernels.rounding_bounds(float(np.max(np.abs(arr))))))
+        cases.append((arr, kernels.rounding_bounds(float(np.max(np.abs(arr))))))
     # Long horizontal and vertical segments: every interval overlaps on one
     # axis, so the sweep has to pick the other.
     arr = to_array(random_segments(rng, 20))
@@ -116,27 +108,27 @@ def test_sweep_matches_dense_reference():
     long_v = [[x, -100, x, 100] for x in range(-6, 7, 3)]
     for extra in (long_h, long_v, long_h + long_v):
         both = np.vstack([arr, np.array(extra, dtype=np.float64)])
-        cases.append((both, *kernels.rounding_bounds(100.0)))
+        cases.append((both, kernels.rounding_bounds(100.0)))
     # Duplicate segments, in both orientations.
     dup = np.vstack([arr, arr[:8], arr[:8, [2, 3, 0, 1]]])
-    cases.append((dup, *kernels.rounding_bounds(8.0)))
+    cases.append((dup, kernels.rounding_bounds(8.0)))
     # Rows with inf or nan.
     shaky = arr.copy()
     shaky[3, 0], shaky[7, 3], shaky[11, 2] = math.inf, -math.inf, math.nan
-    cases += [(shaky, 1e-9, 1e-9), (shaky, *kernels.rounding_bounds(math.inf))]
-    # An infinite box margin, with a finite and an infinite orient_eps.
-    cases += [(arr, math.inf, 1e-9), (arr, math.inf, math.inf)]
+    cases += [(shaky, 1e-9), (shaky, kernels.rounding_bounds(math.inf))]
+    # An infinite box margin.
+    cases.append((arr, math.inf))
     # A grid polyline with no slack: consecutive segments share endpoints,
-    # so intervals touch exactly and orientations are exactly zero.
+    # so intervals touch exactly.
     walk = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(30)]
     chain = np.array([[*a, *b] for a, b in zip(walk, walk[1:])], dtype=np.float64)
-    cases.append((chain, 0.0, 0.0))
+    cases.append((chain, 0.0))
     # n = 0, 1 and 2.
     for n in (0, 1, 2):
-        cases.append((arr[:n], 1e-9, 1e-9))
-    cases.append((np.array([[0, 0, 1, 1], [0, 1, 1, 0]], dtype=np.float64), 0.0, 0.0))
-    for arr, box_margin, orient_eps in cases:
-        assert_matches_reference(arr, box_margin, orient_eps)
+        cases.append((arr[:n], 1e-9))
+    cases.append((np.array([[0, 0, 1, 1], [0, 1, 1, 0]], dtype=np.float64), 0.0))
+    for arr, box_margin in cases:
+        assert_matches_reference(arr, box_margin)
 
 
 reference_coords = (
@@ -149,11 +141,10 @@ reference_coords = (
 @given(
     st.lists(st.tuples(*[reference_coords] * 4), max_size=14),
     st.sampled_from([0.0, 0.25, math.inf]),
-    st.sampled_from([0.0, 1.0, math.inf]),
 )
-def test_sweep_matches_dense_reference_property(rows, box_margin, orient_eps):
+def test_sweep_matches_dense_reference_property(rows, box_margin):
     arr = np.array(rows, dtype=np.float64).reshape(len(rows), 4)
-    assert_matches_reference(arr, box_margin, orient_eps)
+    assert_matches_reference(arr, box_margin)
 
 
 def test_prefilter_memory_is_subquadratic():
@@ -162,10 +153,10 @@ def test_prefilter_memory_is_subquadratic():
     rng = np.random.default_rng(6000)
     start = rng.uniform(0, 1, size=(6000, 2)) * (3000, 5)
     arr = np.hstack([start, start + rng.uniform(-1, 1, size=(6000, 2))])
-    margin, eps = kernels.rounding_bounds(float(np.max(np.abs(arr))))
+    margin = kernels.rounding_bounds(float(np.max(np.abs(arr))))
     tracemalloc.start()
     try:
-        kernels.candidate_pairs(arr, margin, eps)
+        kernels.candidate_pairs(arr, margin)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -174,19 +165,9 @@ def test_prefilter_memory_is_subquadratic():
 
 
 def test_rounding_bounds_grow_with_coordinates():
-    m_small = kernels.rounding_bounds(1.0)
-    m_big = kernels.rounding_bounds(1000.0)
-    assert 0 < m_small[0] < m_big[0]
-    assert 0 < m_small[1] < m_big[1]
-    assert kernels.rounding_bounds(math.inf) == (math.inf, math.inf)
-
-
-def test_orient_eps_is_infinite_where_determinants_may_overflow():
-    # Determinant terms reach 8 M^2, which overflows from M = 2^510 on.
-    below = kernels.rounding_bounds(2.0**509)
-    above = kernels.rounding_bounds(2.0**510)
-    assert math.isfinite(below[1])
-    assert math.isfinite(above[0]) and above[1] == math.inf
+    assert 0 < kernels.rounding_bounds(1.0) < kernels.rounding_bounds(1000.0)
+    assert math.isfinite(kernels.rounding_bounds(2.0**510))
+    assert kernels.rounding_bounds(math.inf) == math.inf
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -194,8 +175,8 @@ def test_prefilter_soundness_random(seed):
     rng = random.Random(seed)
     segs = random_segments(rng, 12, denom=8, span=3)
     arr = to_array(segs)
-    margin, eps = kernels.rounding_bounds(float(np.max(np.abs(arr))))
-    got = {tuple(p) for p in kernels.candidate_pairs(arr, margin, eps)}
+    margin = kernels.rounding_bounds(float(np.max(np.abs(arr))))
+    got = {tuple(p) for p in kernels.candidate_pairs(arr, margin)}
     assert exact_contact_pairs(segs) <= got
 
 

@@ -2,13 +2,14 @@
 
 import hashlib
 import math
+from fractions import Fraction
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from immersa import sp
+from immersa import immersion, sp
 from immersa.formats import serialize_immersion
 from immersa.graphs import (
     MultiGraph,
@@ -23,6 +24,7 @@ from immersa.graphs import (
 from immersa.immersion import (
     crossings,
     cycle_crossing_number,
+    random_immersion,
     rotation_number,
     validate,
 )
@@ -404,6 +406,34 @@ class TestSingleAudit:
         monkeypatch.setattr(sp, "_block_piece", bogus)
         with pytest.raises(RuntimeError, match="crossing audit failed"):
             construct_zero_rotation(theta_graph(3))
+
+
+def test_constructions_build_only_the_functionals(monkeypatch):
+    # The constructor places pieces on integers and hands one lattice to the
+    # immersion, so its audit, validate and verify_zero build no Fraction;
+    # only each certificate's functional is one Fraction pair.  A random
+    # immersion hands over its lattice and builds none.
+    made = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(None)
+            return super().__new__(cls, *args, **kwargs)
+
+    graphs = [random_sp_graph(seed) for seed in range(20)]
+    functionals = sum(len(zero_rotation_certificates(g)[1]) for g in graphs)
+    assert functionals > 20
+    with monkeypatch.context() as m:
+        m.setattr(sp, "Fraction", Counted)
+        m.setattr(immersion, "Fraction", Counted)
+        for g in graphs:
+            f = construct_zero_rotation(g)
+            assert validate(f).ok and verify_zero(f) == (True, None)
+        assert len(made) == 2 * functionals
+        made.clear()
+        for seed in range(5):
+            assert validate(random_immersion(heawood_graph(), seed)).ok
+        assert made == []
 
 
 LOOPS_AND_BRIDGE = MultiGraph(
