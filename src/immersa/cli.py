@@ -39,7 +39,6 @@ from .formats import (
 from .graphs import MultiGraph, cycle_lengths, heawood_graph, petersen_graph
 from .immersion import (
     PlaneImmersion,
-    crossing_count,
     crossings,
     cycle_crossing_number,
     kappa,
@@ -193,7 +192,7 @@ def _cmd_crossings(args, argv):
     if not report.ok:
         print(f"not generic: {report.summary()}", file=sys.stderr)
         return 1
-    records = list(crossings(immersion))
+    records = crossings(immersion)
     rows = []
     by_kind = {"self": 0, "adjacent": 0, "disjoint": 0}
     by_distance = {}
@@ -254,9 +253,8 @@ def _cmd_construct(args, argv):
         Path(args.svg).write_text(render_svg(immersion), encoding="utf-8")
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
-        n_cross = crossing_count(immersion)
         print(f"constructed: {len(graph.vertices)} vertices, "
-              f"{len(graph.edges)} edges, {n_cross} crossings, "
+              f"{len(graph.edges)} edges, {len(crossings(immersion))} crossings, "
               f"every cycle rotation 0 -> {args.output}")
     else:
         sys.stdout.write(text)

@@ -127,7 +127,11 @@ class MultiGraph:
         keep = set(names)
         edges = tuple(e for e in self.edges if e[0] in keep)
         used = {v for _, t, h in edges for v in (t, h)}
-        return MultiGraph(tuple(v for v in self.vertices if v in used), edges)
+        # Names, vertices and endpoints come from this checked graph.
+        sub = object.__new__(MultiGraph)
+        object.__setattr__(sub, "vertices", tuple(v for v in self.vertices if v in used))
+        object.__setattr__(sub, "edges", edges)
+        return sub
 
 
 def per_graph(fn):

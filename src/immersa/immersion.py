@@ -31,8 +31,9 @@ come from it by one np.unique.
 The record order (ids, edge pairs and geometric signs of the crossings,
 sorted by id) is read off the table by one np.lexsort, with exact
 parameter comparisons only between crossings on one segment of one pair;
-diagrams read it directly.  Fractions are built only for CrossingRecords,
-which are made in record order once, on the first call of crossings().
+diagrams read it directly.  crossings() is a view: its len() reads the
+table, and Fractions are built only for CrossingRecords, which are made in
+record order once, when the view is first indexed or iterated.
 Rotation numbers count signed passes of the tangent past a fixed direction
 (Whitney 1937), with the same exact sign predicates on the segment table.
 
@@ -49,6 +50,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -780,25 +782,47 @@ def validate(imm: PlaneImmersion) -> GenericityReport:
     return imm._scan[0]
 
 
-def crossings(imm: PlaneImmersion):
-    """All crossings of a valid immersion, ordered by id.
+class _CrossingView(Sequence):
+    """The CrossingRecords of a valid immersion, ordered by id, as a
+    read-only sequence.  len() reads the crossing table; indexing,
+    slicing and iteration read the records, built once per immersion.
+    Compares, hashes and prints as the tuple of records."""
+
+    __slots__ = ("_imm",)
+
+    def __init__(self, imm):
+        self._imm = imm
+
+    def __len__(self):
+        return len(self._imm._scan[1].left)
+
+    def __getitem__(self, index):
+        return self._imm._records[index]
+
+    def __iter__(self):
+        return iter(self._imm._records)
+
+    def __eq__(self, other):
+        if isinstance(other, _CrossingView):
+            other = other._imm._records
+        return self._imm._records == other
+
+    def __hash__(self):
+        return hash(self._imm._records)
+
+    def __repr__(self):
+        return repr(self._imm._records)
+
+
+def crossings(imm: PlaneImmersion) -> Sequence:
+    """All crossings of a valid immersion, ordered by id: a read-only
+    sequence of CrossingRecords whose len() builds none.
 
     Raises:
         ValueError: If the immersion fails validation.
     """
     _require_valid(imm)
-    return imm._records
-
-
-def crossing_count(imm: PlaneImmersion) -> int:
-    """Number of crossings of a valid immersion, read off its crossing
-    table without building records.
-
-    Raises:
-        ValueError: If the immersion fails validation.
-    """
-    _require_valid(imm)
-    return len(imm._scan[1].left)
+    return _CrossingView(imm)
 
 
 def _require_valid(imm):

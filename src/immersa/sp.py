@@ -232,9 +232,10 @@ def _block_chain(sub, a, b):
     # unless a chord (an edge between path vertices) or a group (the edges
     # at one component of sub minus the path) spans it, meeting the path
     # on both of its sides.  A group meeting the path at most once lies on
-    # no a-b path.
+    # no a-b path.  A piece of a parallel split that meets only one
+    # terminal lacks the other, and so joins no a-b path either.
     prev = {a: None}
-    queue = deque([a])
+    queue = deque([a] if a in sub.incident else ())
     while queue and b not in prev:
         x = queue.popleft()
         for name in sub.incident[x]:

@@ -94,6 +94,26 @@ def test_bad_graphs_rejected():
         MultiGraph(("a:b",), ())
 
 
+def test_subgraph_equals_the_checked_graph(monkeypatch):
+    # A subgraph keeps its parent's checked names: it runs no name check,
+    # and equals, hashes and pickles as the graph built through the
+    # public constructor.
+    g = multi_triangle(3)
+    checked = []
+    monkeypatch.setattr(MultiGraph, "__post_init__", lambda self: checked.append(self))
+    subs = [g.subgraph_on_edges(g.edge_names[i::2]) for i in range(2)]
+    subs.append(g.subgraph_on_edges(()))
+    assert checked == []
+    monkeypatch.undo()
+    for sub in subs:
+        edges = tuple(e for e in g.edges if e[0] in sub.edge_names)
+        used = {v for _, t, h in edges for v in (t, h)}
+        built = MultiGraph(tuple(v for v in g.vertices if v in used), edges)
+        assert sub == built and hash(sub) == hash(built) and repr(sub) == repr(built)
+        assert pickle.loads(pickle.dumps(sub)) == built
+        assert sub.incident == built.incident and enumerate_cycles(sub) == enumerate_cycles(built)
+
+
 def test_cycle_counts_match_frozen_tables():
     pg = petersen_graph()
     by_len = {}

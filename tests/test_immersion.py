@@ -878,6 +878,93 @@ def test_validate_builds_no_fractions(monkeypatch):
         assert made == []
 
 
+def _view_drawings():
+    # HG and K5 drawings with crossings, and a triangle with none.
+    triangle = complete_graph(3)
+    pos = {"v1": (0, 0), "v2": (4, 0), "v3": (0, 4)}
+    plain = PlaneImmersion(triangle, pos,
+                           {name: (pos[t], pos[h]) for name, t, h in triangle.edges})
+    return [random_immersion(heawood_graph(), 0), random_immersion(complete_graph(5), 1), plain]
+
+
+class TestCrossingView:
+    # crossings() is a read-only sequence over the immersion: it reads,
+    # compares, hashes and prints as the tuple of records in id order.
+    @pytest.mark.parametrize("case", range(3))
+    def test_reads_as_the_record_tuple(self, case):
+        f = _view_drawings()[case]
+        view = crossings(f)
+        records = f._records
+        assert isinstance(records, tuple)
+        assert len(view) == len(list(view)) == len(records)
+        assert list(view) == list(records)
+        assert [rec.id for rec in view] == f._record_order.ids
+        for i in range(-len(records), len(records)):
+            assert view[i] is records[i]
+        assert view[1:3] == records[1:3] and view[::-2] == records[::-2]
+        assert view[:] == records and isinstance(view[:], tuple)
+        with pytest.raises(IndexError):
+            view[len(records)]
+        assert view == records and records == view and not view != records
+        assert view == crossings(f) and hash(view) == hash(records)
+        assert repr(view) == repr(records) and str(view) == str(records)
+        assert list(reversed(view)) == list(reversed(records))
+        if records:
+            assert records[-1] in view and view.index(records[-1]) == len(records) - 1
+        assert view != records + (None,) and view != list(records)
+
+    def test_views_of_two_drawings(self):
+        hg, k5, _ = _view_drawings()
+        assert crossings(hg) != crossings(k5)
+        same = PlaneImmersion(k5.graph, k5.vertex_position, k5.edge_polyline)
+        assert crossings(same) == crossings(k5) and crossings(same) is not crossings(k5)
+
+    def test_refuses_an_invalid_drawing_at_call_time(self):
+        g = MultiGraph(("a", "b"), ())
+        imm = PlaneImmersion(g, {"a": (0, 0), "b": (0, 0)}, {})
+        with pytest.raises(ValueError, match="not generic"):
+            crossings(imm)
+
+    def test_read_only(self):
+        view = crossings(_view_drawings()[0])
+        with pytest.raises(TypeError):
+            view[0] = None
+        with pytest.raises(AttributeError):
+            view.extra = None
+
+
+def test_len_of_crossings_builds_no_records(monkeypatch):
+    # len(crossings(f)) reads the crossing table: no CrossingRecord and no
+    # Fraction, on HG drawings and on a dense K5 drawing.
+    made = []
+
+    class CountedFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(None)
+            return super().__new__(cls, *args, **kwargs)
+
+    class CountedRecord(immersion.CrossingRecord):
+        def __init__(self, *args, **kwargs):
+            made.append(None)
+            super().__init__(*args, **kwargs)
+
+    drawings = [random_immersion(heawood_graph(), s) for s in range(3)]
+    drawings.append(random_immersion(complete_graph(5), 0, breakpoints=(24, 32)))
+    for drawn in drawings:
+        # The generator's Fraction views, built before the count starts.
+        pos, poly = drawn.vertex_position, drawn.edge_polyline
+        with monkeypatch.context() as m:
+            m.setattr(immersion, "Fraction", CountedFraction)
+            m.setattr(immersion, "CrossingRecord", CountedRecord)
+            f = PlaneImmersion(drawn.graph, pos, poly)
+            n = len(crossings(f))
+            assert made == [] and "_records" not in vars(f)
+            assert n == len(list(crossings(f))) == len(crossings(drawn)) > 0
+            assert len(made) > n
+        made.clear()
+    assert len(crossings(drawings[-1])) > 100
+
+
 def _zigzag(scale=1):
     # Edge "cd" crosses the single segment of "ab" four times; ab runs right
     # to left, so its parameter falls as x grows.  A loop "l" crosses
@@ -1062,7 +1149,7 @@ def test_crossings_closer_than_float_resolution_stay_apart():
     assert not imm._scan[1].share_a_point()
     on_ab = sorted(rec.param_a for rec in crossings(imm) if rec.edges[0] == "ab")
     assert on_ab == [Fraction(1, 2) - Fraction(1, n * (2 * n - 1)), Fraction(1, 2)]
-    assert immersion.crossing_count(imm) == len(crossings(imm)) == 3
+    assert len(crossings(imm)) == len(list(crossings(imm))) == 3
 
 
 def test_share_a_point_compares_float_neighbours_exactly():

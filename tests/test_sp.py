@@ -130,6 +130,17 @@ class TestDecompose:
         with pytest.raises(ValueError, match="no path between the terminals"):
             sp_decompose(g, "u", "v")
 
+    @pytest.mark.parametrize("u, v", [("v8", "v7"), ("v7", "v8")])
+    def test_piece_off_one_terminal_is_a_value_error(self, u, v):
+        # The parallel split at v8, v7 cuts off a piece that meets v7 only;
+        # decomposing it must refuse by name, not fail on a missing vertex.
+        ends = ("v4-v8 v3-v7 v7-v5 v8-v7 v3-v2 v7-v4 v5-v6 v1-v3 v6-v1 v6-v7").split()
+        g = MultiGraph(tuple(f"v{i}" for i in range(1, 9)),
+                       tuple((f"e{k}", *pair.split("-")) for k, pair in enumerate(ends)))
+        with pytest.raises(ValueError, match="terminals are not connected") as caught:
+            sp_decompose(g, u, v)
+        assert type(caught.value) is ValueError
+
 
 class TestSPTreeInvariants:
     def test_series_chain_must_match_cuts(self):
