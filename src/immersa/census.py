@@ -38,6 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
 from .graphs import Cycle, MultiGraph, edge_distance, enumerate_cycles, per_graph
 
 
@@ -96,7 +98,7 @@ def pair_orientation_convention(graph: MultiGraph, d, e):
     return sign
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Weights:
     """The per-pair data every sum over one family of cycles reads.
 
@@ -107,12 +109,16 @@ class _Weights:
             edges; a self pair (a, a) holds the edge's count.
         signed: Same keys -> sum over those cycles of dir(a) * dir(b), the
             traversal directions against the stored orientations.
+        counts: The counts of pairs as one int64 array indexed by the key
+            a * n + b of the edge indices a <= b (n edges); 0 at every
+            other key.
     """
 
     size: int
     edges: dict
     pairs: dict
     signed: dict
+    counts: np.ndarray
 
 
 def _count_weights(graph: MultiGraph, cycles):
@@ -127,7 +133,10 @@ def _count_weights(graph: MultiGraph, cycles):
                 pairs[a, b] += 1
                 signed[a, b] += dirs[a] * dirs[b]
     edges = {a: n for (a, b), n in pairs.items() if a == b}
-    return _Weights(len(cycles), edges, dict(pairs), dict(signed))
+    n = len(index)
+    counts = np.zeros(n * n, dtype=np.int64)
+    counts[[index[a] * n + index[b] for a, b in pairs]] = list(pairs.values())
+    return _Weights(len(cycles), edges, dict(pairs), dict(signed), counts)
 
 
 def _checked_length(k):

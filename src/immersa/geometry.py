@@ -1,9 +1,9 @@
 """Exact planar predicates over rational coordinates.
 
 Points are pairs of Fractions.  Every predicate here is decided in exact
-arithmetic; floating point only ever appears upstream as a conservative
-prefilter.  The scan decides contacts on integer tables (kernels);
-segment_contact is the rational reference they are tested against.
+arithmetic.  The scan prefilters and decides contacts on integer tables
+(kernels); segment_contact is the rational reference they are tested
+against.
 """
 
 from __future__ import annotations

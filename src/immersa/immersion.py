@@ -17,17 +17,20 @@ vertex_position and edge_polyline of a generated drawing are views built
 on first read.  Crossing extraction decides every drawing on the segment
 table read off the point table, each segment over the lcm of its two
 points' denominators, and each candidate pair is scaled to the lcm of its
-two segments' denominators.  A conservative float sort-and-sweep prefilter
-(see kernels) runs its box test on the table's floats, and classify_pairs
-decides the surviving pairs exactly, with the same numpy code on both
-dtypes.  A contact between two segments is allowed only at one node, an
-ordinary polyline joint or terminal slots of two edge ends at one vertex,
-and that rule is one numpy comparison.  The crossings stay one table:
+two segments' denominators.  An exact sort-and-sweep prefilter (see
+kernels) runs its box test on integers: on the int64 segment table itself,
+or on a Python-int table's boxes, rounded outward onto one int64 scale by a
+power of two, so it keeps every touching pair at any magnitude.
+classify_pairs decides the surviving pairs exactly, with the same numpy
+code on both dtypes.  A contact between two segments is allowed only at one
+node, an ordinary polyline joint or terminal slots of two edge ends at one
+vertex, and that rule is one numpy comparison.  The crossings stay one table:
 segment pair, sign and the parameter numerators and denominator per row.
 Validation decides triple points (sorted float parameters, exact
 comparison only between neighbours closer than their rounding error) and
 crossings at breakpoints on its integers, and per-edge-pair crossing counts
-come from it by one np.unique.
+come from it by one np.unique, as int64 pair keys and counts that
+sum_crossing reads by one gather and kappa by edge distance.
 The record order (ids, edge pairs and geometric signs of the crossings,
 sorted by id) is read off the table by one np.lexsort, with exact
 parameter comparisons only between crossings on one segment of one pair;
@@ -48,6 +51,7 @@ once per graph.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
@@ -62,15 +66,6 @@ from . import kernels
 from .census import _weights
 from .geometry import as_point
 from .graphs import Cycle, MultiGraph, enumerate_cycles, per_graph
-
-
-def _to_float(num, den=1):
-    # num / den as the nearest float, infinite past the float range.  Python
-    # divides ints with one correct rounding, as Fraction.__float__ does.
-    try:
-        return float(num / den)
-    except OverflowError:
-        return math.inf if num > 0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -141,14 +136,14 @@ class PlaneImmersion:
     """
 
     def __init__(self, graph: MultiGraph, vertex_position: dict, edge_polyline: dict):
-        pos = {v: as_point(p) for v, p in vertex_position.items()}
+        pos = dict(zip(vertex_position, map(as_point, vertex_position.values())))
         if set(pos) != set(graph.vertices):
             raise ValueError("vertex positions must cover exactly the graph's vertices")
         poly = {}
         for name in graph.edge_names:
             if name not in edge_polyline:
                 raise ValueError(f"missing polyline for edge {name!r}")
-            pts = tuple(as_point(p) for p in edge_polyline[name])
+            pts = tuple(map(as_point, edge_polyline[name]))
             if len(pts) < 2:
                 raise ValueError(f"edge {name!r} needs at least two polyline points")
             poly[name] = pts
@@ -176,7 +171,7 @@ class PlaneImmersion:
         polylines = [self.edge_polyline[name] for name in self.graph.edge_names]
         points = chain(map(self.vertex_position.__getitem__, self.graph.vertices),
                        chain.from_iterable(polylines))
-        return _PointTable(_rational_rows(list(map(_point_key, points))),
+        return _PointTable(_fraction_rows(list(chain.from_iterable(points))),
                            np.fromiter(map(len, polylines), np.intp, len(polylines)))
 
     @cached_property
@@ -248,16 +243,10 @@ class PlaneImmersion:
         # place[s] is segment s's (edge index, index in its polyline).
         edge = np.repeat(np.arange(len(names)), counts - 1)
         place = np.array((edge, first - starts[edge])).T
-        # Floats bit-equal to _to_float of each coordinate: int64 entries
-        # and scales are at most INT_COORD_LIMIT < 2**53, so they convert
-        # exactly and IEEE division rounds correctly; Python ints divide
-        # with one correct rounding.
-        if segs.dtype == object:
-            arr = np.frompyfunc(_to_float, 2, 1)(segs, w[:, None]).astype(np.float64)
-        else:
-            arr = segs / w[:, None]
-        m = float(np.abs(arr).max()) if len(arr) else 0.0
-        pairs = kernels.candidate_pairs(arr, kernels.rounding_bounds(m))
+        # int64 rows share one scale, so their box test is exact; Python-int
+        # rows are boxed on one int64 scale that contains them.
+        pairs = kernels.candidate_pairs(_integer_boxes(segs, w) if segs.dtype == object
+                                        else segs)
         crossing, contacts = _resolve_contacts(first, pairs, segs, w)
         found = _Crossings(place, *crossing, segs, w)
 
@@ -296,29 +285,36 @@ class PlaneImmersion:
         return GenericityReport(True, ()), found, table
 
     @cached_property
-    def _pair_crossings(self):
-        # (a, b) in edge-index order (a == b for self) -> crossing count,
-        # in that order.
+    def _pair_table(self):
+        # (keys, counts) of a generic drawing: the ascending int64 keys
+        # a * n + b of the edge-index pairs a <= b that cross (a == b for
+        # self crossings; n edges) and each pair's crossing count.
         found = self._scan[1]
-        if found is None or not len(found.left):
-            return {}
-        names = self.graph.edge_names
-        n = len(names)
+        n = len(self.graph.edges)
         # Segments run in edge order, so left < right keeps a <= b.
         a, b = found.place[found.left, 0], found.place[found.right, 0]
-        pairs, counts = np.unique(a * n + b, return_counts=True)
-        return {(names[p // n], names[p % n]): c
-                for p, c in zip(pairs.tolist(), counts.tolist())}
+        return np.unique(a * n + b, return_counts=True)
 
     @cached_property
     def _distance_crossings(self):
         # Edge distance -> crossings between distinct edges that far apart.
-        distance = self.graph._edge_distances
-        out = {}
-        for pair, n in self._pair_crossings.items():
-            if pair[0] != pair[1]:
-                out[distance[pair]] = out.get(distance[pair], 0) + n
-        return out
+        keys, counts = self._pair_table
+        distance = _key_distances(self.graph)[keys]
+        real = ~np.isnan(distance)
+        values, at = np.unique(distance[real], return_inverse=True)
+        sums = np.zeros(len(values), dtype=np.int64)
+        np.add.at(sums, at, counts[real])
+        return dict(zip(values.tolist(), sums.tolist()))
+
+    @cached_property
+    def _pair_crossings(self):
+        # (a, b) in edge-index order (a == b for self) -> crossing count,
+        # in that order.
+        names = self.graph.edge_names
+        n = len(names)
+        keys, counts = self._pair_table
+        return {(names[p // n], names[p % n]): c
+                for p, c in zip(keys.tolist(), counts.tolist())}
 
     @cached_property
     def _record_order(self):
@@ -427,14 +423,10 @@ class PlaneImmersion:
                 np.add.reduceat(corners[index.corner_ids], index.corner_starts).tolist())
 
 
-def _point_key(p):
-    # (xn, xd, yn, yd): the same equality as the Fraction pair, and much
-    # cheaper to hash.
-    return (*p[0].as_integer_ratio(), *p[1].as_integer_ratio())
-
-
 def _row_key(row):
-    # The _point_key of the point (x / d, y / d) of a row (x, y, d).
+    # (xn, xd, yn, yd), the reduced terms of the point (x / d, y / d) of a
+    # row (x, y, d): the same equality as the Fraction pair, and much
+    # cheaper to hash.
     x, y, d = row
     gx, gy = math.gcd(x, d), math.gcd(y, d)
     return (x // gx, d // gx, y // gy, d // gy)
@@ -486,14 +478,33 @@ class _PointTable:
     counts: np.ndarray
 
 
-def _rational_rows(keys):
-    # The _PointTable rows of points given by their _point_keys.
-    scaled = _integer_scaled(keys)
-    if scaled is not None:
-        points, scale = scaled
-        return np.concatenate((points, np.full((len(points), 1), scale, np.int64)), axis=1)
+def _fraction_rows(coords):
+    # The _PointTable rows of the points whose Fraction coordinates coords
+    # lists flat, x and y of each point in turn.
+    limit = kernels.INT_COORD_LIMIT
+    try:
+        ratios = np.fromiter(chain.from_iterable(map(Fraction.as_integer_ratio, coords)),
+                             np.int64, 2 * len(coords)).reshape(-1, 2)
+    except OverflowError:
+        ratios = None
+    if ratios is not None:
+        nums, dens = ratios[:, 0], ratios[:, 1]
+        scale = 1
+        for d in np.unique(dens).tolist():
+            scale = math.lcm(scale, d)
+            if scale > limit:
+                break
+        # Both factors are at most INT_COORD_LIMIT = 10^9: products < 2**63.
+        if scale <= limit and nums.min(initial=0) >= -limit and nums.max(initial=0) <= limit:
+            scaled = nums * (scale // dens)
+            if np.abs(scaled).max(initial=0) <= limit:
+                rows = np.empty((len(coords) // 2, 3), dtype=np.int64)
+                rows[:, :2] = scaled.reshape(-1, 2)
+                rows[:, 2] = scale
+                return rows
     rows = []
-    for xn, xd, yn, yd in keys:
+    pairs = map(Fraction.as_integer_ratio, coords)
+    for (xn, xd), (yn, yd) in zip(pairs, pairs):
         d = math.lcm(xd, yd)
         rows.append((xn * (d // xd), yn * (d // yd), d))
     return np.array(rows, dtype=object).reshape(-1, 3)
@@ -501,7 +512,7 @@ def _rational_rows(keys):
 
 def _lattice_rows(points, den):
     # The _PointTable rows of the points (x / den, y / den), for integer
-    # pairs (x, y) and den > 0: the same rows as _rational_rows builds.
+    # pairs (x, y) and den > 0: the same rows as _fraction_rows builds.
     flat = list(chain.from_iterable(points))
     g = math.gcd(den, *flat)
     if g > 1:
@@ -534,29 +545,24 @@ def _segment_table(pts, first):
                            b[:, :2] * (w // b[:, 2])[:, None]), axis=1), w
 
 
-def _integer_scaled(keys):
-    # (points scaled to int64 by their common denominator as an (n, 2)
-    # array, the denominator), or None when a scaled coordinate would pass
-    # INT_COORD_LIMIT.  keys holds each point's ratio key.
-    limit = kernels.INT_COORD_LIMIT
-    try:
-        ratios = np.fromiter(chain.from_iterable(keys), np.int64, 4 * len(keys))
-    except OverflowError:
-        return None
-    ratios = ratios.reshape(len(keys), 4)
-    scale = 1
-    for d in set(ratios[:, 1::2].ravel().tolist()):
-        scale = math.lcm(scale, d)
-        if scale > limit:
-            return None
-    nums = ratios[:, 0::2]
-    if (nums > limit).any() or (nums < -limit).any():
-        return None
-    # Both factors are at most INT_COORD_LIMIT = 10^9: products < 2**63.
-    points = nums * (scale // ratios[:, 1::2])
-    if (points > limit).any() or (points < -limit).any():
-        return None
-    return points, scale
+def _integer_boxes(segs, w):
+    # int64 boxes (xlo, ylo, xhi, yhi) of the segments of a Python-int
+    # _segment_table (segs, w), all scaled by one power of two 2**k: floors
+    # of the lower ends and ceilings of the upper ones, so each box contains
+    # its exact segment scaled by 2**k.  A coordinate c over w is below
+    # 2**(bits(c) - bits(w) + 1) in magnitude, so k puts every entry within
+    # 2**60 < 2**62.
+    top = max(map(lambda c, d: c.bit_length() - d.bit_length(),
+                  np.abs(segs).max(axis=1).tolist(), w.tolist()), default=0) + 1
+    k = 60 - top
+    lo = np.minimum(segs[:, :2], segs[:, 2:])
+    hi = np.maximum(segs[:, :2], segs[:, 2:])
+    if k >= 0:
+        lo, hi = lo * (1 << k), hi * (1 << k)
+    else:
+        w = w * (1 << -k)
+    w = w[:, None]
+    return np.concatenate((lo // w, -(-hi // w)), axis=1).astype(np.int64)
 
 
 @per_graph
@@ -626,7 +632,7 @@ class _Crossings:
         return perm
 
     def point_keys(self):
-        """The _point_key of each row's crossing point."""
+        """The _row_key of each row's crossing point."""
         return [_row_key((x0 * d + un * rx, y0 * d + un * ry, d * scale))
                 for un, _, d, x0, y0, rx, ry, scale in self._integer_rows()]
 
@@ -911,14 +917,32 @@ def sum_crossing(imm: PlaneImmersion, k) -> int:
         ValueError: Invalid immersion, or k a bool or an integer below 1.
     """
     _require_valid(imm)
-    pairs = _weights(imm.graph, k).pairs
-    return sum(pairs.get(p, 0) * n for p, n in imm._pair_crossings.items())
+    weights = _weights(imm.graph, k)
+    keys, counts = imm._pair_table
+    w = weights.counts[keys]
+    # No weight passes the family's size, so int64 holds the sum unless
+    # size * crossings passes it.
+    if weights.size * len(imm._scan[1].left) < 2**63:
+        return int(w @ counts)
+    return sum(map(operator.mul, w.tolist(), counts.tolist()))
 
 
 def kappa(imm: PlaneImmersion, k) -> int:
     """Total crossing count over all edge pairs at distance k."""
     _require_valid(imm)
     return imm._distance_crossings.get(k, 0)
+
+
+@per_graph
+def _key_distances(graph):
+    # float64 edge distance at each key a * n + b of an edge-index pair
+    # a < b (n edges, infinite between components); nan at every other key.
+    n = len(graph.edges)
+    index = graph.edge_index
+    table = np.full(n * n, np.nan)
+    for (d, e), dist in graph._edge_distances.items():
+        table[index[d] * n + index[e]] = dist
+    return table
 
 
 def rotation_number(imm: PlaneImmersion, cycle: Cycle, orientation=1) -> int:

@@ -1,13 +1,15 @@
 """Segment-pair kernels: the two hot loops in crossing extraction.
 
-candidate_pairs takes all polyline segments of an immersion as floats and
-reports the pairs that could possibly touch.  A pair is dropped only when it
-is provably separated even after accounting for float rounding of the exact
-rational inputs, so the exact classifier downstream never misses a contact.
-It sorts and sweeps (Bentley and Ottmann, IEEE Trans. Computers 1979): only
-segments whose widened intervals overlap on one axis become pairs, and only
-those take the box test on the other axis, so time and memory grow with the
-overlapping pairs, not with n^2.
+candidate_pairs takes all polyline segments of an immersion as one int64
+table on one scale and reports the pairs whose closed bounding boxes meet.
+The test is exact, so a pair is dropped only when its segments are provably
+apart, and the exact classifier downstream never misses a contact.  The
+caller hands it its int64 segment table as it is; a Python-int table is
+boxed first, each box rounded outward onto one int64 scale, which can only
+add pairs.  It sorts and sweeps (Bentley and Ottmann, IEEE Trans. Computers
+1979): only segments whose intervals overlap on one axis become pairs, and
+only those take the box test on the other axis, so time and memory grow
+with the overlapping pairs, not with n^2.
 
 classify_pairs then decides the surviving pairs exactly on integer
 coordinates: the caller scales each pair of segments to integers.  It runs
@@ -16,8 +18,8 @@ magnitude: differences then reach 2 L, products 4 L^2, and the orientation
 determinants, parameter numerators and denominators 8 L^2 < 2^63 for
 L = 10^9.  Larger coordinates run through the same numpy code on arrays of
 Python ints (dtype object), which cannot overflow.  classify_pairs decides
-the orientations exactly, so the prefilter needs no float orientation test.
-Both kernels are vectorized numpy.
+the orientations exactly, so the prefilter needs no orientation test.
+Both kernels are vectorized numpy, and neither uses floating point.
 """
 
 import numpy as np
@@ -27,60 +29,45 @@ import numpy as np
 INT_COORD_LIMIT = 10**9
 
 
-def rounding_bounds(max_abs_coordinate):
-    """Conservative bounding-box slack for coordinates up to M.
-
-    Coordinates are correctly rounded rationals (error <= M * 2^-52 each),
-    so bounding boxes are off by under 2^-40 * (M + 1); infinite M gives an
-    infinite margin.
-    """
-    m = float(max_abs_coordinate)
-    if not np.isfinite(m):
-        return float("inf")
-    return 2.0**-40 * (m + 1.0)
-
-
-def candidate_pairs(segs, box_margin):
-    """Indices (i, j), i < j, of segment pairs that might intersect.
+def candidate_pairs(segs):
+    """Indices (i, j), i < j, of segment pairs whose closed bounding boxes
+    meet.
 
     Args:
-        segs: float64 array of shape (n, 4) holding x0, y0, x1, y1 per
-            segment (rounded from exact rationals).
-        box_margin: Bounding-box slack, from rounding_bounds; >= 0.
+        segs: int64 array of shape (n, 4) holding x0, y0, x1, y1 per
+            segment, every row on one scale; a row may also be a box
+            (xlo, ylo, xhi, yhi) that contains its segment.
 
     Returns:
         int64 array of shape (m, 2) in lexicographic order.  Guaranteed to
-        contain every pair of segments whose exact originals intersect.
+        contain every pair of segments that intersect.
     """
-    segs = np.ascontiguousarray(segs, dtype=np.float64)
-    n = segs.shape[0]
+    segs = np.asarray(segs, dtype=np.int64)
+    n = len(segs)
     if n < 2:
         return np.empty((0, 2), dtype=np.int64)
-    # Rows with non-finite floats are never provably separated: they get an
-    # infinite interval on both axes.  Other overflows only widen an
-    # interval.
-    shaky = ~np.isfinite(segs).all(axis=1)
-    with np.errstate(invalid="ignore", over="ignore"):
-        lo = np.minimum(segs[:, :2], segs[:, 2:]) - box_margin
-        hi = np.maximum(segs[:, :2], segs[:, 2:]) + box_margin
-        lo[shaky], hi[shaky] = -np.inf, np.inf
-        # Sweep the axis with fewer overlaps.  In lo order, an interval meets
-        # the later ones starting at or below its hi; earlier ones pair it.
-        after = np.arange(1, n + 1)
-        sweeps = []
-        for axis in (0, 1):
-            order = np.argsort(lo[:, axis], kind="stable")
-            count = np.searchsorted(lo[order, axis], hi[order, axis], "right") - after
-            sweeps.append((int(count.sum()), axis, order, count))
-        total, axis, order, count = min(sweeps, key=lambda s: s[0])
-        first = np.repeat(order, count)
-        second = order[np.arange(total) - np.repeat(np.cumsum(count) - count - after, count)]
-        i, j = np.minimum(first, second), np.maximum(first, second)
-        k = 1 - axis
-        box = (lo[i, k] <= hi[j, k]) & (lo[j, k] <= hi[i, k])
-        i, j = i[box], j[box]
-    rank = np.lexsort((j, i))
-    return np.stack((i[rank], j[rank]), axis=1).astype(np.int64, copy=False)
+    x0, y0, x1, y1 = segs.T
+    lo = (np.minimum(x0, x1), np.minimum(y0, y1))
+    hi = (np.maximum(x0, x1), np.maximum(y0, y1))
+    # Sweep the axis with fewer overlaps.  In lo order, an interval meets the
+    # later ones starting at or below its hi; earlier ones pair it.  Any
+    # order of equal lo values counts each pair once.
+    after = np.arange(1, n + 1)
+    sweeps = []
+    for axis in (0, 1):
+        order = np.argsort(lo[axis])
+        count = np.searchsorted(lo[axis][order], hi[axis][order], "right") - after
+        sweeps.append((int(count.sum()), axis, order, count))
+    total, axis, order, count = min(sweeps, key=lambda s: s[0])
+    first = np.repeat(order, count)
+    second = order[np.arange(total) - np.repeat(np.cumsum(count) - count - after, count)]
+    lo, hi = lo[1 - axis], hi[1 - axis]
+    box = (lo[first] <= hi[second]) & (lo[second] <= hi[first])
+    first, second = first[box], second[box]
+    # i * n + j < n**2 < 2**63 orders the pairs (i, j), i < j,
+    # lexicographically.
+    key = np.sort(np.minimum(first, second) * n + np.maximum(first, second))
+    return np.stack(np.divmod(key, n), axis=1)
 
 
 def classify_pairs(segs_int, pairs):

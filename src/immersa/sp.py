@@ -225,6 +225,10 @@ def _components_off_terminals(graph, a, b):
     return direct, list(groups.values())
 
 
+_OFF_PATH = ("a vertex lies on no path between the terminals; "
+             "the piece is not two-terminal series-parallel")
+
+
 def _block_chain(sub, a, b):
     # Path of blocks from a to b in the block-cut structure of sub, with
     # the cut vertices between them, or None when a and b live in one
@@ -233,7 +237,8 @@ def _block_chain(sub, a, b):
     # at one component of sub minus the path) spans it, meeting the path
     # on both of its sides.  A group meeting the path at most once lies on
     # no a-b path.  A piece of a parallel split that meets only one
-    # terminal lacks the other, and so joins no a-b path either.
+    # terminal lacks the other, and so joins no a-b path either: the callers
+    # pass connected terminals, so that is the only way b goes unreached.
     prev = {a: None}
     queue = deque([a] if a in sub.incident else ())
     while queue and b not in prev:
@@ -244,7 +249,7 @@ def _block_chain(sub, a, b):
                 prev[y] = x
                 queue.append(y)
     if b not in prev:
-        raise ValueError("terminals are not connected")
+        raise ValueError(_OFF_PATH)
     path = [b]
     while path[-1] != a:
         path.append(prev[path[-1]])
@@ -282,10 +287,7 @@ def _block_chain(sub, a, b):
     if not cuts:
         return None
     if any(len(pos) < 2 for pos in meets.values()):
-        raise ValueError(
-            "a vertex lies on no path between the terminals; "
-            "the piece is not two-terminal series-parallel"
-        )
+        raise ValueError(_OFF_PATH)
     parts = [[] for _ in range(len(cuts) + 1)]
     for name, t, h in sub.edges:
         parts[bisect_right(cuts, min(meets[group(name, t, h)]))].append(name)
@@ -331,7 +333,8 @@ def sp_decompose(graph: MultiGraph, u, v) -> SPTree:
     reduction trace rather than a structural error.
 
     Raises:
-        ValueError: Unknown or equal terminals, or a loop edge.
+        ValueError: Unknown, equal or unconnected terminals, a loop edge,
+            or a vertex on no path between the terminals.
         K4MinorError: The augmented graph has a K4 minor.
     """
     if u not in graph.vertices or v not in graph.vertices:
@@ -347,6 +350,16 @@ def sp_decompose(graph: MultiGraph, u, v) -> SPTree:
         raise K4MinorError(
             f"the graph plus a {u}-{v} edge has a K4 minor", trace
         )
+    seen, todo = {u}, [u]
+    while todo:
+        x = todo.pop()
+        for name in graph.incident[x]:
+            y = graph.other_end(name, x)
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    if v not in seen:
+        raise ValueError("terminals are not connected")
     return _checked_tree(graph, u, v)
 
 

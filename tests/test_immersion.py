@@ -1,5 +1,6 @@
 """Genericity validation, crossing extraction and rotation numbers."""
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -28,7 +29,6 @@ from immersa.graphs import (
 from immersa.immersion import (
     PlaneImmersion,
     _passes,
-    _to_float,
     crossings,
     cycle_crossing_number,
     kappa,
@@ -494,6 +494,21 @@ def test_kappa_splits_total_by_distance():
         assert kappa(imm, 2) == 0
 
 
+def test_sum_crossing_past_int64(monkeypatch):
+    # Weights near 2**62 make the int64 dot product overflow; the sum must
+    # come out of Python ints instead.
+    imm = random_immersion(heawood_graph(), 0)
+    weights = immersion._weights(imm.graph, 6)
+    factor = 2**62 // int(weights.counts.max())
+    want = sum_crossing(imm, 6) * factor
+    big = dataclasses.replace(weights, size=weights.size * factor,
+                              counts=weights.counts * factor)
+    monkeypatch.setattr(immersion, "_weights", lambda graph, k: big)
+    assert big.counts.tolist() == [c * factor for c in weights.counts.tolist()]
+    assert want >= 2**63
+    assert sum_crossing(imm, 6) == want
+
+
 def test_random_immersion_is_deterministic():
     graph = complete_graph(4)
     a = random_immersion(graph, 5)
@@ -520,21 +535,21 @@ def test_digon_random_immersion_parity(seed):
     assert (rotation_number(imm, cyc) - cycle_crossing_number(imm, cyc)) % 2 == 1
 
 
-def prefilter_input(imm, monkeypatch):
-    # The float table _scan hands to candidate_pairs, on a fresh copy so
-    # the cached scan of imm does not hide the call.
+def prefilter_call(imm, monkeypatch):
+    # (the table _scan hands to candidate_pairs, the pairs it returns), on a
+    # fresh copy so the cached scan of imm does not hide the call.
     seen = []
     real = kernels.candidate_pairs
 
-    def spy(segs, *rest):
-        seen.append(segs)
-        return real(segs, *rest)
+    def spy(segs):
+        seen.append((segs, real(segs)))
+        return seen[-1][1]
 
     with monkeypatch.context() as m:
         m.setattr(kernels, "candidate_pairs", spy)
         validate(PlaneImmersion(imm.graph, imm.vertex_position, imm.edge_polyline))
-    (segs,) = seen
-    return segs
+    (call,) = seen
+    return call
 
 
 def dense_style_drawing(seed, per_edge=40):
@@ -563,28 +578,50 @@ def dense_style_drawing(seed, per_edge=40):
                           {e: [frac(p) for p in pts] for e, pts in poly.items()})
 
 
-def test_scaled_prefilter_floats_equal_per_coordinate_floats(monkeypatch):
+def exact_boxes(imm):
+    # (xlo, ylo, xhi, yhi) of every segment in edge order, as Fractions.
+    return [(min(p[0], q[0]), min(p[1], q[1]), max(p[0], q[0]), max(p[1], q[1]))
+            for pts in (imm.edge_polyline[e] for e in imm.graph.edge_names)
+            for p, q in zip(pts, pts[1:])]
+
+
+def test_prefilter_boxes_contain_exact_boxes(monkeypatch):
     drawings = [random_immersion(heawood_graph(), seed) for seed in range(20)]
     drawings.append(dense_style_drawing(5))
     hg, k4 = drawings[0], random_immersion(complete_graph(4), 0)
-    # Python-int tables, down to subnormal floats and past the float range,
-    # where the prefilter keeps every pair and the integers decide alone.
+    # Python-int tables, down to subnormal floats and past the float range.
     huge = moved(k4, 10**400)
     beyond = [prime_shifted(hg), moved(hg, 10**12), moved(hg, Fraction(1, 10**315)), huge]
     for imm in drawings + beyond:
-        want = np.array(
-            [[_to_float(c) for c in (*pts[i], *pts[i + 1])]
-             for pts in (imm.edge_polyline[e] for e in imm.graph.edge_names)
-             for i in range(len(pts) - 1)],
-            dtype=np.float64,
-        )
-        got = prefilter_input(imm, monkeypatch)
-        assert got.dtype == np.float64 and got.shape == want.shape
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert imm._scan[2][0].dtype == (object if imm in beyond else np.int64)
-    assert np.isinf(prefilter_input(huge, monkeypatch)).any()
+        exact = exact_boxes(imm)
+        got, pairs = prefilter_call(imm, monkeypatch)
+        top = int(np.abs(got).max())
+        assert got.dtype == np.int64 and got.shape == (len(exact), 4) and top < 2**62
+        boxes = np.concatenate((np.minimum(got[:, :2], got[:, 2:]),
+                                np.maximum(got[:, :2], got[:, 2:])), axis=1).tolist()
+        if imm in beyond:
+            # One power of two, found from the largest coordinate, that
+            # keeps at least 58 bits of it.
+            assert imm._scan[2][0].dtype == object and top >= 2**58
+            big = max(abs(c) for box in exact for c in box)
+            scale = Fraction(2) ** round(
+                math.log2(top) - math.log2(big.numerator) + math.log2(big.denominator))
+        else:
+            # int64 tables share one scale: the boxes are exact.
+            assert imm._scan[2][0].dtype == np.int64
+            scale = int(imm._points.rows[0, 2])
+        for box, ex in zip(boxes, exact):
+            # Lower ends rounded down, upper ends up, each by less than one.
+            for b, c in zip(box[:2], ex[:2]):
+                assert b <= c * scale < b + 1
+            for b, c in zip(box[2:], ex[2:]):
+                assert b - 1 < c * scale <= b
+    n = len(exact_boxes(huge))
+    assert len(prefilter_call(huge, monkeypatch)[1]) < n * (n - 1) // 2
     assert [(r.id, r.geometric_sign) for r in crossings(huge)] == [
         (r.id, r.geometric_sign) for r in crossings(k4)]
+    assert [r.point for r in crossings(huge)] == [
+        (r.point[0] * 10**400, r.point[1] * 10**400) for r in crossings(k4)]
 
 
 def float_rotation(imm, cycle, orientation):
@@ -648,9 +685,9 @@ def snapped(imm, den):
 def near_coordinate_limit(imm):
     # imm scaled to integer coordinates whose largest magnitude sits just
     # under INT_COORD_LIMIT, so crossing numerators pass int64.
-    keys = [immersion._point_key(p) for pts in imm.edge_polyline.values() for p in pts]
-    points, scale = immersion._integer_scaled(keys)
-    factor = scale * (kernels.INT_COORD_LIMIT // int(np.abs(points).max()))
+    rows = imm._points.rows
+    assert rows.dtype == np.int64
+    factor = int(rows[0, 2]) * (kernels.INT_COORD_LIMIT // int(np.abs(rows[:, :2]).max()))
 
     def grow(p):
         return (p[0] * factor, p[1] * factor)

@@ -2,7 +2,6 @@
 return exactly the pairs of the dense all-pairs reference, and the integer
 classifier must agree with the rational reference predicate."""
 
-import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -14,137 +13,128 @@ from hypothesis import strategies as st
 from immersa import kernels
 from immersa.geometry import segment_contact
 
+# The largest magnitude the scan hands the prefilter: its boxes of a
+# Python-int table stay below 2**62.
+BIG = 2**62 - 1
+
 
 def exact_contact_pairs(segs):
     pairs = set()
     for i in range(len(segs)):
         for j in range(i + 1, len(segs)):
-            p0 = (segs[i][0], segs[i][1])
-            p1 = (segs[i][2], segs[i][3])
-            q0 = (segs[j][0], segs[j][1])
-            q1 = (segs[j][2], segs[j][3])
+            p0 = (Fraction(segs[i][0]), Fraction(segs[i][1]))
+            p1 = (Fraction(segs[i][2]), Fraction(segs[i][3]))
+            q0 = (Fraction(segs[j][0]), Fraction(segs[j][1]))
+            q1 = (Fraction(segs[j][2]), Fraction(segs[j][3]))
             if segment_contact(p0, p1, q0, q1)[0] != "none":
                 pairs.add((i, j))
     return pairs
 
 
 def random_segments(rng, n, denom=64, span=8):
+    # Segments on the 1/denom grid in [-span, span]^2, scaled by denom.
     segs = []
     while len(segs) < n:
-        vals = [Fraction(rng.randint(-span * denom, span * denom), denom) for _ in range(4)]
+        vals = [rng.randint(-span * denom, span * denom) for _ in range(4)]
         if (vals[0], vals[1]) != (vals[2], vals[3]):
             segs.append(tuple(vals))
     return segs
 
 
 def to_array(segs):
-    return np.array([[float(x) for x in s] for s in segs], dtype=np.float64)
+    return np.array(segs, dtype=np.int64).reshape(len(segs), 4)
 
 
 def test_prefilter_keeps_every_contacting_pair():
     rng = random.Random(0)
     for trial in range(8):
         segs = random_segments(rng, 40)
-        arr = to_array(segs)
-        margin = kernels.rounding_bounds(float(np.max(np.abs(arr))))
-        got = {tuple(p) for p in kernels.candidate_pairs(arr, margin)}
+        got = {tuple(p) for p in kernels.candidate_pairs(to_array(segs)).tolist()}
         assert exact_contact_pairs(segs) <= got
 
 
 def test_empty_input():
-    arr = np.zeros((0, 4))
-    assert len(kernels.candidate_pairs(arr, 0.1)) == 0
+    arr = np.zeros((0, 4), dtype=np.int64)
+    assert len(kernels.candidate_pairs(arr)) == 0
 
 
 def test_far_apart_segments_are_dropped():
-    arr = np.array([[0, 0, 1, 0], [100, 100, 101, 100]], dtype=np.float64)
-    margin = kernels.rounding_bounds(101.0)
-    assert len(kernels.candidate_pairs(arr, margin)) == 0
+    arr = np.array([[0, 0, 1, 0], [100, 100, 101, 100]], dtype=np.int64)
+    assert len(kernels.candidate_pairs(arr)) == 0
+    # Closed boxes: one unit closer, the boxes touch and the pair stays.
+    arr = np.array([[0, 0, 1, 0], [1, 0, 101, 100]], dtype=np.int64)
+    assert kernels.candidate_pairs(arr).tolist() == [[0, 1]]
 
 
-def test_nonfinite_segments_always_survive():
-    arr = np.array([[0, 0, 1, 0], [math.inf, 0, 100, 0]], dtype=np.float64)
-    margin = kernels.rounding_bounds(math.inf)
-    got = kernels.candidate_pairs(arr, margin)
-    assert [tuple(p) for p in got] == [(0, 1)]
+def test_boxes_at_the_int64_extremes_survive():
+    # A box spanning the largest magnitudes meets every other box; the
+    # comparisons and pair keys do not overflow.
+    arr = np.array([[0, 0, 1, 0], [-BIG, -BIG, BIG, BIG], [BIG - 1, BIG, BIG, BIG - 1]],
+                   dtype=np.int64)
+    got = kernels.candidate_pairs(arr)
+    assert got.dtype == np.int64
+    assert got.tolist() == [[0, 1], [1, 2]]
 
 
-def dense_reference(segs, box_margin):
-    # All-pairs box test with n x n temporaries: the reference that the
-    # sort-and-sweep in candidate_pairs must match in values and order.
-    segs = np.ascontiguousarray(segs, dtype=np.float64)
+def dense_reference(segs):
+    # All-pairs closed-box test with n x n temporaries: the reference that
+    # the sort-and-sweep in candidate_pairs must match in values and order.
+    segs = np.asarray(segs, dtype=np.int64)
     if segs.shape[0] < 2:
         return np.empty((0, 2), dtype=np.int64)
     x0, y0, x1, y1 = segs[:, 0], segs[:, 1], segs[:, 2], segs[:, 3]
-    with np.errstate(invalid="ignore", over="ignore"):
-        minx = np.minimum(x0, x1) - box_margin
-        maxx = np.maximum(x0, x1) + box_margin
-        miny = np.minimum(y0, y1) - box_margin
-        maxy = np.maximum(y0, y1) + box_margin
-        sep = (minx[:, None] > maxx[None, :]) | (miny[:, None] > maxy[None, :])
-        sep |= sep.T
-    shaky = ~np.isfinite(segs).all(axis=1)
-    sep &= ~(shaky[:, None] | shaky[None, :])
+    minx, maxx = np.minimum(x0, x1), np.maximum(x0, x1)
+    miny, maxy = np.minimum(y0, y1), np.maximum(y0, y1)
+    sep = (minx[:, None] > maxx[None, :]) | (miny[:, None] > maxy[None, :])
+    sep |= sep.T
     return np.argwhere(np.triu(~sep, k=1)).astype(np.int64)
 
 
-def assert_matches_reference(arr, box_margin):
-    got = kernels.candidate_pairs(arr, box_margin)
-    want = dense_reference(arr, box_margin)
+def assert_matches_reference(arr):
+    got = kernels.candidate_pairs(arr)
+    want = dense_reference(arr)
     assert got.dtype == np.int64 and got.shape == want.shape
     assert np.array_equal(got, want)
 
 
 def test_sweep_matches_dense_reference():
     rng = random.Random(11)
-    cases = []
-    for _ in range(4):
-        arr = to_array(random_segments(rng, 40))
-        cases.append((arr, kernels.rounding_bounds(float(np.max(np.abs(arr))))))
+    cases = [to_array(random_segments(rng, 40)) for _ in range(4)]
     # Long horizontal and vertical segments: every interval overlaps on one
     # axis, so the sweep has to pick the other.
     arr = to_array(random_segments(rng, 20))
-    long_h = [[-100, y, 100, y] for y in range(-6, 7, 2)]
-    long_v = [[x, -100, x, 100] for x in range(-6, 7, 3)]
+    long_h = [[-6400, y, 6400, y] for y in range(-384, 385, 128)]
+    long_v = [[x, -6400, x, 6400] for x in range(-384, 385, 192)]
     for extra in (long_h, long_v, long_h + long_v):
-        both = np.vstack([arr, np.array(extra, dtype=np.float64)])
-        cases.append((both, kernels.rounding_bounds(100.0)))
+        cases.append(np.vstack([arr, to_array(extra)]))
     # Duplicate segments, in both orientations.
-    dup = np.vstack([arr, arr[:8], arr[:8, [2, 3, 0, 1]]])
-    cases.append((dup, kernels.rounding_bounds(8.0)))
-    # Rows with inf or nan.
-    shaky = arr.copy()
-    shaky[3, 0], shaky[7, 3], shaky[11, 2] = math.inf, -math.inf, math.nan
-    cases += [(shaky, 1e-9), (shaky, kernels.rounding_bounds(math.inf))]
-    # An infinite box margin.
-    cases.append((arr, math.inf))
-    # A grid polyline with no slack: consecutive segments share endpoints,
-    # so intervals touch exactly.
+    cases.append(np.vstack([arr, arr[:8], arr[:8, [2, 3, 0, 1]]]))
+    # Boxes at the largest magnitudes.
+    wide = arr.copy()
+    wide[3, 0], wide[7, 3], wide[11, 2] = BIG, -BIG, BIG
+    cases.append(wide)
+    # A grid polyline: consecutive segments share endpoints, so intervals
+    # touch exactly.
     walk = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(30)]
-    chain = np.array([[*a, *b] for a, b in zip(walk, walk[1:])], dtype=np.float64)
-    cases.append((chain, 0.0))
+    cases.append(to_array([[*a, *b] for a, b in zip(walk, walk[1:])]))
     # n = 0, 1 and 2.
     for n in (0, 1, 2):
-        cases.append((arr[:n], 1e-9))
-    cases.append((np.array([[0, 0, 1, 1], [0, 1, 1, 0]], dtype=np.float64), 0.0))
-    for arr, box_margin in cases:
-        assert_matches_reference(arr, box_margin)
+        cases.append(arr[:n])
+    cases.append(np.array([[0, 0, 1, 1], [0, 1, 1, 0]], dtype=np.int64))
+    for arr in cases:
+        assert_matches_reference(arr)
 
 
 reference_coords = (
-    st.integers(min_value=-4, max_value=4).map(float)
-    | st.floats(min_value=-5, max_value=5)
-    | st.sampled_from([math.inf, -math.inf, math.nan])
+    st.integers(min_value=-4, max_value=4)
+    | st.integers(min_value=-BIG, max_value=BIG)
+    | st.sampled_from([BIG, -BIG])
 )
 
 
-@given(
-    st.lists(st.tuples(*[reference_coords] * 4), max_size=14),
-    st.sampled_from([0.0, 0.25, math.inf]),
-)
-def test_sweep_matches_dense_reference_property(rows, box_margin):
-    arr = np.array(rows, dtype=np.float64).reshape(len(rows), 4)
-    assert_matches_reference(arr, box_margin)
+@given(st.lists(st.tuples(*[reference_coords] * 4), max_size=14))
+def test_sweep_matches_dense_reference_property(rows):
+    assert_matches_reference(to_array(rows))
 
 
 def test_prefilter_memory_is_subquadratic():
@@ -153,30 +143,22 @@ def test_prefilter_memory_is_subquadratic():
     rng = np.random.default_rng(6000)
     start = rng.uniform(0, 1, size=(6000, 2)) * (3000, 5)
     arr = np.hstack([start, start + rng.uniform(-1, 1, size=(6000, 2))])
-    margin = kernels.rounding_bounds(float(np.max(np.abs(arr))))
+    arr = np.round(arr * 2**20).astype(np.int64)
     tracemalloc.start()
     try:
-        kernels.candidate_pairs(arr, margin)
+        kernels.candidate_pairs(arr)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # A single 6000 x 6000 float64 temporary would take 288 MB.
+    # A single 6000 x 6000 int64 temporary would take 288 MB.
     assert peak < 16 * 2**20
-
-
-def test_rounding_bounds_grow_with_coordinates():
-    assert 0 < kernels.rounding_bounds(1.0) < kernels.rounding_bounds(1000.0)
-    assert math.isfinite(kernels.rounding_bounds(2.0**510))
-    assert kernels.rounding_bounds(math.inf) == math.inf
 
 
 @given(st.integers(min_value=0, max_value=10**6))
 def test_prefilter_soundness_random(seed):
     rng = random.Random(seed)
     segs = random_segments(rng, 12, denom=8, span=3)
-    arr = to_array(segs)
-    margin = kernels.rounding_bounds(float(np.max(np.abs(arr))))
-    got = {tuple(p) for p in kernels.candidate_pairs(arr, margin)}
+    got = {tuple(p) for p in kernels.candidate_pairs(to_array(segs)).tolist()}
     assert exact_contact_pairs(segs) <= got
 
 

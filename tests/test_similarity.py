@@ -1,12 +1,13 @@
 """Exact similarities: moving a drawing by a translation and a power-of-ten
 scale changes no verdict, crossing or rotation number, whichever integer
-path (int64 or Python ints) each drawing takes."""
+path (int64 or Python ints) each drawing takes, and whatever scale the
+prefilter's boxes take."""
 
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from hypothesis import example, given
+from hypothesis import example, given, seed
 from hypothesis import strategies as st
 
 from immersa import kernels
@@ -60,6 +61,27 @@ def test_similarity_keeps_crossings_and_rotations(name, seed, k, shift):
     cycles = enumerate_cycles(graph(name))
     assert [rotation_number(moved, c) for c in cycles] == [
         rotation_number(imm, c) for c in cycles]
+
+
+@seed(14)
+@given(st.sampled_from(sorted(GRAPHS)), st.integers(0, 4), st.integers(-330, 420))
+@example("HG", 0, 400)
+@example("HG", 0, -315)
+@example("K5", 2, -330)
+def test_power_of_ten_scale_keeps_report_and_crossing_columns(name, seed, k):
+    # From far below the smallest float to far past the largest: the same
+    # report, and the same crossings row by row (segment pair, sign and
+    # both parameters, compared as fractions).
+    imm = drawing(name, seed)
+    moved = similar(imm, Fraction(10)**k, (0, 0))
+    assert validate(moved) == validate(imm)
+    a, b = imm._scan[1], moved._scan[1]
+    for column in ("left", "right", "sign"):
+        assert getattr(b, column).tolist() == getattr(a, column).tolist()
+    for nums in ("unum", "wnum"):
+        assert [p * e == q * d for p, d, q, e in zip(
+            getattr(a, nums).tolist(), a.den.tolist(),
+            getattr(b, nums).tolist(), b.den.tolist())] == [True] * len(a.left)
 
 
 def test_similarities_cross_the_int64_limit_both_ways():

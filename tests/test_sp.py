@@ -134,12 +134,32 @@ class TestDecompose:
     def test_piece_off_one_terminal_is_a_value_error(self, u, v):
         # The parallel split at v8, v7 cuts off a piece that meets v7 only;
         # decomposing it must refuse by name, not fail on a missing vertex.
+        # The terminals are joined by an edge, but v1, v2, v3, v5 and v6 lie
+        # on no v8-v7 path.
         ends = ("v4-v8 v3-v7 v7-v5 v8-v7 v3-v2 v7-v4 v5-v6 v1-v3 v6-v1 v6-v7").split()
         g = MultiGraph(tuple(f"v{i}" for i in range(1, 9)),
                        tuple((f"e{k}", *pair.split("-")) for k, pair in enumerate(ends)))
-        with pytest.raises(ValueError, match="terminals are not connected") as caught:
+        with pytest.raises(ValueError, match="a vertex lies on no path between the terminals"
+                           ) as caught:
             sp_decompose(g, u, v)
         assert type(caught.value) is ValueError
+
+    @pytest.mark.parametrize("ends", [
+        # One piece off the terminals, and u on no edge.
+        ("w-v",),
+        # Two one-edge pieces, one at each terminal.
+        ("u-x", "w-v"),
+        # Two paths, one from each terminal.
+        ("u-x", "x-y", "w-v", "z-w"),
+    ])
+    def test_disconnected_terminals_are_a_value_error(self, ends):
+        vertices = ("u", "v", "w", "x", "y", "z")
+        g = MultiGraph(vertices, tuple((f"e{k}", *pair.split("-"))
+                                       for k, pair in enumerate(ends)))
+        for u, v in (("u", "v"), ("v", "u")):
+            with pytest.raises(ValueError, match="terminals are not connected") as caught:
+                sp_decompose(g, u, v)
+            assert type(caught.value) is ValueError
 
 
 class TestSPTreeInvariants:
