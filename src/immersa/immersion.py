@@ -40,12 +40,18 @@ record order once, when the view is first indexed or iterated.
 Rotation numbers count signed passes of the tangent past a fixed direction
 (Whitney 1937), with the same exact sign predicates on the segment table.
 
-Per-cycle numbers come from one table per immersion: the crossing number
-and the rotation number of every cycle of the graph.  The crossing numbers
+Per-cycle numbers come from one table per immersion, a dict from each
+cycle of the graph to its crossing number and rotation number, built once
+the drawing is known to be generic; rotation_number and
+cycle_crossing_number each read it with one lookup.  The crossing numbers
 are one quadratic form of the edge-pair crossing counts on a cycle-by-edge
-incidence table, and the rotation numbers a few numpy gathers of
-per-corner tangent passes; the incidence and corner index arrays are kept
-once per graph.
+incidence table.  The rotation numbers take a few whole-array passes over
+the segment table: each segment's direction and half-plane, the passes at
+every polyline joint summed by edge through one prefix sum (backward from
+the forward ones, as the two add up to the change of half-plane), and the
+passes at every corner where one step of a cycle runs into the next,
+gathered through per-graph arrays of the corners' oriented steps.  The
+incidence and corner arrays are kept once per graph.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -204,18 +210,18 @@ class PlaneImmersion:
         names = g.edge_names
         rows, counts = self._points.rows, self._points.counts
         verts, pts = rows[:len(g.vertices)], rows[len(g.vertices):]
-        ends = np.cumsum(counts)
-        starts = ends - counts
-        # Points k and k + 1 bound a segment unless k ends an edge.  Segment
-        # s runs from point first[s] to first[s] + 1.
-        bound = np.ones(max(len(pts) - 1, 0), dtype=bool)
-        bound[ends[:-1] - 1] = False
-        first = bound.nonzero()[0]
+        ends = counts.cumsum()
+        # The indices of every edge's first point, then of every edge's last.
+        tips = np.concatenate((ends - counts, ends - 1))
+        # Segment s, number i of edge e, runs from point first[s] = s + e to
+        # first[s] + 1, and place[s] is (e, i).
+        edge = np.arange(len(names)).repeat(counts - 1)
+        first = np.arange(len(edge)) + edge
+        place = np.array((edge, first - tips[edge])).T
         segs, w = table = _segment_table(pts, first)
-        # Point indices k of zero-length segments; equal points have equal
-        # rows.
-        zeros = (bound & (pts[:-1] == pts[1:]).all(axis=1)).nonzero()[0].tolist()
-        edge_ends, isolated = _edge_ends(g)
+        # Equal points have equal rows, and so equal ends on the table.
+        zeros = (segs[:, :2] == segs[:, 2:]).all(axis=1).nonzero()[0].tolist()
+        ends_at, isolated = _edge_ends(g)
 
         violations = []
         taken = {}
@@ -225,24 +231,23 @@ class PlaneImmersion:
                                    f"{taken[row]} and {v} both at {_point_text(row)}"))
             else:
                 taken[row] = v
-        off_tail = (pts[starts] != verts[edge_ends[:, 0]]).any(axis=1)
-        off_head = (pts[ends - 1] != verts[edge_ends[:, 1]]).any(axis=1)
-        if zeros or off_tail.any() or off_head.any():
-            for name, k, end, tail, head in zip(names, starts.tolist(), ends.tolist(),
-                                                off_tail.tolist(), off_head.tolist()):
+        off = (pts[tips] != verts[ends_at]).any(axis=1)
+        if zeros or off.any():
+            zero_at = {}
+            for e, i in place[zeros].tolist():
+                zero_at.setdefault(e, []).append(i)
+            off = off.tolist()
+            for e, name in enumerate(names):
                 t, h = g.endpoints[name]
-                if tail:
+                if off[e]:
                     violations.append(("endpoint-mismatch", f"edge {name} does not start at {t}"))
-                if head:
+                if off[len(names) + e]:
                     violations.append(("endpoint-mismatch", f"edge {name} does not end at {h}"))
-                violations.extend(("zero-length-segment", f"edge {name} segment {z - k}")
-                                  for z in zeros if k <= z < end)
+                violations.extend(("zero-length-segment", f"edge {name} segment {i}")
+                                  for i in zero_at.get(e, ()))
         if violations:
             return GenericityReport(False, tuple(violations)), None, table
 
-        # place[s] is segment s's (edge index, index in its polyline).
-        edge = np.repeat(np.arange(len(names)), counts - 1)
-        place = np.array((edge, first - starts[edge])).T
         # int64 rows share one scale, so their box test is exact; Python-int
         # rows are boxed on one int64 scale that contains them.
         pairs = kernels.candidate_pairs(_integer_boxes(segs, w) if segs.dtype == object
@@ -256,7 +261,7 @@ class PlaneImmersion:
         # edge's ends and its own index past the vertices otherwise; the
         # last entry, -1, is a contact's side strictly inside its segment.
         node = np.arange(len(g.vertices), len(g.vertices) + len(pts) + 1)
-        node[starts], node[ends - 1], node[-1] = edge_ends[:, 0], edge_ends[:, 1], -1
+        node[tips], node[-1] = ends_at, -1
         _, _, overlap, slot_a, slot_b = contacts
         at = node[slot_a]
         bad = (overlap | (at < 0) | (at != node[slot_b])).nonzero()[0]
@@ -378,49 +383,80 @@ class PlaneImmersion:
         return tuple(records)
 
     @cached_property
-    def _tangents(self):
-        # (edge, direction) -> (first direction, last direction, signed
-        # passes past +x at the edge's own corners).  Reversal turns the
-        # reference direction +x into -x, so a reversed edge gets its own
-        # count; negating the forward one would be wrong.
-        # Each segment's direction, on its own positive scale: _passes reads
-        # only signs, which a positive scale keeps.
-        segs = self._scan[2][0]
-        diffs = (segs[:, 2:] - segs[:, :2]).tolist()
-        table = {}
-        k = 0
-        for name, n in zip(self.graph.edge_names, (self._points.counts - 1).tolist()):
-            dirs = diffs[k:k + n]
-            back = [(-x, -y) for x, y in reversed(dirs)]
-            k += n
-            table[name, 1] = (dirs[0], dirs[-1], sum(map(_passes, dirs, dirs[1:])))
-            table[name, -1] = (back[0], back[-1], sum(map(_passes, back, back[1:])))
-        return table
-
-    @cached_property
     def _cycle_table(self):
-        # (rows, crossing numbers, rotation numbers) of a generic drawing:
-        # rows maps each cycle of the graph to its entry in the two lists.
-        # With x a cycle's row of the incidence table and U[a, b] the
-        # crossings of edges a <= b (in edge order), the cycle crosses
-        # itself x^T U x times; that is (x^T C x + x . diag C) / 2 for the
-        # symmetric count matrix C.  A cycle's rotation number adds up over
-        # its corners: the passes from the last direction of one step to the
-        # first of the next, plus the inner passes of the next.
+        # Cycle -> (crossing number, rotation number), for every cycle of the
+        # graph of a generic drawing, in the order of enumerate_cycles.
+        # ValueError when not generic.
+        _require_valid(self)
         index = _cycle_index(self.graph)
-        if not index.rows:
-            return index.rows, (), ()
+        if not index.cycles:
+            return {}
         n = len(self.graph.edges)
         found = self._scan[1]
-        # Segments run in edge order, so left < right keeps a <= b.
-        a, b = found.place[found.left, 0], found.place[found.right, 0]
-        upper = np.bincount(a * n + b, minlength=n * n).reshape(n, n)
+        # With x a cycle's row of the incidence table and U[a, b] the
+        # crossings of edges a <= b (in edge order), the cycle crosses
+        # itself x^T U x times.  Segments run in edge order, so left < right
+        # keeps a <= b.  Every product and partial sum is an integer of at
+        # most the drawing's crossing count, far below 2**53, so float64
+        # holds each exactly and the products run on BLAS.
+        ea, eb = found.place[found.left, 0], found.place[found.right, 0]
+        upper = np.bincount(ea * n + eb, minlength=n * n).reshape(n, n).astype(np.float64)
         x = index.incidence
-        t = self._tangents
-        corners = np.array([_passes(t[a][1], t[b][0]) + t[b][2] for a, b in index.corners],
-                           dtype=np.int64)
-        return (index.rows, ((x @ upper) * x).sum(axis=1).tolist(),
-                np.add.reduceat(corners[index.corner_ids], index.corner_starts).tolist())
+        crossing = np.einsum("ij,ij->i", x @ upper, x).astype(np.int64)
+
+        # A cycle's rotation number adds up over its corners: the passes
+        # from the last direction of one step to the first of the next, plus
+        # the passes at the next step's inner joints.  Each segment's
+        # direction is on its own positive scale, which keeps every sign
+        # read here.
+        segs = self._scan[2][0]
+        dx, dy = (segs[:, 2:] - segs[:, :2]).T
+        up = _upward(dx, dy)
+        # Passes at the joint of segments k and k + 1, traversed forward,
+        # summed by edge as differences of one prefix sum: the joints
+        # between two edges fall in no edge's range.
+        turn = dx[:-1] * dy[1:] - dy[:-1] * dx[1:]
+        prefix = np.zeros(len(up), dtype=np.int64)
+        np.cumsum(_passes_past_x(up[:-1], up[1:], turn), out=prefix[1:])
+        counts = self._points.counts - 1
+        last = np.cumsum(counts) - 1
+        first = last - counts + 1
+        forward = prefix[last] - prefix[first]
+        # Backward, a joint turns from -d[k + 1] to -d[k].  Reversal turns
+        # the reference direction +x into -x, so that is not the negation:
+        # the two passes add up to up[k + 1] - up[k], as no turn of a valid
+        # drawing is a straight reversal, and those differences telescope
+        # along the edge.
+        backward = np.subtract(up[last], up[first], dtype=np.int64) - forward
+        # Step 2e + r is edge e traversed forward (r = 0) or backward (r = 1):
+        # its inner passes, and its first segment and first direction.
+        inner = np.stack((forward, backward), axis=1).ravel()
+        entry = np.stack((first, last), axis=1).ravel()
+        sx, sy = dx[entry], dy[entry]
+        sx[1::2], sy[1::2] = -sx[1::2], -sy[1::2]
+        step_up = _upward(sx, sy)
+        # A corner leaves step a by its last direction, the reverse of the
+        # first direction of step a ^ 1, and enters step b.
+        ra, b = index.corner_steps
+        corner = _passes_past_x(~step_up[ra], step_up[b],
+                                sx[b] * sy[ra] - sy[b] * sx[ra]) + inner[b]
+        rotation = np.add.reduceat(corner[index.corner_ids], index.corner_starts)
+        return dict(zip(index.cycles, zip(crossing.tolist(), rotation.tolist())))
+
+
+def _upward(dx, dy):
+    # Whether each direction (dx, dy) points into the upper half-plane:
+    # dy > 0, or dy == 0 and dx > 0.
+    return (dy > 0) | ((dy == 0) & (dx > 0))
+
+
+def _passes_past_x(up1, up2, turn):
+    # Signed passes of a tangent past the +x direction as it turns by less
+    # than pi from a direction d1 to d2, where up1 and up2 are _upward of d1
+    # and d2 and turn is det[d1, d2]: +1 turning left from the lower into
+    # the upper half-plane, -1 turning right from the upper into the lower
+    # one.
+    return np.subtract(~up1 & up2 & (turn > 0), up1 & ~up2 & (turn < 0), dtype=np.int64)
 
 
 def _row_key(row):
@@ -440,21 +476,6 @@ def _point_text(row):
 
 def _fraction_point(row):
     return (Fraction(row[0], row[2]), Fraction(row[1], row[2]))
-
-
-def _passes(d1, d2):
-    """Signed passes of a tangent past the +x direction as it turns from d1
-    to d2 by less than pi: +1 turning left from the lower into the upper
-    half-plane, -1 turning right from the upper into the lower one, where
-    upper means y > 0, or y == 0 and x > 0."""
-    up1 = d1[1] > 0 or (d1[1] == 0 and d1[0] > 0)
-    up2 = d2[1] > 0 or (d2[1] == 0 and d2[0] > 0)
-    if up1 == up2:
-        return 0
-    turn = d1[0] * d2[1] - d1[1] * d2[0]
-    if up2:
-        return 1 if turn > 0 else 0
-    return -1 if turn < 0 else 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -567,11 +588,11 @@ def _integer_boxes(segs, w):
 
 @per_graph
 def _edge_ends(graph):
-    # (vertex indices (tail, head) of each edge, whether some vertex has no
-    # edge).
+    # (vertex indices of every edge's tail, then of every edge's head,
+    # whether some vertex has no edge).
     index = {v: i for i, v in enumerate(graph.vertices)}
-    ends = np.array([(index[t], index[h]) for _, t, h in graph.edges], dtype=np.intp)
-    return ends.reshape(-1, 2), any(not graph.incident[v] for v in graph.vertices)
+    ends = [index[t] for _, t, _ in graph.edges] + [index[h] for _, _, h in graph.edges]
+    return np.array(ends, dtype=np.intp), any(not graph.incident[v] for v in graph.vertices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -641,28 +662,31 @@ class _Crossings:
         at one point."""
         if len(self.left) < 2:
             return False
+        m = len(self.left)
         segs = np.concatenate((self.left, self.right))
+        # Row k < m is parameter unum / den along left, row m + k wnum / den
+        # along right.
         nums = np.concatenate((self.unum, self.wnum))
-        dens = np.concatenate((self.den, self.den))
         # A parameter is at most 1 and its float quotient takes at most
         # three roundings (int64 to float and the division; Python ints
         # divide with one), so it is off by under 2**-51: equal parameters
         # on one segment fall in one run of sorted neighbours less than
         # 2**-48 apart.  Only such runs, almost never met, are compared
         # exactly.
-        t = np.asarray(nums / dens, dtype=np.float64)
+        t = np.asarray(nums.reshape(2, m) / self.den, dtype=np.float64).ravel()
         order = np.lexsort((t, segs))
         segs, t = segs[order], t[order]
-        near = (segs[1:] == segs[:-1]) & (t[1:] - t[:-1] < 2.0**-48)
+        near = ((segs[1:] == segs[:-1]) & (t[1:] - t[:-1] < 2.0**-48)).nonzero()[0]
         runs = []
-        for k in np.flatnonzero(near).tolist():
+        for k in near.tolist():
             if runs and runs[-1][-1] == k:
                 runs[-1].append(k + 1)
             else:
                 runs.append([k, k + 1])
         for run in runs:
+            rows = order[run]
             reduced = set()
-            for n, d in zip(nums[order[run]].tolist(), dens[order[run]].tolist()):
+            for n, d in zip(nums[rows].tolist(), self.den[rows % m].tolist()):
                 g = math.gcd(n, d)
                 reduced.add((n // g, d // g))
             if len(reduced) < len(run):
@@ -753,7 +777,7 @@ def _resolve_contacts(first, pairs, segs, w):
         pairs = np.arange(2 * len(pairs)).reshape(2, -1).T
     # a and b index pair k's two rows of ints.
     a, b = pairs[:, 0], pairs[:, 1]
-    codes, unums, wnums, dens = kernels.classify_pairs(ints, pairs)
+    codes, unums, wnums, dens, signs = kernels.classify_pairs(ints, pairs)
     # Collinear pairs, decided as geometry.segment_contact does: along a
     # non-constant axis, the spans overlap (code 2), touch at an end of each
     # (code 1, parameters 0 or 1) or miss (code 0).
@@ -768,15 +792,13 @@ def _resolve_contacts(first, pairs, segs, w):
         codes[col] = np.where(lo < hi, 2, np.where(lo == hi, 1, 0))
         unums[col], wnums[col], dens[col] = pa[:, 0] != lo, qa[:, 0] != lo, 1
     inner = (codes == 1) & (unums > 0) & (unums < dens) & (wnums > 0) & (wnums < dens)
-    p, q = ints[a[inner]], ints[b[inner]]
-    r, s = p[:, 2:] - p[:, :2], q[:, 2:] - q[:, :2]
-    sign = np.where(r[:, 0] * s[:, 1] > r[:, 1] * s[:, 0], 1, -1)
     t = ((codes != 0) & ~inner).nonzero()[0]
     i, j, un, wn, d = left[t], right[t], unums[t], wnums[t], dens[t]
     contacts = (i, j, codes[t] == 2,
                 np.where(un == 0, first[i], np.where(un == d, first[i] + 1, -1)),
                 np.where(wn == 0, first[j], np.where(wn == d, first[j] + 1, -1)))
-    return (left[inner], right[inner], sign, unums[inner], wnums[inner], dens[inner]), contacts
+    return (left[inner], right[inner], signs[inner], unums[inner], wnums[inner], dens[inner]
+            ), contacts
 
 
 def validate(imm: PlaneImmersion) -> GenericityReport:
@@ -842,22 +864,24 @@ class _CycleIndex:
     """The index arrays through which an immersion fills its cycle table.
 
     Attributes:
-        rows: Cycle -> its row, in the order of enumerate_cycles.
-        lengths: Cycle length per row, ascending.
-        incidence: int64 cycle-by-edge table: entry (row, e) is 1 when edge
-            e (in edge order) lies on the row's cycle, else 0.
-        corners: Pairs (step, next step) of oriented steps (edge,
-            direction) that follow each other on a cycle traversed in its
-            canonical orientation.
-        corner_ids: Row by row, the ids in corners of the row's corners,
-            one per step.
-        corner_starts: Offset of each row's run in corner_ids.
+        cycles: The graph's cycles, in the order of enumerate_cycles.
+        lengths: Cycle length of each, ascending.
+        incidence: float64 cycle-by-edge table: entry (row, e) is 1 when
+            edge e (in edge order) lies on the row's cycle, else 0.
+        corner_steps: intp array of shape (2, m): column k holds a ^ 1
+            and b for corner k, where a and b are oriented steps that follow
+            each other on a cycle traversed in its canonical orientation.
+            Step 2e is edge e traversed tail to head and step 2e + 1 head to
+            tail, so a ^ 1 is step a reversed.
+        corner_ids: Cycle by cycle, the index in corner_steps of each of
+            its corners, one per step.
+        corner_starts: Offset of each cycle's run in corner_ids.
     """
 
-    rows: dict
+    cycles: tuple
     lengths: list
     incidence: np.ndarray
-    corners: list
+    corner_steps: np.ndarray
     corner_ids: np.ndarray
     corner_starts: np.ndarray
 
@@ -870,33 +894,29 @@ def _cycle_index(graph):
     cells = []
     corners, corner_ids, corner_starts = {}, [], []
     for row, c in enumerate(cycles):
-        steps = c.steps
-        cells.extend(row * n + index[name] for name, _ in steps)
+        steps = [2 * index[name] + (d < 0) for name, d in c.steps]
+        cells.extend(row * n + step // 2 for step in steps)
         corner_starts.append(len(corner_ids))
         for corner in zip(steps[-1:] + steps[:-1], steps):
             corner_ids.append(corners.setdefault(corner, len(corners)))
-    incidence = np.zeros(len(cycles) * n, dtype=np.int64)
+    incidence = np.zeros(len(cycles) * n)
     incidence[cells] = 1
+    steps = np.array(list(corners), dtype=np.intp).reshape(-1, 2).T ^ np.array([[1], [0]])
     return _CycleIndex(
-        {c: row for row, c in enumerate(cycles)}, [len(c) for c in cycles],
-        incidence.reshape(len(cycles), n), list(corners),
+        tuple(cycles), [len(c) for c in cycles], incidence.reshape(len(cycles), n), steps,
         np.array(corner_ids, dtype=np.intp), np.array(corner_starts, dtype=np.intp),
     )
 
 
-def _cycle_row(imm, cycle):
-    # The cycle's row in imm's cycle table; ValueError when imm is not
-    # generic or the cycle is not one of its graph's.
-    _require_valid(imm)
+def _cycle_error(imm, cycle):
+    # Raise the error of a cycle with no entry in the cycle table of a
+    # generic imm: a ValueError when the cycle is not one of its graph's.
+    # Cycles are canonical, so only an invalid cycle misses its entry.
     try:
-        return imm._cycle_table[0][cycle]
-    except KeyError:
-        # Cycles are canonical, so only an invalid cycle misses its row.
-        try:
-            cycle.validate(imm.graph)
-        except ValueError as exc:
-            raise ValueError(f"cycle does not belong to the graph: {exc}") from exc
-        raise
+        cycle.validate(imm.graph)
+    except ValueError as exc:
+        raise ValueError(f"cycle does not belong to the graph: {exc}") from exc
+    raise KeyError(cycle)
 
 
 def cycle_crossing_number(imm: PlaneImmersion, cycle: Cycle) -> int:
@@ -905,8 +925,10 @@ def cycle_crossing_number(imm: PlaneImmersion, cycle: Cycle) -> int:
     Counts every crossing whose both strands lie on the cycle's edges,
     including self crossings of those edges.
     """
-    row = _cycle_row(imm, cycle)
-    return imm._cycle_table[1][row]
+    entry = imm._cycle_table.get(cycle)
+    if entry is None:
+        _cycle_error(imm, cycle)
+    return entry[0]
 
 
 def sum_crossing(imm: PlaneImmersion, k) -> int:
@@ -957,8 +979,10 @@ def rotation_number(imm: PlaneImmersion, cycle: Cycle, orientation=1) -> int:
     Raises:
         ValueError: Invalid immersion or cycle.
     """
-    row = _cycle_row(imm, cycle)
-    rot = imm._cycle_table[2][row]
+    entry = imm._cycle_table.get(cycle)
+    if entry is None:
+        _cycle_error(imm, cycle)
+    rot = entry[1]
     if orientation == -1:
         return -rot
     if orientation != 1:
@@ -973,13 +997,24 @@ def rotation_sum(imm: PlaneImmersion, k) -> int:
     Only the parity is independent of the orientation choices, since
     rot(f(cycle)) is odd exactly when the cycle's crossing count is even.
     """
-    _require_valid(imm)
-    rots = imm._cycle_table[2]
+    entries = imm._cycle_table.values()
     if k is not None:
-        # Rows are sorted by length, so the k-cycles are one slice.
+        # Cycles are sorted by length, so the k-cycles are one slice.
         lengths = _cycle_index(imm.graph).lengths
-        rots = rots[bisect_left(lengths, k):bisect_right(lengths, k)]
-    return sum(rots)
+        entries = islice(entries, bisect_left(lengths, k), bisect_right(lengths, k))
+    return sum(rot for _, rot in entries)
+
+
+def _randint(getrandbits, lo, hi):
+    # rng.randint(lo, hi) for getrandbits = rng.getrandbits, lo <= hi: the
+    # same value, and the same generator state after it, as
+    # Random._randbelow draws it, without randint's argument checks.
+    n = hi - lo + 1
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return lo + r
 
 
 def random_immersion(graph: MultiGraph, seed, breakpoints=(3, 5), box=4,
@@ -1011,7 +1046,7 @@ def random_immersion(graph: MultiGraph, seed, breakpoints=(3, 5), box=4,
     Raises:
         RuntimeError: Retry budget exhausted (practically unreachable).
     """
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
     bmin, bmax = breakpoints
     if bmin < 2:
         raise ValueError("need at least 2 breakpoints per edge for loops")
@@ -1025,20 +1060,20 @@ def random_immersion(graph: MultiGraph, seed, breakpoints=(3, 5), box=4,
         lattice = {}
         used = set()
         for v in graph.vertices:
-            p = (rng.randint(-span, span), rng.randint(-span, span))
+            p = (_randint(bits, -span, span), _randint(bits, -span, span))
             while p in used:
-                p = (rng.randint(-span, span), rng.randint(-span, span))
+                p = (_randint(bits, -span, span), _randint(bits, -span, span))
             used.add(p)
             lattice[v] = (p[0] * grid, p[1] * grid)
         inner = {}
         for name, t, h in graph.edges:
-            nb = rng.randint(bmin, bmax)
+            nb = _randint(bits, bmin, bmax)
             (tx, ty), (hx, hy) = lattice[t], lattice[h]
             pts = []
             for i in range(1, nb + 1):
                 # grid is a multiple of nb + 1, so the divisions are exact.
-                jx = rng.randint(-span, span) * jitter
-                jy = rng.randint(-span, span) * jitter
+                jx = _randint(bits, -span, span) * jitter
+                jy = _randint(bits, -span, span) * jitter
                 pts.append((tx + (hx - tx) * i // (nb + 1) + jx,
                             ty + (hy - ty) * i // (nb + 1) + jy))
             inner[name] = pts

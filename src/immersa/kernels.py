@@ -12,14 +12,21 @@ only those take the box test on the other axis, so time and memory grow
 with the overlapping pairs, not with n^2.
 
 classify_pairs then decides the surviving pairs exactly on integer
-coordinates: the caller scales each pair of segments to integers.  It runs
-on int64 when every scaled coordinate is at most INT_COORD_LIMIT = L in
-magnitude: differences then reach 2 L, products 4 L^2, and the orientation
-determinants, parameter numerators and denominators 8 L^2 < 2^63 for
-L = 10^9.  Larger coordinates run through the same numpy code on arrays of
-Python ints (dtype object), which cannot overflow.  classify_pairs decides
-the orientations exactly, so the prefilter needs no orientation test.
-Both kernels are vectorized numpy, and neither uses floating point.
+coordinates: the caller scales each pair of segments to integers.  For
+segments p0 + u r and q0 + w s and d = q0 - p0 it forms three determinants
+only, den = det[r, s], unum = det[d, s] and wnum = det[d, r]; the four
+orientations of the endpoints against the other segment's line are
+-wnum and den - wnum (q0 and q1 on p's line) and unum and unum - den (p0
+and p1 on q's line), and the crossing sign is the sign of den.  It runs on
+int64 when every scaled coordinate is at most INT_COORD_LIMIT = L in
+magnitude: differences then reach 2 L, products 4 L^2, and each of the
+three determinants 8 L^2 < 2^63 for L = 10^9.  No sum of two of them is
+formed: off collinear pairs, the segments meet exactly when u = unum/den
+and w = wnum/den both lie in [0, 1], which implies every orientation test.
+Larger coordinates run through the same numpy code on arrays of Python
+ints (dtype object), which cannot overflow.  classify_pairs decides the
+orientations exactly, so the prefilter needs no orientation test.  Both
+kernels are vectorized numpy, and neither uses floating point.
 """
 
 import numpy as np
@@ -55,19 +62,20 @@ def candidate_pairs(segs):
     after = np.arange(1, n + 1)
     sweeps = []
     for axis in (0, 1):
-        order = np.argsort(lo[axis])
-        count = np.searchsorted(lo[axis][order], hi[axis][order], "right") - after
+        order = lo[axis].argsort()
+        count = lo[axis][order].searchsorted(hi[axis][order], "right") - after
         sweeps.append((int(count.sum()), axis, order, count))
     total, axis, order, count = min(sweeps, key=lambda s: s[0])
-    first = np.repeat(order, count)
-    second = order[np.arange(total) - np.repeat(np.cumsum(count) - count - after, count)]
+    first = order.repeat(count)
+    second = order[np.arange(total) - (count.cumsum() - count - after).repeat(count)]
     lo, hi = lo[1 - axis], hi[1 - axis]
     box = (lo[first] <= hi[second]) & (lo[second] <= hi[first])
     first, second = first[box], second[box]
     # i * n + j < n**2 < 2**63 orders the pairs (i, j), i < j,
     # lexicographically.
-    key = np.sort(np.minimum(first, second) * n + np.maximum(first, second))
-    return np.stack(np.divmod(key, n), axis=1)
+    key = np.minimum(first, second) * n + np.maximum(first, second)
+    key.sort()
+    return np.array(np.divmod(key, n)).T
 
 
 def classify_pairs(segs_int, pairs):
@@ -82,40 +90,40 @@ def classify_pairs(segs_int, pairs):
         pairs: int64 array of shape (m, 2) of segment index pairs.
 
     Returns:
-        Arrays (code, unum, wnum, den) of length m, of the dtype of
-        segs_int except for the int8 code.  code 0 means no contact.
-        code 1 means a single common point, at parameter unum/den along
-        the first segment and wnum/den along the second, with den > 0 and
-        both parameters in [0, 1] (fractions are left unreduced).  code 2
-        means the segments are collinear; the caller compares their spans
-        on the same integers.
+        Arrays (code, unum, wnum, den, sign) of length m, of the dtype of
+        segs_int except for the int8 code and the int64 sign.  code 0
+        means no contact.  code 1 means a single common point, at
+        parameter unum/den along the first segment and wnum/den along the
+        second, with den > 0 and both parameters in [0, 1] (fractions are
+        left unreduced).  code 2 means the segments are collinear; the
+        caller compares their spans on the same integers.  sign is -1 when
+        det[first direction, second direction] < 0, else +1: for code 1
+        pairs, the side from which the second segment crosses the first.
+        unum, wnum and den are meaningful only for code 1 pairs.
     """
-    segs_int = np.asarray(segs_int)
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    p = segs_int[pairs[:, 0]]
-    q = segs_int[pairs[:, 1]]
-    rx = p[:, 2] - p[:, 0]
-    ry = p[:, 3] - p[:, 1]
-    sx = q[:, 2] - q[:, 0]
-    sy = q[:, 3] - q[:, 1]
-    o1 = rx * (q[:, 1] - p[:, 1]) - ry * (q[:, 0] - p[:, 0])
-    o2 = rx * (q[:, 3] - p[:, 1]) - ry * (q[:, 2] - p[:, 0])
-    o3 = sx * (p[:, 1] - q[:, 1]) - sy * (p[:, 0] - q[:, 0])
-    o4 = sx * (p[:, 3] - q[:, 1]) - sy * (p[:, 2] - q[:, 0])
-    collinear = (o1 == 0) & (o2 == 0)
-    off = ((o1 != 0) & (o2 != 0) & ((o1 > 0) == (o2 > 0))) | (
-        (o3 != 0) & (o4 != 0) & ((o3 > 0) == (o4 > 0))
-    )
+    i, j = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+    # Rows x0, y0, x1, y1, each contiguous over the pairs.
+    table = np.asarray(segs_int).T
+    p0x, p0y, p1x, p1y = table[:, i]
+    q0x, q0y, q1x, q1y = table[:, j]
+    rx, ry = p1x - p0x, p1y - p0y
+    sx, sy = q1x - q0x, q1y - q0y
+    dx, dy = q0x - p0x, q0y - p0y
+    # The three determinants every orientation is made of: q0 and q1 lie
+    # on p's line at orientations -wnum and den - wnum, and p0 and p1 on
+    # q's line at unum and unum - den.
     den = rx * sy - ry * sx
-    dx = q[:, 0] - p[:, 0]
-    dy = q[:, 1] - p[:, 1]
     unum = dx * sy - dy * sx
     wnum = dx * ry - dy * rx
-    neg = den < 0
-    den = np.where(neg, -den, den)
-    unum = np.where(neg, -unum, unum)
-    wnum = np.where(neg, -wnum, wnum)
+    collinear = (wnum == 0) & (den == 0)
+    sign = np.where(den < 0, -1, 1)
+    den = den * sign
+    unum = unum * sign
+    wnum = wnum * sign
+    # Off collinear pairs, the segments meet exactly when both parameters
+    # lie in [0, 1]: for den != 0 they place the one common point of the
+    # two lines, and parallel lines apart have den == 0 and wnum != 0.  So
+    # the four orientation tests need no pass of their own.
     outside = (unum < 0) | (unum > den) | (wnum < 0) | (wnum > den)
-    code = np.where(collinear, 2, np.where(off | outside, 0, 1)).astype(np.int8)
-    point = code == 1
-    return code, np.where(point, unum, 0), np.where(point, wnum, 0), np.where(point, den, 0)
+    code = np.where(collinear, 2, ~outside).astype(np.int8)
+    return code, unum, wnum, den, sign

@@ -35,10 +35,9 @@ from operator import gt
 from .graphs import (
     MultiGraph,
     block_decomposition,
-    enumerate_cycles,
     sp_reduction_trace,
 )
-from .immersion import PlaneImmersion, _require_valid, validate
+from .immersion import PlaneImmersion, _randint, validate
 
 _MAX_PLACEMENTS = 40
 
@@ -298,7 +297,7 @@ def _decompose(sub, a, b):
     if len(sub.edges) == 1:
         name, t, h = sub.edges[0]
         if {t, h} != {a, b}:
-            raise ValueError(f"edge {name} does not join the terminals")
+            raise ValueError(_OFF_PATH)
         return SPTree("leaf", (a, b), edge=name)
     direct, groups = _components_off_terminals(sub, a, b)
     pieces = [[name] for name in direct] + groups
@@ -701,8 +700,7 @@ def verify_zero(immersion: PlaneImmersion):
         (True, None) if all cycles have rotation number zero, otherwise
         (False, offending_cycle).
     """
-    _require_valid(immersion)
-    for cycle, rot in zip(enumerate_cycles(immersion.graph), immersion._cycle_table[2]):
+    for cycle, (_, rot) in immersion._cycle_table.items():
         if rot:
             return False, cycle
     return True, None
@@ -731,7 +729,7 @@ def random_sp_graph(seed) -> MultiGraph:
             grow(a, w, depth + 1)
             grow(w, b, depth + 1)
         else:
-            for _ in range(rng.randint(2, 3)):
+            for _ in range(_randint(rng.getrandbits, 2, 3)):
                 grow(a, b, depth + 1)
 
     grow("t0", "t1", 0)

@@ -28,7 +28,6 @@ from immersa.graphs import (
 )
 from immersa.immersion import (
     PlaneImmersion,
-    _passes,
     crossings,
     cycle_crossing_number,
     kappa,
@@ -39,6 +38,7 @@ from immersa.immersion import (
     validate,
 )
 from immersa.verify import run_checks
+from test_weights import passes
 
 
 def param_location(t):
@@ -528,6 +528,26 @@ def test_random_immersion_respects_parameters():
         assert all(abs(x) <= 4 for x in p)
 
 
+# The ranges random_immersion draws from at attempts 0 to 3 with its
+# default box, breakpoints and grid, and the widths 2**j - 1, 2**j and
+# 2**j + 1 around each number of bits getrandbits is asked for.
+DRAW_RANGES = ([(-4 * (64 + 13 * a), 4 * (64 + 13 * a)) for a in range(4)] + [(3, 5), (2, 3)]
+               + [(-7, -7 + width - 1) for j in (1, 2, 3, 8, 31, 32, 33, 64)
+                  for width in (2**j - 1, 2**j, 2**j + 1)])
+
+
+@pytest.mark.parametrize("lo, hi", DRAW_RANGES)
+def test_draw_helper_is_randint(lo, hi):
+    # The word-level draw of random_immersion against CPython's own randint:
+    # the same values and the same generator state after them, so drawings
+    # stay the same as long as this holds.
+    for seed in range(3):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        got = [immersion._randint(ours.getrandbits, lo, hi) for _ in range(100)]
+        assert got == [theirs.randint(lo, hi) for _ in range(100)]
+        assert ours.getstate() == theirs.getstate()
+
+
 @given(st.integers(min_value=0, max_value=10**6))
 def test_digon_random_immersion_parity(seed):
     imm = random_immersion(theta_graph(2), seed)
@@ -669,7 +689,7 @@ def test_wrap_rule_matches_atan2(d1, d2):
         return math.atan2(d[1], d[0]) % (2 * math.pi)
 
     unwrapped = angle(d1) + math.atan2(det, dot)
-    assert _passes(d1, d2) == round((unwrapped - angle(d2)) / (2 * math.pi))
+    assert passes(d1, d2) == round((unwrapped - angle(d2)) / (2 * math.pi))
 
 
 def snapped(imm, den):

@@ -192,8 +192,13 @@ def test_classifier_matches_reference_predicate():
     for span in (2, 5, 40):
         segs = int_segments(rng, 30, span)
         pairs = all_pairs(len(segs))
-        code, unum, wnum, den = kernels.classify_pairs(segs, pairs)
+        code, unum, wnum, den, sign = kernels.classify_pairs(segs, pairs)
         for t in range(len(pairs)):
+            # The sign of det[r, s] for the pair's directions r and s, in
+            # Python ints; +1 for parallel pairs.
+            (px0, py0, px1, py1), (qx0, qy0, qx1, qy1) = segs[pairs[t]].tolist()
+            det = (px1 - px0) * (qy1 - qy0) - (py1 - py0) * (qx1 - qx0)
+            assert sign[t] == (-1 if det < 0 else 1)
             kind, data = reference_classification(segs, t, pairs)
             if code[t] == 2:
                 # Collinear pairs go back to the rational classifier, which
@@ -215,7 +220,7 @@ def test_classifier_flags_collinear_pairs():
         [[0, 0, 4, 0], [2, 0, 6, 0], [0, 1, 4, 1], [5, 0, 9, 0]], dtype=np.int64
     )
     pairs = all_pairs(4)
-    code, _, _, _ = kernels.classify_pairs(segs, pairs)
+    code = kernels.classify_pairs(segs, pairs)[0]
     got = {tuple(pairs[t]): int(code[t]) for t in range(len(pairs))}
     assert got[(0, 1)] == 2  # overlapping collinear
     assert got[(0, 3)] == 2  # collinear, disjoint
@@ -227,13 +232,15 @@ def test_classifier_reports_touch_parameters():
     # Shared endpoint: u = 1 on the first segment, w = 0 on the second.
     segs = np.array([[0, 0, 2, 2], [2, 2, 4, 0]], dtype=np.int64)
     pairs = np.array([[0, 1]], dtype=np.int64)
-    code, unum, wnum, den = kernels.classify_pairs(segs, pairs)
+    code, unum, wnum, den, sign = kernels.classify_pairs(segs, pairs)
     assert code[0] == 1
     assert unum[0] == den[0] and wnum[0] == 0
+    # det[(2, 2), (2, -2)] = -8.
+    assert sign[0] == -1
 
 
 def test_classifier_empty_pairs():
     segs = np.array([[0, 0, 1, 1]], dtype=np.int64)
     pairs = np.empty((0, 2), dtype=np.int64)
-    code, unum, wnum, den = kernels.classify_pairs(segs, pairs)
-    assert len(code) == len(unum) == len(wnum) == len(den) == 0
+    code, unum, wnum, den, sign = kernels.classify_pairs(segs, pairs)
+    assert len(code) == len(unum) == len(wnum) == len(den) == len(sign) == 0

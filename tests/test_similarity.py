@@ -1,26 +1,37 @@
-"""Exact similarities: moving a drawing by a translation and a power-of-ten
-scale changes no verdict, crossing or rotation number, whichever integer
-path (int64 or Python ints) each drawing takes, and whatever scale the
-prefilter's boxes take."""
+"""Exact similarities: moving a drawing by a translation, a power-of-ten
+scale or a rotation by a Pythagorean angle changes no verdict, crossing or
+rotation number, whichever integer path (int64 or Python ints) each drawing
+takes, and whatever scale the prefilter's boxes take."""
 
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from hypothesis import example, given, seed
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from immersa import kernels
-from immersa.graphs import complete_graph, enumerate_cycles, heawood_graph, theta_graph
+from immersa.graphs import (
+    complete_graph,
+    enumerate_cycles,
+    heawood_graph,
+    multi_triangle,
+    petersen_graph,
+    theta_graph,
+)
 from immersa.immersion import PlaneImmersion, crossings, random_immersion, rotation_number, validate
+from test_weights import passes_rotation, rotation_oracle
 
 GRAPHS = {"HG": heawood_graph, "K5": lambda: complete_graph(5), "T3": lambda: theta_graph(3)}
+# More graphs for the rotation property, which draws HG, K5 and these.
+MORE_GRAPHS = {"PG": petersen_graph, "multi-T3": lambda: multi_triangle(3),
+               "theta4": lambda: theta_graph(4)}
 
 
 @lru_cache(maxsize=None)
 def graph(name):
     # One graph object per name, so its drawings share the per-graph data.
-    return GRAPHS[name]()
+    return {**GRAPHS, **MORE_GRAPHS}[name]()
 
 
 @lru_cache(maxsize=None)
@@ -35,6 +46,15 @@ def similar(imm, factor, shift):
 
     return PlaneImmersion(imm.graph, {v: move(p) for v, p in imm.vertex_position.items()},
                           {e: [move(p) for p in pts] for e, pts in imm.edge_polyline.items()})
+
+
+def rotated(imm, cos, sin):
+    # imm with every point p turned by the matrix [[cos, -sin], [sin, cos]].
+    def turn(p):
+        return (p[0] * cos - p[1] * sin, p[0] * sin + p[1] * cos)
+
+    return PlaneImmersion(imm.graph, {v: turn(p) for v, p in imm.vertex_position.items()},
+                          {e: [turn(p) for p in pts] for e, pts in imm.edge_polyline.items()})
 
 
 denominators = st.sampled_from([1, 3, 64, 10**8 + 7, 2**31 - 1, 2**61 - 1])
@@ -84,6 +104,40 @@ def test_power_of_ten_scale_keeps_report_and_crossing_columns(name, seed, k):
             getattr(b, nums).tolist(), b.den.tolist())] == [True] * len(a.left)
 
 
+# (a, b, c) with a^2 + b^2 = c^2: the rotation with cosine a/c and sine
+# b/c maps rational points to rational points.
+PYTHAGOREAN = [(3, 4, 5), (-5, 12, 13), (15, -8, 17), (-20, -21, 29), (0, 1, 1)]
+
+
+@seed(16)
+@settings(max_examples=12)
+@given(st.sampled_from(["HG", "K5", *MORE_GRAPHS]), st.integers(0, 2),
+       st.sampled_from(PYTHAGOREAN), st.integers(-8, 14))
+@example("HG", 0, (3, 4, 5), 12)
+@example("PG", 1, (-5, 12, 13), -8)
+@example("theta4", 2, (0, 1, 1), 0)
+def test_rotation_table_matches_exact_and_float_oracles(name, seed, triple, k):
+    # A rotation by a Pythagorean angle and a scale by 10^k keep every
+    # rotation number in both orientations.  The table of the moved drawing,
+    # on int64 or, past INT_COORD_LIMIT either way, on Python ints, equals
+    # the corner-by-corner sum of passes past +x on Fractions and the float
+    # turning sum; the oracles, slow on Fractions, take about 36 cycles of
+    # each drawing.
+    imm = drawing(name, seed)
+    a, b, c = triple
+    moved = rotated(imm, Fraction(a, c) * Fraction(10)**k, Fraction(b, c) * Fraction(10)**k)
+    assert validate(moved).ok
+    cycles = enumerate_cycles(graph(name))
+    stride = len(cycles) // 36 + 1
+    for i, cycle in enumerate(cycles):
+        for orientation in (1, -1):
+            want = rotation_number(imm, cycle, orientation)
+            assert rotation_number(moved, cycle, orientation) == want
+            if i % stride == seed % stride:
+                assert passes_rotation(moved, cycle, orientation) == want
+                assert rotation_oracle(moved, cycle, orientation) == want
+
+
 def test_similarities_cross_the_int64_limit_both_ways():
     # The generated drawings are int64; scaling by 10^14 or shifting by a
     # reciprocal past INT_COORD_LIMIT takes them to Python ints, and the
@@ -102,7 +156,8 @@ def test_similarities_cross_the_int64_limit_both_ways():
 def test_int64_kernel_at_the_coordinate_limit():
     # Coordinates of magnitude INT_COORD_LIMIT = L reach the largest int64
     # values classify_pairs forms: the diagonals of the square [-L, L]^2
-    # have det = -8 L^2, and the int64 result equals the Python-int one.
+    # have det = -8 L^2, and the int64 result equals the Python-int one,
+    # the sign column included.
     lim = kernels.INT_COORD_LIMIT
     assert 8 * lim**2 < 2**63
     segs = np.array([[-lim, -lim, lim, lim], [-lim, lim, lim, -lim], [lim, -lim, -lim, lim],
@@ -113,3 +168,7 @@ def test_int64_kernel_at_the_coordinate_limit():
     for a, b in zip(got, want):
         assert a.dtype != object and a.tolist() == b.tolist()
     assert got[3][0] == 8 * lim**2 and got[1][0] == got[2][0] == 4 * lim**2
+    dets = [(c - a) * (h - f) - (d - b) * (g - e)
+            for (a, b, c, d), (e, f, g, h) in (segs[pair].tolist() for pair in pairs)]
+    assert got[4].tolist() == [-1 if det < 0 else 1 for det in dets]
+    assert got[4][0] == -1 and dets[0] == -8 * lim**2

@@ -145,6 +145,23 @@ class TestDecompose:
         assert type(caught.value) is ValueError
 
     @pytest.mark.parametrize("ends", [
+        # A one-edge parallel piece that meets one terminal only.
+        ("u-v", "u-w"),
+        # A one-edge piece that meets neither terminal, and one of two edges.
+        ("u-v", "w-x"),
+        ("u-v", "w-x", "x-y"),
+    ])
+    def test_one_edge_piece_off_the_terminals_is_refused_like_a_larger_one(self, ends):
+        vertices = ("u", "v", "w", "x", "y")
+        g = MultiGraph(vertices, tuple((f"e{k}", *pair.split("-"))
+                                       for k, pair in enumerate(ends)))
+        for u, v in (("u", "v"), ("v", "u")):
+            with pytest.raises(ValueError, match="a vertex lies on no path between the terminals"
+                               ) as caught:
+                sp_decompose(g, u, v)
+            assert type(caught.value) is ValueError
+
+    @pytest.mark.parametrize("ends", [
         # One piece off the terminals, and u on no edge.
         ("w-v",),
         # Two one-edge pieces, one at each terminal.

@@ -103,6 +103,36 @@ def rotation_oracle(f, cycle, orientation=1):
     return round(turn / (2 * math.pi))
 
 
+def passes(d1, d2):
+    """Signed passes of a tangent past the +x direction as it turns from d1
+    to d2 by less than pi: +1 turning left from the lower into the upper
+    half-plane, -1 turning right from the upper into the lower one, where
+    upper means y > 0, or y == 0 and x > 0."""
+    up1 = d1[1] > 0 or (d1[1] == 0 and d1[0] > 0)
+    up2 = d2[1] > 0 or (d2[1] == 0 and d2[0] > 0)
+    if up1 == up2:
+        return 0
+    turn = d1[0] * d2[1] - d1[1] * d2[0]
+    if up2:
+        return 1 if turn > 0 else 0
+    return -1 if turn < 0 else 0
+
+
+def passes_rotation(f, cycle, orientation=1):
+    """Turning number of the cycle's closed polygon as the sum of passes
+    past +x over its corners, corner by corner on Fractions: exact for
+    coordinates of any size."""
+    steps = cycle.steps
+    if orientation == -1:
+        steps = tuple((name, -d) for name, d in reversed(steps))
+    points = []
+    for name, d in steps:
+        pts = f.edge_polyline[name]
+        points.extend((pts if d > 0 else pts[::-1])[:-1])
+    dirs = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(points, points[1:] + points[:1])]
+    return sum(map(passes, dirs[-1:] + dirs[:-1], dirs))
+
+
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_cycle_table_matches_per_cycle_oracles(name):
     graph = GRAPHS[name]()
