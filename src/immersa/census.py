@@ -22,7 +22,10 @@ s_C = dir_C(a) * dir_C(b), the product of the cycle's traversal directions
 against the stored orientations, w_F is the signed count, and x = the
 signed crossing count ell of the pair gives the writhe sum TB.  On a
 disjoint pair the signed count is beta up to the census orientation sign
-of the pair.
+of the pair.  Both weights are int64 vectors on the keys a * n + b of the
+edge indices a <= b (n edges), the one edge-pair key space that the
+immersion and diagram modules keep their crossing counts and signs on, so
+each such sum is one dot product.
 
 Orientation conventions.  An oriented edge is either a bare edge name (the
 stored tail-to-head orientation) or a pair ``(name, sign)`` with sign +1 or
@@ -33,7 +36,6 @@ once.  Reversing one edge negates beta; reversing both leaves it unchanged.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -102,41 +104,45 @@ def pair_orientation_convention(graph: MultiGraph, d, e):
 class _Weights:
     """The per-pair data every sum over one family of cycles reads.
 
+    Both arrays are indexed by the key a * n + b of the edge indices a <= b
+    (n edges), the one edge-pair key space of the library, and hold 0 at
+    every other key.  A self pair a == b holds the edge's count.
+
     Attributes:
         size: Number of cycles in the family.
-        edges: Edge name -> cycles through the edge (alpha).
-        pairs: Index-ordered pair (a, b), a <= b -> cycles through both
-            edges; a self pair (a, a) holds the edge's count.
-        signed: Same keys -> sum over those cycles of dir(a) * dir(b), the
+        counts: int64 cycles through both edges of each pair (alpha).
+        signed: int64 sum over those cycles of dir(a) * dir(b), the
             traversal directions against the stored orientations.
-        counts: The counts of pairs as one int64 array indexed by the key
-            a * n + b of the edge indices a <= b (n edges); 0 at every
-            other key.
     """
 
     size: int
-    edges: dict
-    pairs: dict
-    signed: dict
     counts: np.ndarray
+    signed: np.ndarray
 
 
 def _count_weights(graph: MultiGraph, cycles):
+    # With x the cycle-by-edge table of traversal directions (0 off the
+    # cycle), the upper triangles of |x|^T |x| and x^T x are the counts
+    # and the signed counts.
     index = graph.edge_index
-    pairs = Counter()
-    signed = Counter()
-    for c in cycles:
-        names = sorted(c.edge_name_set, key=index.__getitem__)
-        dirs = dict(c.steps)
-        for i, a in enumerate(names):
-            for b in names[i:]:
-                pairs[a, b] += 1
-                signed[a, b] += dirs[a] * dirs[b]
-    edges = {a: n for (a, b), n in pairs.items() if a == b}
     n = len(index)
-    counts = np.zeros(n * n, dtype=np.int64)
-    counts[[index[a] * n + index[b] for a, b in pairs]] = list(pairs.values())
-    return _Weights(len(cycles), edges, dict(pairs), dict(signed), counts)
+    x = np.zeros(len(cycles) * n, dtype=np.int64)
+    cells, dirs = [], []
+    for row, c in enumerate(cycles):
+        for name, d in c.steps:
+            cells.append(row * n + index[name])
+            dirs.append(d)
+    x[cells] = dirs
+    x = x.reshape(len(cycles), n)
+    on = np.abs(x)
+    return _Weights(len(cycles), np.triu(on.T @ on).ravel(), np.triu(x.T @ x).ravel())
+
+
+def _key(graph: MultiGraph, d, e):
+    # The key a * n + b of edges d and e, a <= b their indices (n edges).
+    index = graph.edge_index
+    a, b = sorted((index[d], index[e]))
+    return a * len(index) + b
 
 
 def _checked_length(k):
@@ -178,14 +184,13 @@ def alpha(graph: MultiGraph, k, target):
     if isinstance(target, str):
         if target not in graph.endpoints:
             raise ValueError(f"unknown edge {target!r}")
-        return weights.edges.get(target, 0)
+        return int(weights.counts[_key(graph, target, target)])
     d, e = target
     if d not in graph.endpoints or e not in graph.endpoints:
         raise ValueError(f"unknown edge in pair {target!r}")
     if d == e:
         raise ValueError("pair must consist of two distinct edges")
-    key = tuple(sorted((d, e), key=graph.edge_index.get))
-    return weights.pairs.get(key, 0)
+    return int(weights.counts[_key(graph, d, e)])
 
 
 @dataclass(frozen=True)
@@ -268,10 +273,11 @@ def census_table(graph: MultiGraph, ks):
     norm = _normalized_orientations(graph)
 
     def pairs_at(kind):
-        return sorted(p for p, v in graph._edge_distances.items() if v == kind)
+        pairs = sorted(p for p, v in graph._edge_distances.items() if v == kind)
+        return pairs, [_key(graph, *p) for p in pairs]
 
     classes = {
-        "alpha_edge": list(graph.edge_names),
+        "alpha_edge": (graph.edge_names, [_key(graph, e, e) for e in graph.edge_names]),
         "alpha_adjacent": pairs_at(0),
         "alpha_dist1": pairs_at(1),
         "alpha_dist2": pairs_at(2),
@@ -282,14 +288,12 @@ def census_table(graph: MultiGraph, ks):
         count = weights.size
 
         def cells(column):
-            objs = classes[column.replace("beta", "alpha")]
-            if column == "alpha_edge":
-                values = [(o, weights.edges.get(o, 0)) for o in objs]
-            elif column.startswith("alpha"):
-                values = [(o, weights.pairs.get(o, 0)) for o in objs]
+            objs, keys = classes[column.replace("beta", "alpha")]
+            if column.startswith("alpha"):
+                values = list(zip(objs, weights.counts[keys].tolist()))
             else:
                 # beta is the signed count under the census orientation.
-                values = [(o, norm[o] * weights.signed.get(o, 0)) for o in objs]
+                values = [(o, norm[o] * v) for o, v in zip(objs, weights.signed[keys].tolist())]
             if not values:
                 return [(None, None)]
             distinct = []
@@ -352,15 +356,14 @@ def check_sum_divisibility(graph: MultiGraph, family, m):
     if m < 1:
         raise ValueError("m must be at least 1")
     weights = _count_weights(graph, _family_cycles(graph, family))
-    edge_failures = {
-        e: weights.edges.get(e, 0)
-        for e in graph.edge_names
-        if weights.edges.get(e, 0) % m
-    }
+    counts = weights.counts.tolist()
+    n = len(graph.edges)
+    edge_failures = {e: counts[a * n + a] for a, e in enumerate(graph.edge_names)
+                     if counts[a * n + a] % m}
     pair_failures = {
-        p: weights.pairs.get(p, 0)
-        for p in combinations(graph.edge_names, 2)
-        if weights.pairs.get(p, 0) % m
+        (d, e): counts[a * n + b]
+        for (a, d), (b, e) in combinations(enumerate(graph.edge_names), 2)
+        if counts[a * n + b] % m
     }
     report = {
         "edge_counts_divisible": not edge_failures,
@@ -384,10 +387,6 @@ class SumInvarianceReport:
     def __iter__(self):
         return iter((self.edge_counts, self.doubled_pair_counts,
                      self.vertex_edge_sums, self.adjacent_pair_counts))
-
-    @property
-    def all_hold(self):
-        return all(self)
 
 
 def check_sum_invariance(graph: MultiGraph, family, m):
@@ -413,27 +412,26 @@ def check_sum_invariance(graph: MultiGraph, family, m):
     if m < 1:
         raise ValueError("m must be at least 1")
     weights = _count_weights(graph, _family_cycles(graph, family))
-    pairs = weights.pairs
+    n = len(graph.edges)
+    upper = weights.counts.reshape(n, n)
+    # The pair counts as a symmetric matrix, edge counts on the diagonal,
+    # and the vertex-by-edge incidence table, loops counted twice.
+    full = upper + upper.T - np.diag(upper.diagonal())
+    index = graph.edge_index
+    at = np.bincount([row * n + index[e] for row, v in enumerate(graph.vertices)
+                      for e in graph.incident[v]],
+                     minlength=len(graph.vertices) * n).reshape(-1, n)
+    adjacent = [_key(graph, *p) for p, d in graph._edge_distances.items() if d == 0]
 
-    def pair_count(d, e):
-        return pairs.get(tuple(sorted((d, e), key=graph.edge_index.get)), 0)
+    def divisible(values):
+        return all(v % m == 0 for v in values.ravel().tolist())
 
-    cond1 = all(weights.edges.get(e, 0) % m == 0 for e in graph.edge_names)
-    cond2 = all(
-        (2 * pairs.get(p, 0)) % m == 0
-        for p in combinations(graph.edge_names, 2)
+    return SumInvarianceReport(
+        divisible(upper.diagonal()),
+        divisible(2 * np.triu(upper, 1)),
+        divisible(at @ full),
+        divisible(weights.counts[adjacent]),
     )
-    cond3 = all(
-        sum(pair_count(e, ei) for ei in graph.incident[v]) % m == 0
-        for v in graph.vertices
-        for e in graph.edge_names
-    )
-    cond4 = all(
-        pairs.get(p, 0) % m == 0
-        for p, d in graph._edge_distances.items()
-        if d == 0
-    )
-    return SumInvarianceReport(cond1, cond2, cond3, cond4)
 
 
 def tb_ratio(graph: MultiGraph, j, k):
@@ -460,9 +458,11 @@ def tb_ratio(graph: MultiGraph, j, k):
     wk = _weights(graph, k)
     if not wj.size:
         raise ValueError(f"no cycles of length {j}")
-    e = next(e for e in graph.edge_names if e in wj.edges)
-    q = Fraction(wk.edges.get(e, 0), wj.edges[e])
-    for p in wj.signed.keys() | wk.signed.keys():
-        if wk.signed.get(p, 0) != q * wj.signed.get(p, 0):
-            return None
-    return q
+    # The first edge on a j-cycle fixes q; the edge counts are the
+    # diagonal of the signed counts.
+    n = len(graph.edges)
+    a = int(wj.counts[::n + 1].nonzero()[0][0])
+    num, den = int(wk.counts[a * n + a]), int(wj.counts[a * n + a])
+    if (wk.signed * den != wj.signed * num).any():
+        return None
+    return Fraction(num, den)

@@ -4,11 +4,12 @@ linking sums, weighted L invariants, and writhe sums over cycle classes).
 
 A diagram is one over/under vector on its immersion's crossing table, in
 record order (the order of the crossing ids).  Every pairwise linking sum
-comes from it by one bincount over the crossings' edge pairs, and every
-writhe or L sum is one product of those sums with weights gathered once
-per immersion at its crossing pairs.  Nothing here builds CrossingRecords;
-they are made only for readers that need a crossing's point or
-parameters, such as the crossing listing and the SVG picture.
+comes from it by one bincount over the crossings' edge-pair keys a * n + b
+(edge indices a <= b, n edges) into one vector S on all n * n keys, and
+every writhe or L sum is one product of S with a weight vector on the same
+keys, kept once per graph.  Nothing here builds CrossingRecords; they are
+made only for readers that need a crossing's point or parameters, such as
+the crossing listing and the SVG picture.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .census import _oriented, _weights
+from .census import _key, _oriented, _weights
 from .epsilon import epsilon_table
-from .graphs import Cycle, cycle_lengths
+from .graphs import Cycle, cycle_lengths, per_graph
 from .immersion import PlaneImmersion
 
 _CHOICES = ("first", "second")
@@ -70,7 +71,8 @@ class Diagram:
                 if factors[row] is not None:
                     continue
                 cid = order.ids[row]
-                a, b = order.pairs[order.pair_of[row]]
+                names = self.immersion.graph.edge_names
+                a, b = (names[i] for i in divmod(int(order.key[row]), len(names)))
                 if a == b:
                     raise ValueError(f"self crossing {cid} needs 'first' or 'second'")
                 if choice not in (a, b):
@@ -88,11 +90,10 @@ class Diagram:
 
     @cached_property
     def _pair_signs(self):
-        # ell of every crossing pair, as an int64 vector over the record
-        # order's pairs.
-        order = self.immersion._record_order
-        return np.bincount(order.pair_of, weights=self._sign_vector,
-                           minlength=len(order.pairs)).astype(np.int64)
+        # S: ell of every edge pair, as an int64 vector on the keys.
+        n = len(self.immersion.graph.edges)
+        return np.bincount(self.immersion._record_order.key, weights=self._sign_vector,
+                           minlength=n * n).astype(np.int64)
 
     def sign(self, crossing_id) -> int:
         """Sign of one crossing: +1 when the over strand's tangent followed
@@ -104,25 +105,26 @@ class Diagram:
         """
         return int(self._sign_vector[self.immersion._record_order.row[crossing_id]])
 
-    def over_edge(self, crossing_id) -> str:
-        """Name of the edge whose strand passes over at this crossing."""
-        order = self.immersion._record_order
-        a, b = order.pairs[order.pair_of[order.row[crossing_id]]]
-        return a if self.over[crossing_id] == "first" else b
+
+@per_graph
+def _epsilon_vector(graph, target):
+    # The weights of the target's epsilon table, graph being its canonical
+    # graph, as one int64 vector on the keys.
+    n = len(graph.edges)
+    vector = np.zeros(n * n, dtype=np.int64)
+    for (d, e), value in epsilon_table(target).items():
+        vector[_key(graph, d, e)] = value
+    return vector
 
 
-def _gathered(diagram, key, tables):
-    # int64 matrix, one row per table, of each pair weight table's values
-    # at the immersion's crossing pairs (0 where a table has none); kept
-    # under key in the record order's memo.
-    order = diagram.immersion._record_order
-    try:
-        return order.memo[key]
-    except KeyError:
-        rows = [[table.get(pair, 0) for pair in order.pairs] for table in tables]
-        matrix = np.array(rows, dtype=np.int64).reshape(len(rows), len(order.pairs))
-        order.memo[key] = matrix
-        return matrix
+@per_graph
+def _signed_by_length(graph):
+    # (lengths, matrix): the graph's cycle lengths, and the signed counts
+    # of the cycles of each length as one int64 row on the keys.
+    lengths = cycle_lengths(graph)
+    n = len(graph.edges)
+    rows = [_weights(graph, k).signed for k in lengths]
+    return lengths, np.array(rows, dtype=np.int64).reshape(len(lengths), n * n)
 
 
 def _fair_bits(rng, n):
@@ -174,15 +176,13 @@ def ell(diagram: Diagram, d, e) -> int:
     """
     d_name, d_sign = _oriented(d)
     e_name, e_sign = _oriented(e)
-    index = diagram.immersion.graph.edge_index
+    graph = diagram.immersion.graph
     for name in (d_name, e_name):
-        if name not in index:
+        if name not in graph.edge_index:
             raise ValueError(f"unknown edge {name!r}")
     if d_name == e_name:
         raise ValueError("ell needs two distinct edges")
-    key = (d_name, e_name) if index[d_name] < index[e_name] else (e_name, d_name)
-    row = diagram.immersion._record_order.pair_index.get(key)
-    return 0 if row is None else d_sign * e_sign * int(diagram._pair_signs[row])
+    return d_sign * e_sign * int(diagram._pair_signs[_key(graph, d_name, e_name)])
 
 
 def L_invariant(diagram: Diagram, target: str) -> int:
@@ -198,8 +198,7 @@ def L_invariant(diagram: Diagram, target: str) -> int:
     table = epsilon_table(target)
     if diagram.immersion.graph != table.graph:
         raise ValueError(f"diagram graph is not the canonical {target} graph")
-    weights = _gathered(diagram, ("L", target), [table.weights])
-    return int(weights[0] @ diagram._pair_signs)
+    return int(_epsilon_vector(table.graph, target) @ diagram._pair_signs)
 
 
 def writhe_cycle(diagram: Diagram, cycle: Cycle) -> int:
@@ -211,12 +210,15 @@ def writhe_cycle(diagram: Diagram, cycle: Cycle) -> int:
     Raises:
         ValueError: The cycle does not validate against the diagram's graph.
     """
-    cycle.validate(diagram.immersion.graph)
-    direction = dict(cycle.steps)
-    pairs = diagram.immersion._record_order.pairs
-    return sum(direction[a] * direction[b] * value
-               for (a, b), value in zip(pairs, diagram._pair_signs.tolist())
-               if a in direction and b in direction)
+    graph = diagram.immersion.graph
+    cycle.validate(graph)
+    # x^T S x, with x the cycle's traversal direction on each edge (0 off
+    # the cycle) and S the ell of each pair a <= b as an upper triangle.
+    index = graph.edge_index
+    x = np.zeros(len(index), dtype=np.int64)
+    for name, d in cycle.steps:
+        x[index[name]] = d
+    return int(x @ diagram._pair_signs.reshape(len(x), len(x)) @ x)
 
 
 def tb(diagram: Diagram, k) -> int:
@@ -230,16 +232,13 @@ def tb(diagram: Diagram, k) -> int:
     weights = _weights(diagram.immersion.graph, k)
     if not weights.size:
         raise ValueError(f"graph has no cycle of length {k}")
-    return int(_gathered(diagram, ("tb", k), [weights.signed])[0] @ diagram._pair_signs)
+    return int(weights.signed @ diagram._pair_signs)
 
 
 def tb_by_length(diagram: Diagram) -> dict:
     """Writhe sum for each cycle length, as a length -> sum dict."""
-    graph = diagram.immersion.graph
-    lengths = cycle_lengths(graph)
-    tables = [_weights(graph, k).signed for k in lengths]
-    sums = _gathered(diagram, "tb", tables) @ diagram._pair_signs
-    return dict(zip(lengths, sums.tolist()))
+    lengths, signed = _signed_by_length(diagram.immersion.graph)
+    return dict(zip(lengths, (signed @ diagram._pair_signs).tolist()))
 
 
 def tb_total(diagram: Diagram) -> int:

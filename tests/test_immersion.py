@@ -1061,7 +1061,9 @@ def _check_record_order(f):
     order = f._record_order
     assert order.ids == [rec.id for rec in recs]
     assert order.sign.tolist() == [rec.geometric_sign for rec in recs]
-    assert [order.pairs[p] for p in order.pair_of.tolist()] == [rec.edges for rec in recs]
+    names, n = f.graph.edge_names, len(f.graph.edges)
+    assert [(names[k // n], names[k % n]) for k in order.key.tolist()] == [
+        rec.edges for rec in recs]
     return recs
 
 

@@ -20,7 +20,8 @@ from immersa.census import (
     pair_orientation_convention,
     tb_ratio,
 )
-from immersa.diagrams import random_lift, tb, writhe_cycle
+from immersa.diagrams import L_invariant, ell, random_lift, tb, writhe_cycle
+from immersa.epsilon import epsilon_table
 from immersa.graphs import (
     Cycle,
     MultiGraph,
@@ -84,6 +85,15 @@ def crossing_oracle(f, cycle, counts):
     maps each index-ordered pair to its crossings."""
     names = sorted(cycle.edge_name_set, key=f.graph.edge_index.get)
     return sum(counts[a, b] for i, a in enumerate(names) for b in names[i:])
+
+
+def writhe_oracle(cycle, recs, signs):
+    """Writhe of a cycle, crossing by crossing: each crossing with both
+    strands on the cycle adds its sign times the cycle's traversal
+    directions on the two strands; signs maps crossing ids to signs."""
+    dirs = dict(cycle.steps)
+    return sum(dirs[rec.edges[0]] * dirs[rec.edges[1]] * signs[rec.id] for rec in recs
+               if rec.edges[0] in dirs and rec.edges[1] in dirs)
 
 
 def rotation_oracle(f, cycle, orientation=1):
@@ -151,6 +161,14 @@ def test_cycle_table_matches_per_cycle_oracles(name):
             assert rotation_sum(f, k) == sum(rots[c] for c in enumerate_cycles(graph, k)), k
         offender = next((c for c in cycles if rots[c]), None)
         assert verify_zero(f) == (offender is None, offender)
+
+
+@pytest.mark.parametrize("k", [0, -3, True, False])
+def test_crossing_and_rotation_sums_refuse_the_same_lengths(k):
+    f = random_immersion(complete_graph(4), 1)
+    for total in (sum_crossing, rotation_sum):
+        with pytest.raises(ValueError, match="cycle length must be an integer of at least 1"):
+            total(f, k)
 
 
 @pytest.mark.parametrize("name", ["sp0", "sp19", "sp29", "sp33"])
@@ -224,10 +242,12 @@ def column_values(graph, k):
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_weight_core_matches_per_cycle_oracles(name):
     graph = GRAPHS[name]()
-    lengths = sorted({len(c) for c in enumerate_cycles(graph)})
+    cycles = enumerate_cycles(graph)
+    lengths = sorted({len(c) for c in cycles})
     for seed in (1, 2):
         f = random_immersion(graph, seed)
-        counts = Counter(rec.edges for rec in crossings(f))
+        recs = crossings(f)
+        counts = Counter(rec.edges for rec in recs)
         for k in lengths + [None]:
             assert sum_crossing(f, k) == sum(
                 crossing_oracle(f, c, counts) for c in enumerate_cycles(graph, k))
@@ -241,6 +261,23 @@ def test_weight_core_matches_per_cycle_oracles(name):
             for k in lengths:
                 assert tb(diagram, k) == sum(
                     writhe_cycle(diagram, c) for c in enumerate_cycles(graph, k))
+            # The signed sums against the crossing records and their signs.
+            signs = {rec.id: diagram.sign(rec.id) for rec in recs}
+            ells = Counter()
+            for rec in recs:
+                ells[rec.edges] += signs[rec.id]
+            for d, e in combinations(graph.edge_names, 2):
+                assert ell(diagram, d, e) == ell(diagram, (e, -1), (d, -1)) == ells[d, e]
+                assert ell(diagram, (d, -1), e) == -ells[d, e]
+            writhes = {c: writhe_oracle(c, recs, signs) for c in cycles}
+            for c in cycles:
+                assert writhe_cycle(diagram, c) == writhes[c], c
+            for k in lengths:
+                assert tb(diagram, k) == sum(writhes[c] for c in enumerate_cycles(graph, k))
+            if name in ("PG", "HG"):
+                weights = epsilon_table(name).weights
+                assert L_invariant(diagram, name) == sum(
+                    weights.get(rec.edges, 0) * signs[rec.id] for rec in recs)
 
     for row in census_table(graph, lengths):
         assert row.count == len(enumerate_cycles(graph, row.k))
