@@ -36,6 +36,7 @@ once.  Reversing one edge negates beta; reversing both leaves it unchanged.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -146,9 +147,17 @@ def _key(graph: MultiGraph, d, e):
 
 
 def _checked_length(k):
-    if isinstance(k, bool) or (isinstance(k, int) and k < 1):
+    # k as a plain int, or None for every cycle.  A length is anything
+    # operator.index takes, numpy integers too, but a bool.
+    if k is None:
+        return None
+    try:
+        length = operator.index(k)
+    except TypeError:
+        length = 0
+    if length < 1 or isinstance(k, bool):
         raise ValueError(f"cycle length must be an integer of at least 1, got {k!r}")
-    return k
+    return length
 
 
 def _weights(graph: MultiGraph, k):
@@ -158,7 +167,8 @@ def _weights(graph: MultiGraph, k):
     freed with it.
 
     Raises:
-        ValueError: k is a bool or an integer below 1.
+        ValueError: k is neither None nor an integer of at least 1, or a
+            bool.
     """
     # Checked before the memo lookup: True and 1 are one dict key.
     return _length_weights(graph, _checked_length(k))

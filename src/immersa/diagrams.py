@@ -226,8 +226,8 @@ def tb(diagram: Diagram, k) -> int:
     ell weighted by the signed count of k-cycles through the pair.
 
     Raises:
-        ValueError: No cycle of the graph has length k, or k is a bool or
-            an integer below 1.
+        ValueError: No cycle of the graph has length k, or k is not an
+            integer of at least 1 (bools, floats and strings are refused).
     """
     weights = _weights(diagram.immersion.graph, k)
     if not weights.size:

@@ -12,12 +12,14 @@ denominator fits kernels.INT_COORD_LIMIT, the table is int64 on that one
 scale; otherwise it holds Python ints, each point over the lcm of its own
 coordinates' denominators.  The generators (random_immersion and the
 zero-rotation constructor of sp) hand their integer lattices straight to
-it; a drawing given as Fractions fills the same table, and the Fraction
-vertex_position and edge_polyline of a generated drawing are views built
-on first read.  Crossing extraction decides every drawing on the segment
-table read off the point table, each segment over the lcm of its two
-points' denominators, and each candidate pair is scaled to the lcm of its
-two segments' denominators.  An exact sort-and-sweep prefilter (see
+it.  The public constructor fills the same table: from points given as
+tuples of two exact Fractions it reads the coordinates' terms straight into
+it, and any other input it coerces point by point as it always has, with
+the same refusals.  vertex_position and edge_polyline are Fraction views of
+the table, built on first read.  Crossing extraction decides every drawing
+on the segment table read off the point table, each segment over the lcm of
+its two points' denominators, and each candidate pair is scaled to the lcm
+of its two segments' denominators.  An exact sort-and-sweep prefilter (see
 kernels) runs its box test on integers: on the int64 segment table itself,
 or on a Python-int table's boxes, rounded outward onto one int64 scale by a
 power of two, so it keeps every touching pair at any magnitude.
@@ -26,13 +28,14 @@ code on both dtypes.  A contact between two segments is allowed only at one
 node, an ordinary polyline joint or terminal slots of two edge ends at one
 vertex, and that rule is one numpy comparison.  The crossings stay one table:
 segment pair, sign and the parameter numerators and denominator per row.
-Validation decides triple points (sorted float parameters, exact
-comparison only between neighbours closer than their rounding error) and
-crossings at breakpoints on its integers.  Edge pairs have one key space:
-the key a * n + b of edge indices a <= b (n edges).  The crossings of each
-pair come off the table by one bincount over its rows' keys, as one int64
-vector U on all n * n keys; sum_crossing is one dot product of U with the
-family's pair weights, and kappa one product with per-graph distance masks.
+Validation decides triple points (rows sorted by one float key, segment
+plus half the parameter, with exact comparison only between neighbours
+closer than the key's rounding error) and crossings at breakpoints on its
+integers.  Edge pairs have one key space: the key a * n + b of edge indices
+a <= b (n edges).  The crossings of each pair come off the table by one
+bincount over its rows' keys, as one int64 vector U on all n * n keys;
+sum_crossing is one dot product of U with the family's pair weights, and
+kappa one product with per-graph distance masks.
 The record order (ids, edge-pair keys and geometric signs of the crossings,
 sorted by id) is read off the table by one np.lexsort, with exact
 parameter comparisons only between crossings on one segment of one pair;
@@ -42,9 +45,9 @@ record order once, when the view is first indexed or iterated.
 Rotation numbers count signed passes of the tangent past a fixed direction
 (Whitney 1937), with the same exact sign predicates on the segment table.
 
-Per-cycle numbers come from one table per immersion, a dict from each
-cycle of the graph to its crossing number and rotation number, built once
-the drawing is known to be generic; rotation_number and
+Per-cycle numbers come from one table per immersion: the graph's dict from
+each cycle to its row, and the crossing number and rotation number of each
+row, built once the drawing is known to be generic; rotation_number and
 cycle_crossing_number each read it with one lookup.  The crossing numbers
 are one quadratic form of U on a cycle-by-edge incidence table.  The
 rotation numbers take a few whole-array passes over the segment table: each
@@ -66,7 +69,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -134,33 +137,23 @@ class PlaneImmersion:
         edge_polyline: Edge name -> point tuple from tail position to head
             position, pairs of Fractions.
 
-    The drawing is one integer point table (_points).  The constructor
-    coerces its arguments to Fractions, keeps them as the two dicts and
-    fills the table from them when it is first read; a generator hands its
-    integer lattice to _from_lattice, and the dicts are then Fraction views
-    of the table, built when first read.
+    The drawing is one integer point table (_points), and the two dicts are
+    Fraction views of it, built when first read.  The constructor checks
+    its arguments and fills the table: the terms of points given as tuples
+    of two exact Fractions are read straight into it, and any other input
+    is coerced point by point with as_point, with the same refusals.
+    A generator hands its integer lattice to _from_lattice.
 
     Treated as immutable after construction; compared by identity.
     """
 
     def __init__(self, graph: MultiGraph, vertex_position: dict, edge_polyline: dict):
-        pos = dict(zip(vertex_position, map(as_point, vertex_position.values())))
-        if set(pos) != set(graph.vertices):
-            raise ValueError("vertex positions must cover exactly the graph's vertices")
-        poly = {}
-        for name in graph.edge_names:
-            if name not in edge_polyline:
-                raise ValueError(f"missing polyline for edge {name!r}")
-            pts = tuple(map(as_point, edge_polyline[name]))
-            if len(pts) < 2:
-                raise ValueError(f"edge {name!r} needs at least two polyline points")
-            poly[name] = pts
-        unknown = set(edge_polyline) - set(poly)
-        if unknown:
-            raise ValueError(f"polylines for unknown edges: {sorted(unknown)}")
+        points = _fraction_points(graph, vertex_position, edge_polyline)
+        if points is None:
+            points = _checked_points(graph, vertex_position, edge_polyline)
+        coords, counts = points
         self.graph = graph
-        self.vertex_position = pos
-        self.edge_polyline = poly
+        self._points = _PointTable(_fraction_rows(coords), np.array(counts, dtype=np.intp))
 
     @classmethod
     def _from_lattice(cls, graph, vertices, polylines, den):
@@ -173,14 +166,6 @@ class PlaneImmersion:
             _lattice_rows(list(chain(vertices, chain.from_iterable(polylines))), den),
             np.fromiter(map(len, polylines), np.intp, len(polylines)))
         return imm
-
-    @cached_property
-    def _points(self):
-        polylines = [self.edge_polyline[name] for name in self.graph.edge_names]
-        points = chain(map(self.vertex_position.__getitem__, self.graph.vertices),
-                       chain.from_iterable(polylines))
-        return _PointTable(_fraction_rows(list(chain.from_iterable(points))),
-                           np.fromiter(map(len, polylines), np.intp, len(polylines)))
 
     @cached_property
     def vertex_position(self):
@@ -387,13 +372,14 @@ class PlaneImmersion:
 
     @cached_property
     def _cycle_table(self):
-        # Cycle -> (crossing number, rotation number), for every cycle of the
-        # graph of a generic drawing, in the order of enumerate_cycles.
+        # (rows, crossing numbers, rotation numbers) of a generic drawing:
+        # rows is its graph's dict from each cycle to its row, in the order
+        # of enumerate_cycles, and the two lists hold each row's numbers.
         # ValueError when not generic.
         _require_valid(self)
         index = _cycle_index(self.graph)
-        if not index.cycles:
-            return {}
+        if not index.rows:
+            return index.rows, [], []
         n = len(self.graph.edges)
         # With x a cycle's row of the incidence table and U[a, b] the
         # crossings of edges a <= b (in edge order), the cycle crosses
@@ -441,7 +427,7 @@ class PlaneImmersion:
         corner = _passes_past_x(~step_up[ra], step_up[b],
                                 sx[b] * sy[ra] - sy[b] * sx[ra]) + inner[b]
         rotation = np.add.reduceat(corner[index.corner_ids], index.corner_starts)
-        return dict(zip(index.cycles, zip(crossing.tolist(), rotation.tolist())))
+        return index.rows, crossing.tolist(), rotation.tolist()
 
 
 def _upward(dx, dy):
@@ -499,33 +485,109 @@ class _PointTable:
     counts: np.ndarray
 
 
-def _fraction_rows(coords):
-    # The _PointTable rows of the points whose Fraction coordinates coords
-    # lists flat, x and y of each point in turn.
-    limit = kernels.INT_COORD_LIMIT
+def _fraction_points(graph, vertex_position, edge_polyline):
+    # (coords, counts) as _checked_points returns them, when the two dicts
+    # have exactly the graph's keys, every polyline is a tuple or list of
+    # at least two points and every point is a tuple of two exact
+    # Fractions; otherwise None.  It only reads its arguments, so any other
+    # input goes on to _checked_points whole.
+    if type(vertex_position) is not dict or type(edge_polyline) is not dict:
+        return None
+    # Graph vertices and edge names are distinct, so equal sizes and every
+    # graph key present make equal key sets.
+    if len(vertex_position) != len(graph.vertices) or len(edge_polyline) != len(graph.edges):
+        return None
     try:
-        ratios = np.fromiter(chain.from_iterable(map(Fraction.as_integer_ratio, coords)),
-                             np.int64, 2 * len(coords)).reshape(-1, 2)
+        points = list(map(vertex_position.__getitem__, graph.vertices))
+        polylines = list(map(edge_polyline.__getitem__, graph.edge_names))
+    except KeyError:
+        return None
+    if not set(map(type, polylines)) <= {tuple, list}:
+        return None
+    counts = list(map(len, polylines))
+    if min(counts, default=2) < 2:
+        return None
+    for line in polylines:
+        points += line
+    n = len(points)
+    if list(map(type, points)).count(tuple) != n or list(map(len, points)).count(2) != n:
+        return None
+    coords = []
+    extend = coords.extend
+    for p in points:
+        extend(p)
+    if list(map(type, coords)).count(Fraction) != 2 * n:
+        return None
+    return coords, counts
+
+
+def _checked_points(graph, vertex_position, edge_polyline):
+    # (coords, counts): the Fraction coordinates of every point flat, x and
+    # y of each in turn, the vertex positions in vertex order and then
+    # every polyline in edge order, and each polyline's number of points.
+    # Coerces each point with as_point and raises on the first fault, in
+    # this order: a bad vertex point, the vertex keys, then edge by edge a
+    # missing polyline, a bad point or a polyline of one point, and last
+    # any unknown edge.
+    pos = dict(zip(vertex_position, map(as_point, vertex_position.values())))
+    if set(pos) != set(graph.vertices):
+        raise ValueError("vertex positions must cover exactly the graph's vertices")
+    polylines = []
+    for name in graph.edge_names:
+        if name not in edge_polyline:
+            raise ValueError(f"missing polyline for edge {name!r}")
+        pts = tuple(map(as_point, edge_polyline[name]))
+        if len(pts) < 2:
+            raise ValueError(f"edge {name!r} needs at least two polyline points")
+        polylines.append(pts)
+    unknown = set(edge_polyline) - set(graph.edge_names)
+    if unknown:
+        raise ValueError(f"polylines for unknown edges: {sorted(unknown)}")
+    points = chain(map(pos.__getitem__, graph.vertices), chain.from_iterable(polylines))
+    return list(chain.from_iterable(points)), list(map(len, polylines))
+
+
+# The terms of an exact Fraction, read without a Python-level call.
+_numerator = operator.attrgetter("_numerator")
+_denominator = operator.attrgetter("_denominator")
+
+
+def _fraction_rows(coords):
+    # The _PointTable rows of the points whose coordinates coords lists
+    # flat, x and y of each point in turn, each an exact Fraction.
+    limit = kernels.INT_COORD_LIMIT
+    n = len(coords)
+    try:
+        nums = np.fromiter(map(_numerator, coords), np.int64, n)
+        dens = np.fromiter(map(_denominator, coords), np.int64, n)
     except OverflowError:
-        ratios = None
-    if ratios is not None:
-        nums, dens = ratios[:, 0], ratios[:, 1]
-        scale = 1
-        for d in np.unique(dens).tolist():
-            scale = math.lcm(scale, d)
-            if scale > limit:
-                break
+        nums = None
+    if nums is not None:
+        # The least common denominator: the largest one when it is a
+        # multiple of all the others.
+        scale = int(dens.max(initial=1))
+        factors, rest = np.divmod(scale, dens)
+        if scale <= limit and rest.any():
+            scale = 1
+            for d in np.unique(dens).tolist():
+                scale = math.lcm(scale, d)
+                if scale > limit:
+                    break
+            else:
+                # Only a scale within the limit is used.
+                factors = scale // dens
         # Both factors are at most INT_COORD_LIMIT = 10^9: products < 2**63.
         if scale <= limit and nums.min(initial=0) >= -limit and nums.max(initial=0) <= limit:
-            scaled = nums * (scale // dens)
+            scaled = nums * factors
             if np.abs(scaled).max(initial=0) <= limit:
-                rows = np.empty((len(coords) // 2, 3), dtype=np.int64)
+                rows = np.empty((n // 2, 3), dtype=np.int64)
                 rows[:, :2] = scaled.reshape(-1, 2)
                 rows[:, 2] = scale
                 return rows
     rows = []
-    pairs = map(Fraction.as_integer_ratio, coords)
-    for (xn, xd), (yn, yd) in zip(pairs, pairs):
+    nums, dens = map(_numerator, coords), map(_denominator, coords)
+    # One point per step: x's terms, then y's.
+    for xn, xd, yn, yd in zip(nums, dens, nums, dens):
         d = math.lcm(xd, yd)
         rows.append((xn * (d // xd), yn * (d // yd), d))
     return np.array(rows, dtype=object).reshape(-1, 3)
@@ -667,16 +729,24 @@ class _Crossings:
         # Row k < m is parameter unum / den along left, row m + k wnum / den
         # along right.
         nums = np.concatenate((self.unum, self.wnum))
-        # A parameter is at most 1 and its float quotient takes at most
+        # A parameter t is at most 1 and its float quotient takes at most
         # three roundings (int64 to float and the division; Python ints
-        # divide with one), so it is off by under 2**-51: equal parameters
-        # on one segment fall in one run of sorted neighbours less than
-        # 2**-48 apart.  Only such runs, almost never met, are compared
-        # exactly.
+        # divide with one), so it is off by under 2**-51.  One float key,
+        # segment s plus t / 2, sorts the rows by segment and then by t;
+        # with every index below 2**bits, the key's own rounding adds under
+        # 2**(bits - 54).  Two rows with one exact parameter on one segment
+        # so have keys under 2**-51 + 2**(bits - 53) apart, and so has
+        # every pair of sorted neighbours between them, whatever order the
+        # key's rounding gave those: they fall in one run of neighbours
+        # closer than the band, eight times that.  Only such runs, almost
+        # never met, are compared exactly.
         t = np.asarray(nums.reshape(2, m) / self.den, dtype=np.float64).ravel()
-        order = np.lexsort((t, segs))
-        segs, t = segs[order], t[order]
-        near = ((segs[1:] == segs[:-1]) & (t[1:] - t[:-1] < 2.0**-48)).nonzero()[0]
+        key = segs + t / 2
+        order = key.argsort()
+        key = key[order]
+        # The last key's whole part is the largest segment index.
+        band = 2.0**-48 + 2.0**(int(key[-1]).bit_length() - 50)
+        near = (np.diff(key) < band).nonzero()[0]
         runs = []
         for k in near.tolist():
             if runs and runs[-1][-1] == k:
@@ -686,9 +756,10 @@ class _Crossings:
         for run in runs:
             rows = order[run]
             reduced = set()
-            for n, d in zip(nums[rows].tolist(), self.den[rows % m].tolist()):
+            for s, n, d in zip(segs[rows].tolist(), nums[rows].tolist(),
+                               self.den[rows % m].tolist()):
                 g = math.gcd(n, d)
-                reduced.add((n // g, d // g))
+                reduced.add((s, n // g, d // g))
             if len(reduced) < len(run):
                 return True
         return False
@@ -854,7 +925,8 @@ class _CycleIndex:
     """The index arrays through which an immersion fills its cycle table.
 
     Attributes:
-        cycles: The graph's cycles, in the order of enumerate_cycles.
+        rows: Each of the graph's cycles -> its row, in the order of
+            enumerate_cycles.
         lengths: Cycle length of each, ascending.
         incidence: float64 cycle-by-edge table: entry (row, e) is 1 when
             edge e (in edge order) lies on the row's cycle, else 0.
@@ -868,7 +940,7 @@ class _CycleIndex:
         corner_starts: Offset of each cycle's run in corner_ids.
     """
 
-    cycles: tuple
+    rows: dict
     lengths: list
     incidence: np.ndarray
     corner_steps: np.ndarray
@@ -893,15 +965,16 @@ def _cycle_index(graph):
     incidence[cells] = 1
     steps = np.array(list(corners), dtype=np.intp).reshape(-1, 2).T ^ np.array([[1], [0]])
     return _CycleIndex(
-        tuple(cycles), [len(c) for c in cycles], incidence.reshape(len(cycles), n), steps,
+        {c: row for row, c in enumerate(cycles)}, [len(c) for c in cycles],
+        incidence.reshape(len(cycles), n), steps,
         np.array(corner_ids, dtype=np.intp), np.array(corner_starts, dtype=np.intp),
     )
 
 
 def _cycle_error(imm, cycle):
-    # Raise the error of a cycle with no entry in the cycle table of a
+    # Raise the error of a cycle with no row in the cycle table of a
     # generic imm: a ValueError when the cycle is not one of its graph's.
-    # Cycles are canonical, so only an invalid cycle misses its entry.
+    # Cycles are canonical, so only an invalid cycle misses its row.
     try:
         cycle.validate(imm.graph)
     except ValueError as exc:
@@ -915,10 +988,11 @@ def cycle_crossing_number(imm: PlaneImmersion, cycle: Cycle) -> int:
     Counts every crossing whose both strands lie on the cycle's edges,
     including self crossings of those edges.
     """
-    entry = imm._cycle_table.get(cycle)
-    if entry is None:
+    rows, crossing, _ = imm._cycle_table
+    row = rows.get(cycle)
+    if row is None:
         _cycle_error(imm, cycle)
-    return entry[0]
+    return crossing[row]
 
 
 def sum_crossing(imm: PlaneImmersion, k) -> int:
@@ -926,7 +1000,8 @@ def sum_crossing(imm: PlaneImmersion, k) -> int:
     None): each pair's crossings weighted by the k-cycles through the pair.
 
     Raises:
-        ValueError: Invalid immersion, or k a bool or an integer below 1.
+        ValueError: Invalid immersion, or k neither None nor an integer of
+            at least 1 (bools, floats and strings are refused).
     """
     _require_valid(imm)
     weights = _weights(imm.graph, k)
@@ -972,10 +1047,11 @@ def rotation_number(imm: PlaneImmersion, cycle: Cycle, orientation=1) -> int:
     Raises:
         ValueError: Invalid immersion or cycle.
     """
-    entry = imm._cycle_table.get(cycle)
-    if entry is None:
+    rows, _, rotation = imm._cycle_table
+    row = rows.get(cycle)
+    if row is None:
         _cycle_error(imm, cycle)
-    rot = entry[1]
+    rot = rotation[row]
     if orientation == -1:
         return -rot
     if orientation != 1:
@@ -991,15 +1067,16 @@ def rotation_sum(imm: PlaneImmersion, k) -> int:
     rot(f(cycle)) is odd exactly when the cycle's crossing count is even.
 
     Raises:
-        ValueError: Invalid immersion, or k a bool or an integer below 1.
+        ValueError: Invalid immersion, or k neither None nor an integer of
+            at least 1 (bools, floats and strings are refused).
     """
-    entries = imm._cycle_table.values()
+    rotation = imm._cycle_table[2]
     if k is not None:
-        _checked_length(k)
+        k = _checked_length(k)
         # Cycles are sorted by length, so the k-cycles are one slice.
         lengths = _cycle_index(imm.graph).lengths
-        entries = islice(entries, bisect_left(lengths, k), bisect_right(lengths, k))
-    return sum(rot for _, rot in entries)
+        rotation = rotation[bisect_left(lengths, k):bisect_right(lengths, k)]
+    return sum(rotation)
 
 
 def _randint(getrandbits, lo, hi):

@@ -700,7 +700,8 @@ def verify_zero(immersion: PlaneImmersion):
         (True, None) if all cycles have rotation number zero, otherwise
         (False, offending_cycle).
     """
-    for cycle, (_, rot) in immersion._cycle_table.items():
+    rows, _, rotation = immersion._cycle_table
+    for cycle, rot in zip(rows, rotation):
         if rot:
             return False, cycle
     return True, None

@@ -270,6 +270,20 @@ class TestUsage:
                               env={**os.environ, "PYTHONPATH": path})
         assert done.returncode == 0 and "fuzz" in done.stdout
 
+    def test_import_adds_few_modules_past_numpy(self):
+        # Start-up time is part of every command and of the benchmark's
+        # set-up: importing immersa after numpy may load only these.
+        allowed = {"__future__", "_decimal", "copy", "dataclasses", "decimal", "fractions"}
+        src = str(Path(immersa.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        probe = ("import sys, numpy; before = set(sys.modules); import immersa; "
+                 "print(*sorted(set(sys.modules) - before))")
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              timeout=60, env={**os.environ, "PYTHONPATH": path})
+        assert done.returncode == 0, done.stderr
+        new = {m for m in done.stdout.split() if m.split(".")[0] != "immersa"}
+        assert new <= allowed, new - allowed
+
     def test_unknown_model(self, capsys):
         code, _, err = run(capsys, "render", "@PG-fancy")
         assert code == 2 and "unknown model" in err

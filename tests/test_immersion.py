@@ -38,6 +38,7 @@ from immersa.immersion import (
     validate,
 )
 from immersa.verify import run_checks
+from test_weights import GRAPHS as WEIGHT_GRAPHS
 from test_weights import passes
 
 
@@ -1130,7 +1131,9 @@ def agreement_drawings():
 
 def rational_contact_calls(imm, monkeypatch):
     # (segment_contact calls, Fractions built) of a Python-int-path
-    # validation of imm.
+    # validation of imm.  imm's Fraction views, which python_int_scan reads
+    # to copy it, are built first, so only the copy and its scan count.
+    imm.vertex_position, imm.edge_polyline
     calls, made = [], []
     real = geometry.segment_contact
 
@@ -1232,3 +1235,202 @@ def test_share_a_point_compares_float_neighbours_exactly():
     assert table([a, c], [b, d]).share_a_point()
     assert table([a, 16 * a + 1, c], [b, 16 * b, d]).share_a_point()
     assert not table([a, 16 * a + 1], [b, 16 * b]).share_a_point()
+
+
+def _band_table(rows, dtype):
+    # A _Crossings table of rows (left, right, unum, wnum, den), its
+    # parameter columns of the given dtype (int64, or object for Python
+    # ints).
+    left, right, unum, wnum, den = zip(*rows)
+    return immersion._Crossings(
+        None, np.array(left, dtype=np.int64), np.array(right, dtype=np.int64), None,
+        np.array(unum, dtype=dtype), np.array(wnum, dtype=dtype), np.array(den, dtype=dtype),
+        None, None)
+
+
+def _shares_a_point(rows):
+    # Whether two rows put one segment at one parameter, by Fractions.
+    seen = set()
+    for left, right, unum, wnum, den in rows:
+        for key in ((left, Fraction(unum, den)), (right, Fraction(wnum, den))):
+            if key in seen:
+                return True
+            seen.add(key)
+    return False
+
+
+def _midpoint_straddle(seg):
+    # Two terms (n1, d1), (n2, d2) of one parameter t whose int64 float
+    # quotients fall on either side of t, with seg + t / 2 halfway between
+    # two floats: their keys round apart, one float step of 2**-12 at 2**40.
+    # Numerators just past 2**55 round to a multiple of 8, which moves some
+    # quotients by more than half a float step of t.
+    t = Fraction(2047, 4096)
+    below = above = None
+    k = (2**55 // t.numerator) | 1
+    while below is None or above is None:
+        n, d = t.numerator * k, t.denominator * k
+        q = float(n) / float(d)
+        if q < t and below is None:
+            below = (n, d)
+        elif q > t and above is None:
+            above = (n, d)
+        k += 2
+    key = [seg + (float(n) / float(d)) / 2 for n, d in (below, above)]
+    assert key[1] - key[0] == 2.0**-12 and Fraction(*below) == Fraction(*above)
+    return below, above
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "python-int"])
+def test_share_a_point_is_exact_at_the_band_edge(dtype):
+    # Segment indices near 2**40, where the one float key segment + t / 2
+    # rounds in steps of 2**-12: rows it cannot tell apart, or puts out of
+    # parameter order, still get the exact verdict.
+    s = 2**40 + 5
+    a, b = 2222188194313764, 18300373364936880
+    c, d = 8376228159744851, 68980702492016420
+    cases = [
+        # n / d and 2n / 2d on one segment, and on two.
+        [(s, s + 3, 1, 1, 3), (s - 2, s, 2, 5, 6)],
+        [(s, s + 3, 1, 1, 3), (s + 1, s + 4, 2, 5, 6)],
+        # One value in two terms whose float quotients are one ulp apart,
+        # and two values with one float quotient.
+        [(s, s + 1, a, 1, b), (s, s + 2, c, 1, d)],
+        [(s, s + 1, a, 1, b), (s, s + 2, 16 * a + 1, 1, 16 * b)],
+        # A third row whose key ties with, and may sort between, two equal
+        # ones: the run of tied keys is compared whole.
+        [(s, s + 1, 1, 1, 3), (s, s + 2, 2**30 + 1, 1, 3 * 2**30), (s, s + 3, 2, 1, 6)],
+        [(s, s + 1, 1, 1, 3), (s, s + 2, 2**30 + 1, 1, 3 * 2**30), (s, s + 3, 2, 1, 5)],
+        # A right strand meets a left one.
+        [(s - 1, s, 1, 3, 4), (s, s + 1, 6, 1, 8)],
+    ]
+    below, above = _midpoint_straddle(s)
+    cases.append([(s, s + 1, below[0], 1, below[1]), (s, s + 2, above[0], 1, above[1])])
+    # Seeded mixes of the same terms on four segments.
+    pool = [(1, 3), (2, 6), (a, b), (c, d), (16 * a + 1, 16 * b), below, above, (1, 2), (3, 6)]
+    rng = random.Random(20)
+    for _ in range(400):
+        rows = []
+        for _ in range(rng.randint(2, 5)):
+            left = rng.choice((s, s + 1))
+            (u, du), (w, dw) = rng.choice(pool), rng.choice(pool)
+            den = math.lcm(du, dw)
+            rows.append((left, left + rng.randint(1, 2), u * (den // du), w * (den // dw), den))
+        cases.append(rows)
+    checked = 0
+    for rows in cases:
+        if dtype is np.int64 and max(r[4] for r in rows) >= 2**63:
+            continue
+        assert _band_table(rows, dtype).share_a_point() == _shares_a_point(rows), rows
+        checked += 1
+    assert checked > 100
+    assert any(_shares_a_point(rows) for rows in cases)
+    assert not all(_shares_a_point(rows) for rows in cases)
+
+
+class _Exact(Fraction):
+    """A Fraction subclass, which the constructor coerces point by point."""
+
+
+def _decimal_text(c):
+    # c as an exact decimal string when its denominator divides a power of
+    # ten below 10**40, else as "n/d".
+    for k in range(40):
+        if 10**k % c.denominator == 0:
+            digits = str(abs(c.numerator) * (10**k // c.denominator)).rjust(k + 1, "0")
+            sign = "-" if c < 0 else ""
+            return sign + (f"{digits[:-k]}.{digits[-k:]}" if k else digits)
+    return str(c)
+
+
+def _exact_float(c):
+    # c as a float when the float is exactly c, else c.
+    try:
+        x = float(c)
+    except OverflowError:
+        return c
+    return x if Fraction(x) == c else c
+
+
+_INTAKE_FORMS = {
+    "ints": lambda p: tuple(int(c) if c.denominator == 1 else c for c in p),
+    "floats": lambda p: tuple(map(_exact_float, p)),
+    "strings": lambda p: tuple(map(_decimal_text, p)),
+    "lists": list,
+    "subclass": lambda p: tuple(map(_Exact, p)),
+}
+
+
+def _intake_drawings():
+    drawings = [random_immersion(make(), 1) for make in WEIGHT_GRAPHS.values()]
+    hg = drawings[list(WEIGHT_GRAPHS).index("HG")]
+    # A dense drawing on the benchmark's grid, and one past int64.
+    return drawings + [dense_style_drawing(1, per_edge=160), moved(hg, 10**30 + 1)]
+
+
+def test_intake_is_one_function_of_the_values():
+    for f in _intake_drawings():
+        pos, poly = f.vertex_position, f.edge_polyline
+        base = PlaneImmersion(f.graph, pos, poly)
+        assert base._points.rows.dtype == f._points.rows.dtype
+        assert base._points.rows.tolist() == f._points.rows.tolist()
+        text = serialize_immersion(base)
+        for name, form in _INTAKE_FORMS.items():
+            g = PlaneImmersion(f.graph, {v: form(p) for v, p in pos.items()},
+                               {e: tuple(map(form, pts)) for e, pts in poly.items()})
+            assert g._points.rows.dtype == base._points.rows.dtype, name
+            assert g._points.rows.tolist() == base._points.rows.tolist(), name
+            assert g._points.counts.tolist() == base._points.counts.tolist(), name
+            assert g.vertex_position == pos and g.edge_polyline == poly, name
+            assert serialize_immersion(g) == text, name
+
+
+def _k3_drawing():
+    # (graph, vertex positions, polylines) of a K3 drawing on Fractions.
+    g = complete_graph(3)
+    pos = {v: (Fraction(i), Fraction(i * i)) for i, v in enumerate(g.vertices)}
+    poly = {name: (pos[t], ((pos[t][0] + pos[h][0]) / 2, (pos[t][1] + pos[h][1]) / 3), pos[h])
+            for name, t, h in g.edges}
+    return g, pos, poly
+
+
+def _refusal_cases():
+    g, pos, poly = _k3_drawing()
+    v, e = g.vertices[0], g.edge_names[0]
+    start, end = poly[e][0], poly[e][-1]
+    without_e = {k: pts for k, pts in poly.items() if k != e}
+
+    def bent(point):
+        return {**poly, e: (start, point, end)}
+
+    return {
+        "missing vertex": ({k: p for k, p in pos.items() if k != v}, poly, ValueError,
+                           "vertex positions must cover exactly the graph's vertices"),
+        "extra vertex": ({**pos, "zz": (Fraction(9), Fraction(9))}, poly, ValueError,
+                         "vertex positions must cover exactly the graph's vertices"),
+        "missing edge": (pos, without_e, ValueError, "missing polyline for edge 'v1v2'"),
+        "unknown edge": (pos, {**poly, "zz": poly[e]}, ValueError,
+                         "polylines for unknown edges: ['zz']"),
+        "one-point polyline": (pos, {**poly, e: (start,)}, ValueError,
+                               "edge 'v1v2' needs at least two polyline points"),
+        "3-tuple point": (pos, bent((Fraction(1), Fraction(2), Fraction(3))), ValueError,
+                          "too many values to unpack (expected 2)"),
+        "1-tuple point": (pos, bent((Fraction(1),)), ValueError,
+                          "not enough values to unpack (expected 2, got 1)"),
+        "None coordinate": (pos, bent((None, Fraction(2))), TypeError,
+                            "argument should be a string or a Rational instance"),
+        "bad string": (pos, bent(("1/x", Fraction(2))), ValueError,
+                       "Invalid literal for Fraction: '1/x'"),
+        # The vertex points are coerced before any edge is looked at.
+        "bad vertex and missing edge": ({**pos, v: (Fraction(1), "zz")}, without_e, ValueError,
+                                        "Invalid literal for Fraction: 'zz'"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_refusal_cases()))
+def test_intake_refusals_keep_their_type_message_and_order(case):
+    g, _, _ = _k3_drawing()
+    pos, poly, error, message = _refusal_cases()[case]
+    with pytest.raises(error) as caught:
+        PlaneImmersion(g, pos, poly)
+    assert type(caught.value) is error and str(caught.value) == message

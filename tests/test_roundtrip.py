@@ -62,7 +62,10 @@ def tables(f):
     if found is not None:
         columns = [(column.dtype, column.tolist()) for column in (
             found.place, found.left, found.right, found.sign, found.unum, found.wnum, found.den)]
-    cycles = f._cycle_table if report.ok else None
+    cycles = None
+    if report.ok:
+        rows, crossing, rotation = f._cycle_table
+        cycles = list(zip(rows, crossing, rotation))
     return report, (segs.dtype, segs.tolist(), w.tolist()), columns, cycles
 
 

@@ -11,6 +11,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from immersa.census import (
@@ -163,12 +164,20 @@ def test_cycle_table_matches_per_cycle_oracles(name):
         assert verify_zero(f) == (offender is None, offender)
 
 
-@pytest.mark.parametrize("k", [0, -3, True, False])
+@pytest.mark.parametrize("k", [0, -3, True, False, 2.5, "3", 3.0])
 def test_crossing_and_rotation_sums_refuse_the_same_lengths(k):
     f = random_immersion(complete_graph(4), 1)
-    for total in (sum_crossing, rotation_sum):
+    lift = random_lift(f, seed=1)
+    for total in (sum_crossing, rotation_sum, lambda f, k: tb(lift, k)):
         with pytest.raises(ValueError, match="cycle length must be an integer of at least 1"):
             total(f, k)
+
+
+def test_numpy_integer_lengths_read_as_ints():
+    f = random_immersion(heawood_graph(), 1)
+    lift = random_lift(f, seed=1)
+    for total in (sum_crossing, rotation_sum, lambda f, k: tb(lift, k)):
+        assert total(f, np.int64(6)) == total(f, 6)
 
 
 @pytest.mark.parametrize("name", ["sp0", "sp19", "sp29", "sp33"])
