@@ -333,16 +333,20 @@ def census_table(graph: MultiGraph, ks):
 
 
 def _family_cycles(graph: MultiGraph, family):
+    # A length is what _checked_length takes: anything operator.index
+    # takes, numpy integers too, but a bool, which it refuses.
     out = {}
     for item in family:
-        if isinstance(item, int):
-            for c in enumerate_cycles(graph, _checked_length(item)):
-                out[c] = None
-        elif isinstance(item, Cycle):
+        if isinstance(item, Cycle):
             item.validate(graph)
             out[item] = None
-        else:
-            raise ValueError(f"family items must be lengths or cycles, got {item!r}")
+            continue
+        try:
+            operator.index(item)
+        except TypeError:
+            raise ValueError(f"family items must be lengths or cycles, got {item!r}") from None
+        for c in enumerate_cycles(graph, _checked_length(item)):
+            out[c] = None
     return tuple(out)
 
 

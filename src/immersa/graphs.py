@@ -155,12 +155,16 @@ def per_graph(fn):
 def _canonical_steps(steps):
     # Minimum over all rotations of the forward and the reversed traversal;
     # direction -1 sorts after +1 so the forward tour of the anchor edge wins.
-    n = len(steps)
+    # The minimum starts with the smallest edge name, so only the rotations
+    # that start at one of its occurrences are compared, in the same order.
     reverse = tuple((name, -d) for name, d in reversed(steps))
+    low = min((name for name, _ in steps), default=None)
     best = None
     best_key = None
-    for seq in (tuple(steps), reverse):
-        for r in range(n):
+    for seq in (steps, reverse):
+        for r, (name, _) in enumerate(seq):
+            if name != low:
+                continue
             cand = seq[r:] + seq[:r]
             key = tuple((name, 0 if d > 0 else 1) for name, d in cand)
             if best_key is None or key < best_key:

@@ -26,7 +26,15 @@ power of two, so it keeps every touching pair at any magnitude.
 classify_pairs decides the surviving pairs exactly, with the same numpy
 code on both dtypes.  A contact between two segments is allowed only at one
 node, an ordinary polyline joint or terminal slots of two edge ends at one
-vertex, and that rule is one numpy comparison.  The crossings stay one table:
+vertex, and that rule is one numpy comparison.  An ordinary joint, segments
+s and s + 1 of one edge, always meets at its breakpoint, and it breaks the
+rule only by folding back: a zero turn between opposite directions is a
+collinear overlap.  The scan forms every segment's direction and the turn
+at every joint once, as one joint-direction table, and tests the dot
+product only where the turn is zero.  With no fold-back the joints never
+reach classify_pairs; with one, every candidate pair is decided as before,
+so the fold-back's overlap keeps its place in the violations.  The
+crossings stay one table:
 segment pair, sign and the parameter numerators and denominator per row.
 Validation decides triple points (rows sorted by one float key, segment
 plus half the parameter, with exact comparison only between neighbours
@@ -50,13 +58,13 @@ each cycle to its row, and the crossing number and rotation number of each
 row, built once the drawing is known to be generic; rotation_number and
 cycle_crossing_number each read it with one lookup.  The crossing numbers
 are one quadratic form of U on a cycle-by-edge incidence table.  The
-rotation numbers take a few whole-array passes over the segment table: each
-segment's direction and half-plane, the passes at every polyline joint
-summed by edge through one prefix sum (backward from the forward ones, as
-the two add up to the change of half-plane), and the passes at every corner
-where one step of a cycle runs into the next, gathered through per-graph
-arrays of the corners' oriented steps.  The incidence and corner arrays
-are kept once per graph.
+rotation numbers take a few whole-array passes over the scan's
+joint-direction table: each segment's half-plane, the passes at every
+polyline joint, from its turn, summed by edge through one prefix sum
+(backward from the forward ones, as the two add up to the change of
+half-plane), and the passes at every corner where one step of a cycle runs
+into the next, gathered through per-graph arrays of the corners' oriented
+steps.  The incidence and corner arrays are kept once per graph.
 """
 
 from __future__ import annotations
@@ -192,7 +200,7 @@ class PlaneImmersion:
     def _scan(self):
         # (GenericityReport, the _Crossings of a generic drawing or None,
         # the _segment_table (segs, w) of the drawing's segments in edge
-        # order).
+        # order, their joint-direction table (dx, dy, turn)).
         g = self.graph
         names = g.edge_names
         rows, counts = self._points.rows, self._points.counts
@@ -206,8 +214,14 @@ class PlaneImmersion:
         first = np.arange(len(edge)) + edge
         place = np.array((edge, first - tips[edge])).T
         segs, w = table = _segment_table(pts, first)
+        # The joint-direction table: segment s runs along (dx[s], dy[s]), on
+        # its own positive scale, so every sign read off it is exact, and
+        # turn[s] = det[d[s], d[s + 1]] is the turn at the joint of s and
+        # s + 1 when both are on one edge.
+        dx, dy = segs[:, 2] - segs[:, 0], segs[:, 3] - segs[:, 1]
+        joints = dx, dy, dx[:-1] * dy[1:] - dy[:-1] * dx[1:]
         # Equal points have equal rows, and so equal ends on the table.
-        zeros = (segs[:, :2] == segs[:, 2:]).all(axis=1).nonzero()[0].tolist()
+        zeros = ((dx == 0) & (dy == 0)).nonzero()[0].tolist()
         ends_at, isolated = _edge_ends(g)
 
         violations = []
@@ -233,13 +247,14 @@ class PlaneImmersion:
                 violations.extend(("zero-length-segment", f"edge {name} segment {i}")
                                   for i in zero_at.get(e, ()))
         if violations:
-            return GenericityReport(False, tuple(violations)), None, table
+            return GenericityReport(False, tuple(violations)), None, table, joints
 
         # int64 rows share one scale, so their box test is exact; Python-int
         # rows are boxed on one int64 scale that contains them.
         pairs = kernels.candidate_pairs(_integer_boxes(segs, w) if segs.dtype == object
                                         else segs)
-        crossing, contacts = _resolve_contacts(first, pairs, segs, w)
+        crossing, contacts = _resolve_contacts(first, _exact_pairs(pairs, first, joints),
+                                               segs, w)
         found = _Crossings(place, *crossing, segs, w)
 
         # A touching pair is allowed only where both segments meet at one
@@ -273,8 +288,8 @@ class PlaneImmersion:
             node_keys = set(map(_row_key, rows.tolist()))
             violations.extend(found.point_violations(names, node_keys))
         if violations:
-            return GenericityReport(False, tuple(violations)), None, table
-        return GenericityReport(True, ()), found, table
+            return GenericityReport(False, tuple(violations)), None, table, joints
+        return GenericityReport(True, ()), found, table, joints
 
     @cached_property
     def _crossing_keys(self):
@@ -392,16 +407,13 @@ class PlaneImmersion:
 
         # A cycle's rotation number adds up over its corners: the passes
         # from the last direction of one step to the first of the next, plus
-        # the passes at the next step's inner joints.  Each segment's
-        # direction is on its own positive scale, which keeps every sign
-        # read here.
-        segs = self._scan[2][0]
-        dx, dy = (segs[:, 2:] - segs[:, :2]).T
+        # the passes at the next step's inner joints, all read off the
+        # scan's joint-direction table.
+        dx, dy, turn = self._scan[3]
         up = _upward(dx, dy)
         # Passes at the joint of segments k and k + 1, traversed forward,
         # summed by edge as differences of one prefix sum: the joints
         # between two edges fall in no edge's range.
-        turn = dx[:-1] * dy[1:] - dy[:-1] * dx[1:]
         prefix = np.zeros(len(up), dtype=np.int64)
         np.cumsum(_passes_past_x(up[:-1], up[1:], turn), out=prefix[1:])
         counts = self._points.counts - 1
@@ -620,9 +632,12 @@ def _segment_table(pts, first):
     # two points' denominators.  pts holds the _PointTable rows of the
     # polyline points, and segment s runs from point first[s] to
     # first[s] + 1.  int64 rows share one denominator, which is w.
-    a, b = pts[first], pts[first + 1]
     if pts.dtype != object:
-        return np.concatenate((a[:, :2], b[:, :2]), axis=1), a[:, 2]
+        # Gathered column by column, so each of the four is contiguous.
+        x, y, d = pts.T
+        nxt = first + 1
+        return np.array((x[first], y[first], x[nxt], y[nxt])).T, d[first]
+    a, b = pts[first], pts[first + 1]
     w = np.lcm(a[:, 2], b[:, 2])
     return np.concatenate((a[:, :2] * (w // a[:, 2])[:, None],
                            b[:, :2] * (w // b[:, 2])[:, None]), axis=1), w
@@ -813,8 +828,32 @@ def _ratio(num, den):
     return str(num) if den == 1 else f"{num}/{den}"
 
 
+def _exact_pairs(pairs, first, joints):
+    """The candidate pairs that _resolve_contacts must decide.
+
+    An ordinary polyline joint, segments s and s + 1 of one edge, so that
+    first[s + 1] - first[s] == 1, meets only at its breakpoint, which the
+    node rule of the scan allows, unless it folds back: a zero turn between
+    opposite directions is a collinear overlap.  With no fold-back the
+    joints are left out, which keeps the order of the other pairs and of
+    the violations they give.  With one, every pair is decided, and the
+    fold-back's overlap keeps its place in pair order.  joints is the
+    scan's joint-direction table (dx, dy, turn); the dot product is formed
+    only at zero turns.
+    """
+    dx, dy, turn = joints
+    flat = (turn == 0).nonzero()[0]
+    if len(flat) and ((first[flat + 1] - first[flat] == 1)
+                      & (dx[flat] * dx[flat + 1] + dy[flat] * dy[flat + 1] < 0)).any():
+        return pairs
+    i, j = pairs.T
+    keep = (first[j] - first[i] != 1).nonzero()[0]
+    # Gathered column by column, as candidate_pairs lays them out.
+    return np.array((i[keep], j[keep])).T
+
+
 def _resolve_contacts(first, pairs, segs, w):
-    """Decide every candidate pair exactly; returns (crossings, contacts).
+    """Decide the pairs exactly; returns (crossings, contacts).
 
     crossings holds the _Crossings columns (left, right, sign, unum, wnum,
     den) of the pairs that meet at a point interior to both segments.
@@ -823,9 +862,12 @@ def _resolve_contacts(first, pairs, segs, w):
     the pair meets at one point, and slot_a is the index of that polyline
     point when it is an end of left, else -1 (slot_b likewise for right).
     Both keep the order of pairs.  Segment s runs from polyline point
-    first[s] to first[s] + 1, and (segs, w) is the _segment_table.  Every
-    pair, collinear ones too, is decided on integers, and the contacts'
-    slots are read off the integer parameters, building no Fraction.
+    first[s] to first[s] + 1, and (segs, w) is the _segment_table.  pairs
+    are the candidate pairs of _exact_pairs: with no fold-back, no ordinary
+    joint, whose contact at its breakpoint the node rule allows anyway.
+    Every pair, collinear ones too, is decided on integers, and the
+    contacts' slots are read off the integer parameters, building no
+    Fraction.
     """
     left, right = pairs[:, 0], pairs[:, 1]
     ints = segs
@@ -858,8 +900,8 @@ def _resolve_contacts(first, pairs, segs, w):
     contacts = (i, j, codes[t] == 2,
                 np.where(un == 0, first[i], np.where(un == d, first[i] + 1, -1)),
                 np.where(wn == 0, first[j], np.where(wn == d, first[j] + 1, -1)))
-    return (left[inner], right[inner], signs[inner], unums[inner], wnums[inner], dens[inner]
-            ), contacts
+    k = inner.nonzero()[0]
+    return (left[k], right[k], signs[k], unums[k], wnums[k], dens[k]), contacts
 
 
 def validate(imm: PlaneImmersion) -> GenericityReport:

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from immersa.census import (
@@ -192,6 +193,20 @@ def test_sum_divisibility_explicit_family():
     ok2, report2 = check_sum_divisibility(pg, [5, *fives], 2)
     assert report2["family_size"] == 12
     assert ok2 == ok
+
+
+def test_family_lengths_follow_the_cycle_length_rule():
+    # A family length is taken as every sum takes one: numpy integers read
+    # as ints, and bools, floats and strings are refused.
+    pg = petersen_graph()
+    for check in (check_sum_divisibility, check_sum_invariance):
+        assert check(pg, [np.int64(5)], 2) == check(pg, [5], 2)
+        assert check(pg, [np.int16(6), 5], 2) == check(pg, [6, 5], 2)
+        with pytest.raises(ValueError, match="cycle length must be an integer"):
+            check(pg, [True], 2)
+        for item in (5.0, "5", None):
+            with pytest.raises(ValueError, match="family items must be lengths or cycles"):
+                check(pg, [item], 2)
 
 
 def test_sum_invariance_examples():

@@ -1,6 +1,7 @@
 import gc
 import math
 import pickle
+import random
 import sys
 import weakref
 from itertools import combinations
@@ -30,6 +31,7 @@ from immersa.graphs import (
     petersen_graph,
     sp_reduction_trace,
     theta_graph,
+    _canonical_steps,
 )
 from immersa.immersion import sum_crossing
 from immersa.sp import construct_zero_rotation, random_sp_graph
@@ -182,6 +184,39 @@ def test_cycles_validate_and_canonical_idempotent():
             assert rotated == c
             reversed_steps = tuple((n, -d) for n, d in reversed(c.steps))
             assert Cycle(reversed_steps) == c
+
+
+def exhaustive_canonical_steps(steps):
+    # The canonical form by its definition: the smallest of all 2n
+    # rotations of the forward and the reversed traversal, keyed with +1
+    # before -1, the first one met winning ties.
+    reverse = tuple((name, -d) for name, d in reversed(steps))
+    best = best_key = None
+    for seq in (steps, reverse):
+        for r in range(len(seq)):
+            cand = seq[r:] + seq[:r]
+            key = tuple((name, 0 if d > 0 else 1) for name, d in cand)
+            if best_key is None or key < best_key:
+                best, best_key = cand, key
+    return best
+
+
+def test_canonical_steps_match_the_exhaustive_rule():
+    # Seeded step sequences, half of them with repeated edge names (no
+    # simple cycle, but Cycle still takes them), against the definition.
+    rng = random.Random(20)
+    for trial in range(4000):
+        n = rng.randint(1, 9)
+        if trial % 2:
+            names = [f"e{rng.randrange(3)}" for _ in range(n)]
+        else:
+            names = [f"e{k}" for k in rng.sample(range(20), n)]
+        steps = tuple((name, rng.choice((1, -1))) for name in names)
+        assert _canonical_steps(steps) == exhaustive_canonical_steps(steps), steps
+    assert _canonical_steps(()) is None
+    for g in (heawood_graph(), complete_graph(5), multi_triangle(2), theta_graph(4)):
+        for c in enumerate_cycles(g):
+            assert c.steps == exhaustive_canonical_steps(c.steps)
 
 
 def test_edge_distance_basics():

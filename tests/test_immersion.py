@@ -1434,3 +1434,199 @@ def test_intake_refusals_keep_their_type_message_and_order(case):
     with pytest.raises(error) as caught:
         PlaneImmersion(g, pos, poly)
     assert type(caught.value) is error and str(caught.value) == message
+
+
+# -- polyline joints ----------------------------------------------------------
+#
+# An ordinary joint, segments s and s + 1 of one edge, skips the exact pair
+# batch unless some joint folds back.  The reference below scans as the batch
+# once ran, with every candidate pair decided by _resolve_contacts.
+
+
+def every_pair_scan(imm, monkeypatch, python_ints=False):
+    # A fresh copy of imm, scanned with every candidate pair, the ordinary
+    # joints too, sent through _resolve_contacts; on Python ints when asked.
+    with monkeypatch.context() as m:
+        m.setattr(immersion, "_exact_pairs", lambda pairs, first, joints: pairs)
+        if python_ints:
+            return python_int_scan(imm, monkeypatch)
+        copy = PlaneImmersion(imm.graph, imm.vertex_position, imm.edge_polyline)
+        copy._scan
+    return copy
+
+
+def crossing_table(imm):
+    found = imm._scan[1]
+    return [column.tolist() for column in
+            (found.left, found.right, found.sign, found.unum, found.wnum, found.den)]
+
+
+def joint_turns(imm):
+    # (cross, dot) of the two directions at every breakpoint of imm, from
+    # its Fraction views.
+    out = []
+    for pts in imm.edge_polyline.values():
+        for (ax, ay), (bx, by), (cx, cy) in zip(pts, pts[1:], pts[2:]):
+            d, e = (bx - ax, by - ay), (cx - bx, cy - by)
+            out.append((d[0] * e[1] - d[1] * e[0], d[0] * e[0] + d[1] * e[1]))
+    return out
+
+
+JOINT_GRAPHS = (
+    # A loop, two parallel edges and a pendant edge.
+    MultiGraph(("a", "b", "c"), (("l", "a", "a"), ("e", "a", "b"), ("f", "a", "b"),
+                                 ("g", "b", "c"))),
+    MultiGraph(("v", "w"), (("l", "v", "v"), ("e", "v", "w"))),
+)
+
+
+def grid_drawing(rng, graph):
+    # Vertices and breakpoints on the grid 0..4, 1 to 4 segments an edge.
+    # Three in ten breakpoints after the first go on along the last
+    # segment's line: back to its start, back past it, or straight on.
+    pos = {v: (rng.randint(0, 4), rng.randint(0, 4)) for v in graph.vertices}
+    polylines = {}
+    for name, t, h in graph.edges:
+        pts = [pos[t]]
+        for _ in range(rng.randint(0, 3)):
+            if len(pts) > 1 and rng.random() < 0.3:
+                (x0, y0), (x1, y1) = pts[-2:]
+                k = rng.choice((-1, -2, 1))
+                pts.append((x1 + k * (x1 - x0), y1 + k * (y1 - y0)))
+            else:
+                pts.append((rng.randint(0, 4), rng.randint(0, 4)))
+        polylines[name] = (*pts, pos[h])
+    return PlaneImmersion(graph, pos, polylines)
+
+
+def joint_drawings():
+    rng = random.Random(21)
+    drawings = [grid_drawing(rng, JOINT_GRAPHS[k % 2]) for k in range(240)]
+    g, loop = JOINT_GRAPHS
+    drawings += [
+        # A fold-back at the joint of e[1] and e[2], between contacts that
+        # come before and after it in pair order.
+        PlaneImmersion(loop, {"v": (0, 0), "w": (1, -2)},
+                       {"l": ((0, 0), (-2, 1), (-2, -1), (0, 0)),
+                        "e": ((0, 0), (2, 0), (2, 2), (2, 1), (1, 0), (1, -2))}),
+        # A partial fold-back on half-integers, beside a crossing.
+        PlaneImmersion(loop, {"v": (0, 0), "w": (4, 4)},
+                       {"l": ((0, 0), (-1, 3), (-3, 1), (0, 0)),
+                        "e": ((0, 0), (4, 0), (Fraction(7, 2), 0), (4, 4))}),
+        # The 2-segment loop (v, a, v): its segments overlap entirely.
+        PlaneImmersion(loop, {"v": (0, 0), "w": (0, 3)},
+                       {"l": ((0, 0), (2, 1), (0, 0)), "e": ((0, 0), (0, 3))}),
+        # Straight collinear continuations in a generic drawing with
+        # crossings: e runs on along y = 0 and the loop crosses it.
+        PlaneImmersion(loop, {"v": (0, 0), "w": (4, 0)},
+                       {"l": ((0, 0), (2, 2), (3, -1), (0, 0)),
+                        "e": ((0, 0), (1, 0), (2, 0), (4, 0))}),
+        # Directions anti-parallel across two edges, but at no joint: the
+        # last segment of e and the first of f.
+        PlaneImmersion(g, {"a": (0, 0), "b": (4, 0), "c": (4, 3)},
+                       {"l": ((0, 0), (-1, 2), (-2, -1), (0, 0)),
+                        "e": ((0, 0), (2, 2), (4, 0)), "f": ((0, 0), (2, -2), (4, 0)),
+                        "g": ((4, 0), (4, 3))}),
+    ]
+    generated = [random_immersion(graph, seed) for graph in (theta_graph(4), *JOINT_GRAPHS)
+                 for seed in range(3)]
+    return drawings + generated + [split_first_segments(imm) for imm in generated]
+
+
+def split_first_segments(imm):
+    # imm with the first segment of every edge split at its midpoint, a
+    # straight continuation.
+    def split(pts):
+        (x0, y0), (x1, y1) = pts[:2]
+        return (pts[0], ((x0 + x1) / 2, (y0 + y1) / 2), *pts[1:])
+
+    return PlaneImmersion(imm.graph, imm.vertex_position,
+                          {e: split(pts) for e, pts in imm.edge_polyline.items()})
+
+
+def test_joints_off_the_batch_match_every_pair_decided(monkeypatch):
+    folds = straight_generic = crossing_generic = 0
+    kinds = set()
+    for imm in joint_drawings():
+        turns = joint_turns(imm)
+        fold = any(c == 0 and d < 0 for c, d in turns)
+        cases = [(imm, every_pair_scan(imm, monkeypatch))]
+        if int(np.abs(imm._points.rows[:, :2]).max()) > 0:
+            near = near_coordinate_limit(imm)
+            cases.append((near, every_pair_scan(near, monkeypatch)))
+        cases.append((python_int_scan(imm, monkeypatch),
+                      every_pair_scan(imm, monkeypatch, python_ints=True)))
+        for got, want in cases:
+            assert got._scan[2][0].dtype == want._scan[2][0].dtype
+            assert validate(got).violations == validate(want).violations
+            if validate(got).ok:
+                assert crossing_table(got) == crossing_table(want)
+        folds += fold
+        if not fold:
+            kinds.update(kind for kind, _ in validate(imm).violations)
+        if validate(imm).ok:
+            straight_generic += any(c == 0 for c, _ in turns)
+            crossing_generic += len(imm._scan[1].left) > 0
+    assert folds >= 40 and straight_generic >= 5 and crossing_generic >= 10
+    # Drawings with no fold-back, whose joints skip the batch, still give
+    # every contact violation.
+    assert kinds >= {"overlap", "breakpoint-contact", "triple-point", "crossing-at-breakpoint"}
+
+
+def test_fold_backs_are_overlaps_in_pair_order(monkeypatch):
+    drawings = joint_drawings()[240:243]
+    assert [validate(imm).violations for imm in drawings] == [
+        (("breakpoint-contact", "e[0] touches e[3] at (1, 0)"),
+         ("breakpoint-contact", "e[0] touches e[4] at (1, 0)"),
+         ("overlap", "e[1] and e[2] overlap collinearly"),
+         ("breakpoint-contact", "e[1] touches e[3] at (2, 1)")),
+        (("overlap", "e[0] and e[1] overlap collinearly"),
+         ("breakpoint-contact", "e[0] touches e[2] at (7/2, 0)")),
+        (("overlap", "l[0] and l[1] overlap collinearly"),),
+    ]
+    for imm in drawings:
+        for report in both_paths(imm, monkeypatch):
+            assert report == validate(imm)
+
+
+def test_ordinary_joints_never_reach_the_classifier(monkeypatch):
+    imm = random_immersion(complete_graph(5), 0, breakpoints=(24, 32))
+    seen = {}
+    real_candidates, real_classify = kernels.candidate_pairs, kernels.classify_pairs
+
+    def candidates(segs):
+        seen["candidates"] = real_candidates(segs)
+        return seen["candidates"]
+
+    def classify(segs, pairs):
+        seen["classified"] = len(pairs)
+        return real_classify(segs, pairs)
+
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "candidate_pairs", candidates)
+        m.setattr(kernels, "classify_pairs", classify)
+        fresh = PlaneImmersion(imm.graph, imm.vertex_position, imm.edge_polyline)
+        assert validate(fresh).ok
+    # Segment s, number i of its edge: the pair (s, s + 1) is a joint when
+    # both are on one edge, and every joint's boxes meet.
+    edge_of = [e for e, pts in enumerate(imm.edge_polyline.values()) for _ in pts[1:]]
+    joints = sum(j == i + 1 and edge_of[i] == edge_of[j]
+                 for i, j in seen["candidates"].tolist())
+    assert joints == len(edge_of) - len(imm.graph.edges) > 200
+    assert seen["classified"] == len(seen["candidates"]) - joints
+
+    # The cycle table reads the scan's joint-direction table as it is.
+    dx, dy, turn = fresh._scan[3]
+    segs = fresh._scan[2][0]
+    assert dx.tolist() == (segs[:, 2] - segs[:, 0]).tolist()
+    assert dy.tolist() == (segs[:, 3] - segs[:, 1]).tolist()
+    assert turn.tolist() == (dx[:-1] * dy[1:] - dy[:-1] * dx[1:]).tolist()
+    calls = []
+    real_upward, real_passes = immersion._upward, immersion._passes_past_x
+    with monkeypatch.context() as m:
+        m.setattr(immersion, "_segment_table", None)
+        m.setattr(immersion, "_upward", lambda *a: calls.append(a) or real_upward(*a))
+        m.setattr(immersion, "_passes_past_x", lambda *a: calls.append(a) or real_passes(*a))
+        fresh._cycle_table
+    assert calls[0][0] is dx and calls[0][1] is dy and calls[1][2] is turn
+    assert fresh._cycle_table == imm._cycle_table

@@ -57,7 +57,7 @@ def drawing(source, seed, variant):
 
 def tables(f):
     # (report, segment table, crossing table columns, cycle table) of f.
-    report, found, (segs, w) = f._scan
+    report, found, (segs, w), _ = f._scan
     columns = None
     if found is not None:
         columns = [(column.dtype, column.tolist()) for column in (
