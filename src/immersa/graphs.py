@@ -83,8 +83,8 @@ class MultiGraph:
             return tail
         raise ValueError(f"{v!r} is not an endpoint of {name!r}")
 
-    @property
-    def edge_names(self):
+    @cached_property
+    def edge_names(self) -> tuple:
         return tuple(e[0] for e in self.edges)
 
     @cached_property

@@ -33,8 +33,11 @@ collinear overlap.  The scan forms every segment's direction and the turn
 at every joint once, as one joint-direction table, and tests the dot
 product only where the turn is zero.  With no fold-back the joints never
 reach classify_pairs; with one, every candidate pair is decided as before,
-so the fold-back's overlap keeps its place in the violations.  The
-crossings stay one table:
+so the fold-back's overlap keeps its place in the violations.  When no
+pair is left, as in a drawing whose every candidate pair is a joint, the
+batch costs nothing: classify_pairs is not called, and the crossing and
+contact columns are empty, of the segment table's dtype.  The crossings
+stay one table:
 segment pair, sign and the parameter numerators and denominator per row.
 Validation decides triple points (rows sorted by one float key, segment
 plus half the parameter, with exact comparison only between neighbours
@@ -64,7 +67,8 @@ polyline joint, from its turn, summed by edge through one prefix sum
 (backward from the forward ones, as the two add up to the change of
 half-plane), and the passes at every corner where one step of a cycle runs
 into the next, gathered through per-graph arrays of the corners' oriented
-steps.  The incidence and corner arrays are kept once per graph.
+steps.  The incidence and corner arrays are kept once per graph, and a
+graph with no cycle, whose table is empty, builds none of them.
 """
 
 from __future__ import annotations
@@ -84,7 +88,7 @@ import numpy as np
 from . import kernels
 from .census import _checked_length, _key, _weights
 from .geometry import as_point
-from .graphs import Cycle, MultiGraph, enumerate_cycles, per_graph
+from .graphs import INFINITE_DISTANCE, Cycle, MultiGraph, enumerate_cycles, per_graph
 
 
 @dataclass(frozen=True)
@@ -212,7 +216,8 @@ class PlaneImmersion:
         # first[s] + 1, and place[s] is (e, i).
         edge = np.arange(len(names)).repeat(counts - 1)
         first = np.arange(len(edge)) + edge
-        place = np.array((edge, first - tips[edge])).T
+        index = first - tips[edge]
+        place = np.array((edge, index)).T
         segs, w = table = _segment_table(pts, first)
         # The joint-direction table: segment s runs along (dx[s], dy[s]), on
         # its own positive scale, so every sign read off it is exact, and
@@ -232,10 +237,11 @@ class PlaneImmersion:
                                    f"{taken[row]} and {v} both at {_point_text(row)}"))
             else:
                 taken[row] = v
-        off = (pts[tips] != verts[ends_at]).any(axis=1)
+        # Only two rows an edge: np.take gathers them faster than indexing.
+        off = (pts.take(tips, 0) != verts.take(ends_at, 0)).any(axis=1)
         if zeros or off.any():
             zero_at = {}
-            for e, i in place[zeros].tolist():
+            for e, i in zip(edge[zeros].tolist(), index[zeros].tolist()):
                 zero_at.setdefault(e, []).append(i)
             off = off.tolist()
             for e, name in enumerate(names):
@@ -262,11 +268,13 @@ class PlaneImmersion:
         # slots at one vertex.  A polyline point's node is its vertex at an
         # edge's ends and its own index past the vertices otherwise; the
         # last entry, -1, is a contact's side strictly inside its segment.
-        node = np.arange(len(g.vertices), len(g.vertices) + len(pts) + 1)
-        node[tips], node[-1] = ends_at, -1
         _, _, overlap, slot_a, slot_b = contacts
-        at = node[slot_a]
-        bad = (overlap | (at < 0) | (at != node[slot_b])).nonzero()[0]
+        bad = ()
+        if len(overlap):
+            node = np.arange(len(g.vertices), len(g.vertices) + len(pts) + 1)
+            node[tips], node[-1] = ends_at, -1
+            at = node[slot_a]
+            bad = (overlap | (at < 0) | (at != node[slot_b])).nonzero()[0]
         if len(bad):
             labels = [f"{names[e]}[{i}]" for e, i in place.tolist()]
             for i, j, ov, a, b in zip(*(column[bad].tolist() for column in contacts)):
@@ -316,6 +324,8 @@ class PlaneImmersion:
     def _pair_crossings(self):
         # (a, b) in edge-index order (a == b for self) -> crossing count,
         # for the pairs that cross, in that order.
+        if not len(self._scan[1].left):
+            return {}
         names = self.graph.edge_names
         n = len(names)
         counts = self._pair_counts
@@ -392,9 +402,10 @@ class PlaneImmersion:
         # of enumerate_cycles, and the two lists hold each row's numbers.
         # ValueError when not generic.
         _require_valid(self)
+        # An acyclic graph builds no index arrays.
+        if not enumerate_cycles(self.graph):
+            return {}, [], []
         index = _cycle_index(self.graph)
-        if not index.rows:
-            return index.rows, [], []
         n = len(self.graph.edges)
         # With x a cycle's row of the incidence table and U[a, b] the
         # crossings of edges a <= b (in edge order), the cycle crosses
@@ -710,10 +721,13 @@ class _Crossings:
         # (unum, wnum, den, x0, y0, rx, ry, w) per row as Python ints, (x0,
         # y0) and (rx, ry) being left's start and direction on left's w.
         # The point's numerators x0 * den + unum * rx pass int64.
-        p = self.segs[self.left]
-        return zip(self.unum.tolist(), self.wnum.tolist(), self.den.tolist(), p[:, 0].tolist(),
-                   p[:, 1].tolist(), (p[:, 2] - p[:, 0]).tolist(), (p[:, 3] - p[:, 1]).tolist(),
-                   self.w[self.left].tolist())
+        # One gather per column: fancy indexing the 2-d table is slower.
+        x0, y0, x1, y1 = self.segs.T
+        left = self.left
+        px, py = x0[left], y0[left]
+        return zip(self.unum.tolist(), self.wnum.tolist(), self.den.tolist(), px.tolist(),
+                   py.tolist(), (x1[left] - px).tolist(), (y1[left] - py).tolist(),
+                   self.w[left].tolist())
 
     def by_u(self, perm, starts, ends):
         """The list perm of rows with each run perm[start:end] sorted by the
@@ -848,8 +862,9 @@ def _exact_pairs(pairs, first, joints):
         return pairs
     i, j = pairs.T
     keep = (first[j] - first[i] != 1).nonzero()[0]
-    # Gathered column by column, as candidate_pairs lays them out.
-    return np.array((i[keep], j[keep])).T
+    # One gather along the columns, which candidate_pairs lays out
+    # contiguously, keeps that layout.
+    return pairs.T.take(keep, 1).T
 
 
 def _resolve_contacts(first, pairs, segs, w):
@@ -867,9 +882,15 @@ def _resolve_contacts(first, pairs, segs, w):
     joint, whose contact at its breakpoint the node rule allows anyway.
     Every pair, collinear ones too, is decided on integers, and the
     contacts' slots are read off the integer parameters, building no
-    Fraction.
+    Fraction.  An empty batch, as when every candidate pair is an
+    ordinary joint, gives empty columns, the integer ones of segs' dtype,
+    without calling classify_pairs.
     """
     left, right = pairs[:, 0], pairs[:, 1]
+    if not len(pairs):
+        nums = np.empty(0, dtype=segs.dtype)
+        return ((left, right, left, nums, nums, nums),
+                (left, right, np.zeros(0, dtype=bool), left, left))
     ints = segs
     if segs.dtype == object:
         # Each pair on the lcm of its two segments' denominators: rows k and
@@ -886,14 +907,16 @@ def _resolve_contacts(first, pairs, segs, w):
     # (code 1, parameters 0 or 1) or miss (code 0).
     col = (codes == 2).nonzero()[0]
     if len(col):
-        p, q = ints[a[col]], ints[b[col]]
-        vertical = (p[:, 0] == p[:, 2])[:, None]
-        pa = np.where(vertical, p[:, 1::2], p[:, 0::2])
-        qa = np.where(vertical, q[:, 1::2], q[:, 0::2])
-        lo = np.maximum(pa.min(axis=1), qa.min(axis=1))
-        hi = np.minimum(pa.max(axis=1), qa.max(axis=1))
+        # One gather per column: fancy indexing the 2-d table is slower.
+        x0, y0, x1, y1 = ints.T
+        p, q = a[col], b[col]
+        vertical = x0[p] == x1[p]
+        p0, p1 = np.where(vertical, y0[p], x0[p]), np.where(vertical, y1[p], x1[p])
+        q0, q1 = np.where(vertical, y0[q], x0[q]), np.where(vertical, y1[q], x1[q])
+        lo = np.maximum(np.minimum(p0, p1), np.minimum(q0, q1))
+        hi = np.minimum(np.maximum(p0, p1), np.maximum(q0, q1))
         codes[col] = np.where(lo < hi, 2, np.where(lo == hi, 1, 0))
-        unums[col], wnums[col], dens[col] = pa[:, 0] != lo, qa[:, 0] != lo, 1
+        unums[col], wnums[col], dens[col] = p0 != lo, q0 != lo, 1
     inner = (codes == 1) & (unums > 0) & (unums < dens) & (wnums > 0) & (wnums < dens)
     t = ((codes != 0) & ~inner).nonzero()[0]
     i, j, un, wn, d = left[t], right[t], unums[t], wnums[t], dens[t]
@@ -1056,9 +1079,30 @@ def sum_crossing(imm: PlaneImmersion, k) -> int:
 
 
 def kappa(imm: PlaneImmersion, k) -> int:
-    """Total crossing count over all edge pairs at distance k."""
+    """Total crossing count over all edge pairs at distance k.
+
+    Raises:
+        ValueError: Invalid immersion, or k neither INFINITE_DISTANCE (edges
+            in different components) nor an integer of at least 0 (bools,
+            other floats and strings are refused).
+    """
     _require_valid(imm)
-    return imm._distance_sums.get(k, 0)
+    return imm._distance_sums.get(_checked_distance(k), 0)
+
+
+def _checked_distance(k):
+    # k as a plain int, or INFINITE_DISTANCE.  A distance is anything
+    # operator.index takes, numpy integers too, but a bool.
+    if isinstance(k, float) and k == INFINITE_DISTANCE:
+        return INFINITE_DISTANCE
+    try:
+        distance = operator.index(k)
+    except TypeError:
+        distance = -1
+    if distance < 0 or isinstance(k, bool):
+        raise ValueError(
+            f"edge distance must be an integer of at least 0 or INFINITE_DISTANCE, got {k!r}")
+    return distance
 
 
 @per_graph
@@ -1115,9 +1159,10 @@ def rotation_sum(imm: PlaneImmersion, k) -> int:
     rotation = imm._cycle_table[2]
     if k is not None:
         k = _checked_length(k)
-        # Cycles are sorted by length, so the k-cycles are one slice.
-        lengths = _cycle_index(imm.graph).lengths
-        rotation = rotation[bisect_left(lengths, k):bisect_right(lengths, k)]
+        if rotation:
+            # Cycles are sorted by length, so the k-cycles are one slice.
+            lengths = _cycle_index(imm.graph).lengths
+            rotation = rotation[bisect_left(lengths, k):bisect_right(lengths, k)]
     return sum(rotation)
 
 

@@ -11,7 +11,9 @@ add pairs.  It sorts and sweeps (Bentley and Ottmann, IEEE Trans. Computers
 only those take the box test on the other axis, so time and memory grow
 with the overlapping pairs, not with n^2.  The swept axis is the one on
 which every 16th interval overlaps fewer others, so one full sweep runs;
-the axis changes only the speed, never the pairs or their order.
+that estimate is formed only when the sample holds two intervals or more
+(n > 16), as a single interval ties the axes at axis 0.  The axis changes
+only the speed, never the pairs or their order.
 
 classify_pairs then decides exactly, on integer coordinates, the pairs its
 caller hands it: the caller scales each pair of segments to integers.  The
@@ -66,9 +68,11 @@ def candidate_pairs(segs):
     # them.  Among m intervals, the ordered pairs (i, j) with lo[j] <= hi[i]
     # are the m with i == j, both orders of each overlapping pair and one
     # order of each disjoint pair: m (m + 1) / 2 plus the overlapping pairs,
-    # so the two ends may be sorted apart.  The choice affects only speed.
-    axis = min((0, 1), key=lambda a: int(np.sort(lo[a][::16]).searchsorted(
-        np.sort(hi[a][::16]), "right").sum()))
+    # so the two ends may be sorted apart.  A sample of one interval (n <=
+    # 16) counts 1 on both axes, a tie that picks axis 0, so it is not
+    # formed.  The choice affects only speed.
+    axis = 0 if n <= 16 else min((0, 1), key=lambda a: int(
+        np.sort(lo[a][::16]).searchsorted(np.sort(hi[a][::16]), "right").sum()))
     # In lo order, an interval meets the later ones starting at or below
     # its hi; earlier ones pair it.  Any order of equal lo values counts
     # each pair once.
@@ -85,7 +89,10 @@ def candidate_pairs(segs):
     # lexicographically.
     key = np.minimum(first, second) * n + np.maximum(first, second)
     key.sort()
-    return np.array(np.divmod(key, n)).T
+    # Filled column by column, so each of the two is contiguous.
+    out = np.empty((2, len(key)), dtype=np.int64)
+    np.divmod(key, n, out=(out[0], out[1]))
+    return out.T
 
 
 def classify_pairs(segs_int, pairs):

@@ -37,6 +37,7 @@ from immersa.immersion import (
     sum_crossing,
     validate,
 )
+from immersa.sp import construct_zero_rotation, verify_zero
 from immersa.verify import run_checks
 from test_weights import GRAPHS as WEIGHT_GRAPHS
 from test_weights import passes
@@ -1530,7 +1531,28 @@ def joint_drawings():
     ]
     generated = [random_immersion(graph, seed) for graph in (theta_graph(4), *JOINT_GRAPHS)
                  for seed in range(3)]
-    return drawings + generated + [split_first_segments(imm) for imm in generated]
+    return (drawings + list(joint_only_drawings().values()) + generated
+            + [split_first_segments(imm) for imm in generated])
+
+
+def joint_only_drawings():
+    # Name -> a drawing whose candidate pairs are ordinary joints, but for
+    # the path's two edges at their shared vertex and the hairpin's
+    # fold-back; the first three leave the exact batch empty.
+    edge = MultiGraph(("a", "b"), (("e", "a", "b"),))
+    path = MultiGraph(("a", "b", "c"), (("e", "a", "b"), ("f", "b", "c")))
+    sp_edge = construct_zero_rotation(MultiGraph(("a", "b"), (("e", "a", "b"),)))
+    return {
+        "straight edge": PlaneImmersion(edge, {"a": (0, 0), "b": (3, 1)},
+                                        {"e": ((0, 0), (3, 1))}),
+        "sp one-edge": PlaneImmersion(edge, sp_edge.vertex_position, sp_edge.edge_polyline),
+        "zigzag": PlaneImmersion(edge, {"a": (0, 0), "b": (3, 1)},
+                                 {"e": ((0, 0), (1, 2), (2, -1), (3, 1))}),
+        "path": PlaneImmersion(path, {"a": (0, 0), "b": (2, 0), "c": (4, 0)},
+                               {"e": ((0, 0), (1, 1), (2, 0)), "f": ((2, 0), (3, -1), (4, 0))}),
+        "hairpin": PlaneImmersion(edge, {"a": (0, 0), "b": (1, 0)},
+                                  {"e": ((0, 0), (2, 0), (1, 0))}),
+    }
 
 
 def split_first_segments(imm):
@@ -1571,6 +1593,43 @@ def test_joints_off_the_batch_match_every_pair_decided(monkeypatch):
     # Drawings with no fold-back, whose joints skip the batch, still give
     # every contact violation.
     assert kinds >= {"overlap", "breakpoint-contact", "triple-point", "crossing-at-breakpoint"}
+
+
+def test_an_empty_exact_batch_calls_no_classifier(monkeypatch):
+    # The sizes of the batches handed to classify_pairs, on each path: no
+    # call when every candidate pair is an ordinary joint; the path's edges
+    # at b, a vertex-terminal pair, stay on the batch; the hairpin's
+    # fold-back sends its one joint through.
+    want = {"straight edge": [], "sp one-edge": [], "zigzag": [], "path": [1], "hairpin": [1]}
+    classified = []
+    real = kernels.classify_pairs
+
+    def classify(segs, pairs):
+        classified.append(len(pairs))
+        return real(segs, pairs)
+
+    for name, imm in joint_only_drawings().items():
+        want_ok = name != "hairpin"
+        for fresh in (lambda: PlaneImmersion(imm.graph, imm.vertex_position, imm.edge_polyline),
+                      lambda: near_coordinate_limit(imm),
+                      lambda: python_int_scan(imm, monkeypatch)):
+            classified.clear()
+            with monkeypatch.context() as m:
+                m.setattr(kernels, "classify_pairs", classify)
+                got = fresh()
+                got._scan
+            assert classified == want[name], name
+            every = every_pair_scan(got, monkeypatch,
+                                    python_ints=got._scan[2][0].dtype == object)
+            assert validate(got).ok == want_ok
+            assert validate(got) == validate(every)
+            if want_ok:
+                for field in dataclasses.fields(got._scan[1]):
+                    column, reference = (getattr(f._scan[1], field.name) for f in (got, every))
+                    assert column.dtype == reference.dtype
+                    assert column.tolist() == reference.tolist()
+                assert got._pair_crossings == {}
+                assert verify_zero(got) == (True, None)
 
 
 def test_fold_backs_are_overlaps_in_pair_order(monkeypatch):

@@ -14,6 +14,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from immersa import immersion
 from immersa.census import (
     census_table,
     check_sum_divisibility,
@@ -173,6 +174,28 @@ def test_crossing_and_rotation_sums_refuse_the_same_lengths(k):
             total(f, k)
 
 
+@pytest.mark.parametrize("k", [-1, True, False, 2.5, 1.0, -math.inf, "1", None])
+def test_kappa_refuses_what_is_no_edge_distance(k):
+    f = random_immersion(petersen_graph(), 1)
+    with pytest.raises(ValueError, match="edge distance must be an integer of at least 0 or "
+                                         "INFINITE_DISTANCE"):
+        kappa(f, k)
+
+
+def test_kappa_takes_integer_distances_and_infinity():
+    f = random_immersion(petersen_graph(), 1)
+    by_distance = {k: kappa(f, k) for k in (0, 1, 2, 3)}
+    assert by_distance == {0: 45, 1: 55, 2: 15, 3: 0}
+    assert by_distance == {k: sum(r.distance_class == k for r in crossings(f) if not r.is_self)
+                           for k in by_distance}
+    assert kappa(f, np.int64(1)) == kappa(f, np.uint8(1)) == 55
+    assert kappa(f, math.inf) == kappa(f, np.float64(math.inf)) == 0
+    g = MultiGraph(("a", "b", "c", "d"), (("ab", "a", "b"), ("cd", "c", "d")))
+    cross = PlaneImmersion(g, {"a": (-1, -1), "b": (1, 1), "c": (-1, 1), "d": (1, -1)},
+                           {"ab": ((-1, -1), (1, 1)), "cd": ((-1, 1), (1, -1))})
+    assert kappa(cross, math.inf) == 1 and kappa(cross, 0) == 0
+
+
 def test_numpy_integer_lengths_read_as_ints():
     f = random_immersion(heawood_graph(), 1)
     lift = random_lift(f, seed=1)
@@ -215,6 +238,40 @@ def test_cycle_table_with_no_cycle_and_with_one():
     assert rotation_number(f, cycle) == rotation_oracle(f, cycle) == rotation_sum(f, 3)
     assert abs(rotation_number(f, cycle)) == 1
     assert verify_zero(f) == (False, cycle)
+
+
+def _acyclic_graphs():
+    # The one-edge graph, a path, a star and a series-parallel tree, each
+    # new, so that its memo holds only what the test builds.
+    star = MultiGraph(("h", "x", "y", "z"),
+                      (("hx", "h", "x"), ("hy", "h", "y"), ("zh", "z", "h")))
+    return [
+        MultiGraph(("t0", "t1"), (("e0", "t0", "t1"),)),
+        MultiGraph(("a", "b", "c"), (("ab", "a", "b"), ("bc", "b", "c"))),
+        star,
+        random_sp_graph(38),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_acyclic_graphs_build_no_cycle_index(case):
+    graph = _acyclic_graphs()[case]
+    assert enumerate_cycles(graph) == () and len(graph.edges) == [1, 2, 3, 4][case]
+    f = construct_zero_rotation(graph)
+    assert f._cycle_table == ({}, [], [])
+    assert rotation_sum(f, None) == rotation_sum(f, 3) == 0
+    assert verify_zero(f) == (True, None)
+    foreign = enumerate_cycles(complete_graph(3))[0]
+    for call in (cycle_crossing_number, rotation_number):
+        with pytest.raises(ValueError, match="cycle does not belong to the graph"):
+            call(f, foreign)
+    assert all(key[0] is not immersion._cycle_index for key in graph._memo)
+    # Every vertex at one point: not generic, and the table still says so.
+    at_zero = PlaneImmersion(graph, {v: (0, 0) for v in graph.vertices},
+                             {name: ((0, 0), (1, 1), (0, 0)) for name in graph.edge_names})
+    for read in (lambda f: f._cycle_table, lambda f: rotation_sum(f, None), verify_zero):
+        with pytest.raises(ValueError, match="immersion is not generic"):
+            read(at_zero)
 
 
 def direct_counts(graph, cycles):
