@@ -278,7 +278,11 @@ def census_table(graph: MultiGraph, ks):
         ks: Iterable of cycle lengths.
 
     Returns:
-        Tuple of CensusRow in the order of ks.
+        Tuple of CensusRow in the order of ks, each k a plain int.
+
+    Raises:
+        ValueError: A k that is not an integer of at least 1 (bools and
+            floats are refused).
     """
     norm = _normalized_orientations(graph)
 
@@ -294,6 +298,8 @@ def census_table(graph: MultiGraph, ks):
     }
     rows = []
     for k in ks:
+        # A numpy integer length gives the same plain-int row as its value.
+        k = _checked_length(k)
         weights = _weights(graph, k)
         count = weights.size
 

@@ -11,18 +11,21 @@ denominator per point.  When every point scaled by the least common
 denominator fits kernels.INT_COORD_LIMIT, the table is int64 on that one
 scale; otherwise it holds Python ints, each point over the lcm of its own
 coordinates' denominators.  The generators (random_immersion and the
-zero-rotation constructor of sp) hand their integer lattices straight to
-it.  The public constructor fills the same table: from points given as
-tuples of two exact Fractions it reads the coordinates' terms straight into
-it, and any other input it coerces point by point as it always has, with
-the same refusals.  vertex_position and edge_polyline are Fraction views of
-the table, built on first read.  Crossing extraction decides every drawing
-on the segment table read off the point table, each segment over the lcm of
-its two points' denominators, and each candidate pair is scaled to the lcm
-of its two segments' denominators.  An exact sort-and-sweep prefilter (see
-kernels) runs its box test on integers: on the int64 segment table itself,
-or on a Python-int table's boxes, rounded outward onto one int64 scale by a
-power of two, so it keeps every touching pair at any magnitude.
+zero-rotation constructor of sp) write their integer lattices flat, in
+table order, and hand them straight to it.  The public constructor fills
+the same table: from points given as tuples of two exact Fractions it reads
+the coordinates' numerators and denominators, one list each, and packs
+each list into int64 in one C-level pass (a term past int64 sends the
+table to Python ints); any other input it coerces point by point as it
+always has, with the same refusals.  vertex_position and edge_polyline are
+Fraction views of the table, built on first read.  Crossing extraction
+decides every drawing on the segment table read off the point table, each
+segment over the lcm of its two points' denominators, and each candidate
+pair is scaled to the lcm of its two segments' denominators.  An exact
+sort-and-sweep prefilter (see kernels) runs its box test on integers: on
+the int64 segment table itself, or on a Python-int table's boxes, rounded
+outward onto one int64 scale by a power of two, so it keeps every touching
+pair at any magnitude.
 classify_pairs decides the surviving pairs exactly, with the same numpy
 code on both dtypes.  A contact between two segments is allowed only at one
 node, an ordinary polyline joint or terminal slots of two edge ends at one
@@ -76,6 +79,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+import struct
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -154,7 +158,8 @@ class PlaneImmersion:
     its arguments and fills the table: the terms of points given as tuples
     of two exact Fractions are read straight into it, and any other input
     is coerced point by point with as_point, with the same refusals.
-    A generator hands its integer lattice to _from_lattice.
+    A generator hands its integer lattice, flat in table order, to
+    _from_lattice.
 
     Treated as immutable after construction; compared by identity.
     """
@@ -163,20 +168,19 @@ class PlaneImmersion:
         points = _fraction_points(graph, vertex_position, edge_polyline)
         if points is None:
             points = _checked_points(graph, vertex_position, edge_polyline)
-        coords, counts = points
+        xs, ys, counts = points
         self.graph = graph
-        self._points = _PointTable(_fraction_rows(coords), np.array(counts, dtype=np.intp))
+        self._points = _PointTable(_fraction_rows(xs, ys), np.array(counts, dtype=np.intp))
 
     @classmethod
-    def _from_lattice(cls, graph, vertices, polylines, den):
-        """The drawing with vertex i of graph at vertices[i] / den and edge
-        j's polyline at polylines[j] / den: integer (x, y) numerators, in
-        vertex and edge order, every polyline of at least two points."""
+    def _from_lattice(cls, graph, flat, counts, den):
+        """The drawing of the points (x / den, y / den) whose integer
+        numerators flat lists, x and y of each point in turn, in table
+        order: the vertices in vertex order, then every edge's polyline in
+        edge order, counts[j] >= 2 points for edge j."""
         imm = cls.__new__(cls)
         imm.graph = graph
-        imm._points = _PointTable(
-            _lattice_rows(list(chain(vertices, chain.from_iterable(polylines))), den),
-            np.fromiter(map(len, polylines), np.intp, len(polylines)))
+        imm._points = _PointTable(_lattice_rows(flat, den), np.array(counts, dtype=np.intp))
         return imm
 
     @cached_property
@@ -509,7 +513,7 @@ class _PointTable:
 
 
 def _fraction_points(graph, vertex_position, edge_polyline):
-    # (coords, counts) as _checked_points returns them, when the two dicts
+    # (xs, ys, counts) as _checked_points returns them, when the two dicts
     # have exactly the graph's keys, every polyline is a tuple or list of
     # at least two points and every point is a tuple of two exact
     # Fractions; otherwise None.  It only reads its arguments, so any other
@@ -533,21 +537,23 @@ def _fraction_points(graph, vertex_position, edge_polyline):
     for line in polylines:
         points += line
     n = len(points)
-    if list(map(type, points)).count(tuple) != n or list(map(len, points)).count(2) != n:
+    if list(map(type, points)).count(tuple) != n:
         return None
-    coords = []
-    extend = coords.extend
-    for p in points:
-        extend(p)
-    if list(map(type, coords)).count(Fraction) != 2 * n:
+    try:
+        # Unpacking refuses a tuple of any other length.
+        xs = [x for x, _ in points]
+        ys = [y for _, y in points]
+    except ValueError:
         return None
-    return coords, counts
+    if list(map(type, xs)).count(Fraction) != n or list(map(type, ys)).count(Fraction) != n:
+        return None
+    return xs, ys, counts
 
 
 def _checked_points(graph, vertex_position, edge_polyline):
-    # (coords, counts): the Fraction coordinates of every point flat, x and
-    # y of each in turn, the vertex positions in vertex order and then
-    # every polyline in edge order, and each polyline's number of points.
+    # (xs, ys, counts): the Fraction x and the Fraction y coordinates of
+    # every point, the vertex positions in vertex order and then every
+    # polyline in edge order, and each polyline's number of points.
     # Coerces each point with as_point and raises on the first fault, in
     # this order: a bad vertex point, the vertex keys, then edge by edge a
     # missing polyline, a bad point or a polyline of one point, and last
@@ -566,70 +572,82 @@ def _checked_points(graph, vertex_position, edge_polyline):
     unknown = set(edge_polyline) - set(graph.edge_names)
     if unknown:
         raise ValueError(f"polylines for unknown edges: {sorted(unknown)}")
-    points = chain(map(pos.__getitem__, graph.vertices), chain.from_iterable(polylines))
-    return list(chain.from_iterable(points)), list(map(len, polylines))
+    points = list(chain(map(pos.__getitem__, graph.vertices), chain.from_iterable(polylines)))
+    return [x for x, _ in points], [y for _, y in points], list(map(len, polylines))
 
 
-# The terms of an exact Fraction, read without a Python-level call.
-_numerator = operator.attrgetter("_numerator")
-_denominator = operator.attrgetter("_denominator")
+def _int64s(values):
+    # values, a list of ints, as a read-only int64 array, packed in one
+    # C-level pass; struct.error when one is past int64.
+    return np.frombuffer(struct.pack(f"{len(values)}q", *values), np.int64)
 
 
-def _fraction_rows(coords):
-    # The _PointTable rows of the points whose coordinates coords lists
-    # flat, x and y of each point in turn, each an exact Fraction.
+def _int64_rows(x, y, den):
+    # The int64 _PointTable rows of the points (x[i] / den, y[i] / den),
+    # written column by column: a strided copy into two columns at once
+    # costs about three times as much.
+    rows = np.empty((len(x), 3), dtype=np.int64)
+    rows[:, 0] = x
+    rows[:, 1] = y
+    rows[:, 2] = den
+    return rows
+
+
+def _fraction_rows(xs, ys):
+    # The _PointTable rows of the points (xs[i], ys[i]), each coordinate an
+    # exact Fraction.  The numerators of both columns, x's then y's, are
+    # read by one comprehension and packed once, and so are the
+    # denominators; a term past int64 sends the table to the Python-int
+    # rows.
     limit = kernels.INT_COORD_LIMIT
-    n = len(coords)
+    n = len(xs)
+    coords = xs + ys
+    nums = [c._numerator for c in coords]
+    dens = [c._denominator for c in coords]
     try:
-        nums = np.fromiter(map(_numerator, coords), np.int64, n)
-        dens = np.fromiter(map(_denominator, coords), np.int64, n)
-    except OverflowError:
-        nums = None
-    if nums is not None:
+        num, den = _int64s(nums), _int64s(dens)
+    except struct.error:
+        num = None
+    if num is not None:
         # The least common denominator: the largest one when it is a
         # multiple of all the others.
-        scale = int(dens.max(initial=1))
-        factors, rest = np.divmod(scale, dens)
+        scale = int(den.max(initial=1))
+        factors, rest = np.divmod(scale, den)
         if scale <= limit and rest.any():
             scale = 1
-            for d in np.unique(dens).tolist():
+            for d in np.unique(den).tolist():
                 scale = math.lcm(scale, d)
                 if scale > limit:
                     break
             else:
                 # Only a scale within the limit is used.
-                factors = scale // dens
+                factors = scale // den
         # Both factors are at most INT_COORD_LIMIT = 10^9: products < 2**63.
-        if scale <= limit and nums.min(initial=0) >= -limit and nums.max(initial=0) <= limit:
-            scaled = nums * factors
+        if scale <= limit and num.min(initial=0) >= -limit and num.max(initial=0) <= limit:
+            scaled = num * factors
             if np.abs(scaled).max(initial=0) <= limit:
-                rows = np.empty((n // 2, 3), dtype=np.int64)
-                rows[:, :2] = scaled.reshape(-1, 2)
-                rows[:, 2] = scale
-                return rows
+                return _int64_rows(scaled[:n], scaled[n:], scale)
     rows = []
-    nums, dens = map(_numerator, coords), map(_denominator, coords)
     # One point per step: x's terms, then y's.
-    for xn, xd, yn, yd in zip(nums, dens, nums, dens):
+    for xn, xd, yn, yd in zip(nums[:n], dens[:n], nums[n:], dens[n:]):
         d = math.lcm(xd, yd)
         rows.append((xn * (d // xd), yn * (d // yd), d))
     return np.array(rows, dtype=object).reshape(-1, 3)
 
 
-def _lattice_rows(points, den):
-    # The _PointTable rows of the points (x / den, y / den), for integer
-    # pairs (x, y) and den > 0: the same rows as _fraction_rows builds.
-    flat = list(chain.from_iterable(points))
+def _lattice_rows(flat, den):
+    # The _PointTable rows of the points (x / den, y / den), for den > 0
+    # and the integers of flat, x and y of each point in turn: the same
+    # rows as _fraction_rows builds.  The int64 rows are packed as
+    # _fraction_rows packs its terms.
     g = math.gcd(den, *flat)
     if g > 1:
         den //= g
         flat = [c // g for c in flat]
     limit = kernels.INT_COORD_LIMIT
     if den <= limit and max(map(abs, flat), default=0) <= limit:
-        rows = np.empty((len(points), 3), dtype=np.int64)
-        rows[:, :2] = np.array(flat, dtype=np.int64).reshape(-1, 2)
-        rows[:, 2] = den
-        return rows
+        packed = _int64s(flat)
+        return _int64_rows(packed[0::2], packed[1::2], den)
     rows = []
     for x, y in zip(flat[::2], flat[1::2]):
         h = math.gcd(x, y, den)
@@ -1170,6 +1188,7 @@ def _randint(getrandbits, lo, hi):
     # rng.randint(lo, hi) for getrandbits = rng.getrandbits, lo <= hi: the
     # same value, and the same generator state after it, as
     # Random._randbelow draws it, without randint's argument checks.
+    # random_immersion runs the same loop inline, one draw per value.
     n = hi - lo + 1
     k = n.bit_length()
     r = getrandbits(k)
@@ -1191,57 +1210,95 @@ def random_immersion(graph: MultiGraph, seed, breakpoints=(3, 5), box=4,
     of an edge with nb breakpoints starts i/(nb + 1) of the way from tail
     to head and moves by a jitter on the grid 1/(2 denom (a + 1)).  Every
     point therefore lies on one lattice 1/lat, lat = denom * lcm(bmin + 1,
-    ..., bmax + 1, 2 (a + 1)); the drawing is computed there in integers and
-    handed to the immersion as they are.
+    ..., bmax + 1, 2 (a + 1)); the drawing is computed there in integers,
+    written flat in point-table order and handed to the immersion as it
+    is.  Every value is drawn as random.Random(seed).randint would draw it,
+    with the same generator state after it, by rejection on getrandbits
+    inline.  An attempt whose grid (2 span + 1)^2, span = floor(box *
+    denom), has fewer points than the graph has vertices cannot place them
+    apart, so it fails without drawing.
 
     Args:
         graph: The graph to draw.
         seed: Random seed.
         breakpoints: Inclusive (min, max) interior breakpoints per edge.
-        box: Half-width of the coordinate box.
+        box: Half-width of the coordinate box, an int, float or Fraction.
         max_attempts: Retry budget.
 
     Returns:
         A validated PlaneImmersion.
 
     Raises:
-        RuntimeError: Retry budget exhausted (practically unreachable).
+        ValueError: Fewer than 2 breakpoints allowed per edge, a maximum
+            number of breakpoints below the minimum, or a box that is not
+            positive.
+        RuntimeError: Retry budget exhausted (practically unreachable for
+            a box whose grid holds the vertices).
     """
     bits = random.Random(seed).getrandbits
     bmin, bmax = breakpoints
     if bmin < 2:
         raise ValueError("need at least 2 breakpoints per edge for loops")
+    if bmax < bmin:
+        raise ValueError(f"breakpoints maximum {bmax} is below the minimum {bmin}")
+    if box <= 0:
+        raise ValueError(f"box must be positive, got {box!r}")
     box_num, box_den = box.as_integer_ratio()
+    # Breakpoint counts are bmin + r for a draw r < choices.
+    choices = bmax - bmin + 1
+    kb = choices.bit_length()
+    vertices, edges = graph.vertices, graph.edges
     for attempt in range(max_attempts):
         denom = 64 + 13 * attempt
         span = box_num * denom // box_den
+        # Grid offsets and jitters are r - span for a draw r < width.
+        width = 2 * span + 1
+        if width * width < len(vertices):
+            continue
+        k = width.bit_length()
         lat = denom * math.lcm(*range(bmin + 1, bmax + 2), 2 * (attempt + 1))
         grid, jitter = lat // denom, lat // (2 * denom * (attempt + 1))
 
-        lattice = {}
+        flat = []
+        at = {}
         used = set()
-        for v in graph.vertices:
-            p = (_randint(bits, -span, span), _randint(bits, -span, span))
-            while p in used:
-                p = (_randint(bits, -span, span), _randint(bits, -span, span))
-            used.add(p)
-            lattice[v] = (p[0] * grid, p[1] * grid)
-        inner = {}
-        for name, t, h in graph.edges:
-            nb = _randint(bits, bmin, bmax)
-            (tx, ty), (hx, hy) = lattice[t], lattice[h]
-            pts = []
+        for v in vertices:
+            while True:
+                x = bits(k)
+                while x >= width:
+                    x = bits(k)
+                y = bits(k)
+                while y >= width:
+                    y = bits(k)
+                if (x, y) not in used:
+                    break
+            used.add((x, y))
+            p = at[v] = ((x - span) * grid, (y - span) * grid)
+            flat += p
+        counts = []
+        for _, t, h in edges:
+            nb = bits(kb)
+            while nb >= choices:
+                nb = bits(kb)
+            nb += bmin
+            tail, head = at[t], at[h]
+            tx, ty = tail
+            dx, dy = head[0] - tx, head[1] - ty
+            flat += tail
             for i in range(1, nb + 1):
+                x = bits(k)
+                while x >= width:
+                    x = bits(k)
+                y = bits(k)
+                while y >= width:
+                    y = bits(k)
                 # grid is a multiple of nb + 1, so the divisions are exact.
-                jx = _randint(bits, -span, span) * jitter
-                jy = _randint(bits, -span, span) * jitter
-                pts.append((tx + (hx - tx) * i // (nb + 1) + jx,
-                            ty + (hy - ty) * i // (nb + 1) + jy))
-            inner[name] = pts
+                flat += (tx + dx * i // (nb + 1) + (x - span) * jitter,
+                         ty + dy * i // (nb + 1) + (y - span) * jitter)
+            flat += head
+            counts.append(nb + 2)
 
-        imm = PlaneImmersion._from_lattice(
-            graph, [lattice[v] for v in graph.vertices],
-            [(lattice[t], *inner[name], lattice[h]) for name, t, h in graph.edges], lat)
+        imm = PlaneImmersion._from_lattice(graph, flat, counts, lat)
         if validate(imm).ok:
             return imm
     raise RuntimeError(

@@ -566,8 +566,10 @@ def _place(piece, target, source, k, t):
 
 
 def _assemble(graph, pieces, attempt):
-    # (vertex numerators in vertex order, polyline numerators in edge
-    # order, their one denominator, each piece's rotation parameter t).
+    # (the point numerators flat, x and y of each point in turn, vertices
+    # in vertex order and then polylines in edge order, each polyline's
+    # number of points, their one denominator, each piece's rotation
+    # parameter t).
     holders = {}
     for i, piece in enumerate(pieces):
         for vert in piece.block.vertices:
@@ -614,20 +616,22 @@ def _assemble(graph, pieces, attempt):
                         )
     common = math.lcm(*(den for _, den in polylines.values()))
     spare = max((x * (common // den) for x, _, den in positions.values()), default=0) + common
-    vertices = []
+    flat = []
     for vert in graph.vertices:
         if vert in positions:
             x, y, den = positions[vert]
-            vertices.append((x * (common // den), y * (common // den)))
+            flat += (x * (common // den), y * (common // den))
         else:
-            vertices.append((spare, 0))
+            flat += (spare, 0)
             spare += common
-    lines = []
+    counts = []
     for name in graph.edge_names:
         pts, den = polylines[name]
         f = common // den
-        lines.append([(x * f, y * f) for x, y in pts])
-    return vertices, lines, common, turns
+        for x, y in pts:
+            flat += (x * f, y * f)
+        counts.append(len(pts))
+    return flat, counts, common, turns
 
 
 def construct_zero_rotation(graph: MultiGraph) -> PlaneImmersion:
@@ -661,8 +665,8 @@ def zero_rotation_certificates(graph: MultiGraph):
     pieces = [_block_piece(block) for block, _ in block_decomposition(graph)]
     failure = None
     for attempt in range(_MAX_PLACEMENTS):
-        vertices, polylines, den, turns = _assemble(graph, pieces, attempt)
-        immersion = PlaneImmersion._from_lattice(graph, vertices, polylines, den)
+        flat, counts, den, turns = _assemble(graph, pieces, attempt)
+        immersion = PlaneImmersion._from_lattice(graph, flat, counts, den)
         report = validate(immersion)
         if not report.ok:
             failure = report.summary()

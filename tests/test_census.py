@@ -209,6 +209,19 @@ def test_family_lengths_follow_the_cycle_length_rule():
                 check(pg, [item], 2)
 
 
+def test_census_lengths_follow_the_cycle_length_rule():
+    # A numpy integer k gives the row of its value, every field a plain
+    # int; bools and floats are refused as before.
+    pg = petersen_graph()
+    for k in (np.int64(5), np.int16(6), np.uint8(8)):
+        (row,) = census_table(pg, [k])
+        assert row == census_table(pg, [int(k)])[0]
+        assert {type(v) for v in (row.k, row.count, row.count_times_k)} == {int}
+    for k in (True, 5.0):
+        with pytest.raises(ValueError, match="cycle length must be an integer"):
+            census_table(pg, [k])
+
+
 def test_sum_invariance_examples():
     r = check_sum_invariance(complete_bipartite_graph(3, 3), [4], 2)
     assert tuple(r) == (True, True, True, True)

@@ -550,6 +550,122 @@ def test_draw_helper_is_randint(lo, hi):
         assert ours.getstate() == theirs.getstate()
 
 
+def oracle_random_immersion(graph, seed, breakpoints, box, max_attempts=60):
+    # (drawing, attempt): random_immersion as it drew before its draws were
+    # inlined, one _randint call per value, with the drawing built from
+    # Fraction points by the public constructor.  An attempt whose grid
+    # holds fewer points than the graph has vertices is skipped undrawn.
+    bits = random.Random(seed).getrandbits
+    bmin, bmax = breakpoints
+    box_num, box_den = box.as_integer_ratio()
+    for attempt in range(max_attempts):
+        denom = 64 + 13 * attempt
+        span = box_num * denom // box_den
+        if (2 * span + 1) ** 2 < len(graph.vertices):
+            continue
+        lat = denom * math.lcm(*range(bmin + 1, bmax + 2), 2 * (attempt + 1))
+        grid, jitter = lat // denom, lat // (2 * denom * (attempt + 1))
+        lattice = {}
+        used = set()
+        for v in graph.vertices:
+            p = (immersion._randint(bits, -span, span), immersion._randint(bits, -span, span))
+            while p in used:
+                p = (immersion._randint(bits, -span, span),
+                     immersion._randint(bits, -span, span))
+            used.add(p)
+            lattice[v] = (p[0] * grid, p[1] * grid)
+        inner = {}
+        for name, t, h in graph.edges:
+            nb = immersion._randint(bits, bmin, bmax)
+            (tx, ty), (hx, hy) = lattice[t], lattice[h]
+            pts = []
+            for i in range(1, nb + 1):
+                jx = immersion._randint(bits, -span, span) * jitter
+                jy = immersion._randint(bits, -span, span) * jitter
+                pts.append((tx + (hx - tx) * i // (nb + 1) + jx,
+                            ty + (hy - ty) * i // (nb + 1) + jy))
+            inner[name] = pts
+
+        def point(p):
+            return (Fraction(p[0], lat), Fraction(p[1], lat))
+
+        imm = PlaneImmersion(
+            graph, {v: point(p) for v, p in lattice.items()},
+            {name: tuple(map(point, (lattice[t], *inner[name], lattice[h])))
+             for name, t, h in graph.edges})
+        if validate(imm).ok:
+            return imm, attempt
+    raise RuntimeError("retry budget exhausted")
+
+
+GENERATOR_GRAPHS = {"HG": heawood_graph, "PG": petersen_graph, "K5": lambda: complete_graph(5),
+                    "theta4": lambda: theta_graph(4)}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_GRAPHS))
+def test_generator_matches_the_one_call_per_value_oracle(name):
+    # Seeds 0 to 199 at each of three breakpoint ranges, the box taking
+    # the values 1, 5/2 and 4.5 in turn: whole point tables, retries
+    # included.
+    graph = GENERATOR_GRAPHS[name]()
+    boxes = (1, Fraction(5, 2), 4.5)
+    retried = 0
+    for bp in ((2, 2), (2, 7), (3, 5)):
+        for seed in range(200):
+            box = boxes[seed % 3]
+            got = random_immersion(graph, seed, breakpoints=bp, box=box)
+            want, attempt = oracle_random_immersion(graph, seed, bp, box)
+            assert got._points.rows.dtype == want._points.rows.dtype, (seed, bp, box)
+            assert got._points.rows.tolist() == want._points.rows.tolist(), (seed, bp, box)
+            assert got._points.counts.tolist() == want._points.counts.tolist(), (seed, bp, box)
+            retried += attempt > 0
+    # Some first attempts are not generic, so later draws are compared too.
+    assert retried > 0
+
+
+@pytest.mark.parametrize("breakpoints, box, message", [
+    ((3, 2), 4, "breakpoints maximum 2 is below the minimum 3"),
+    ((3, 5), 0, "box must be positive, got 0"),
+    ((3, 5), -1.5, "box must be positive, got -1.5"),
+    ((3, 5), Fraction(-1, 2), "box must be positive, got Fraction(-1, 2)"),
+    ((1, 5), -1, "need at least 2 breakpoints per edge for loops"),
+])
+def test_generator_refuses_what_it_cannot_draw(breakpoints, box, message):
+    for graph in (heawood_graph(), MultiGraph(("a",), ())):
+        with pytest.raises(ValueError) as caught:
+            random_immersion(graph, 1, breakpoints=breakpoints, box=box)
+        assert str(caught.value) == message
+
+
+def test_a_grid_too_small_for_the_vertices_fails_undrawn(monkeypatch):
+    # box 0.01 puts 1 grid point at attempts 0 to 2 and 9 at attempts 3 to
+    # 10, too few for HG's 14 vertices: those attempts fail without a draw.
+    # At attempt 11 (span 2, 25 points) the first values are drawn, the
+    # ones a fresh generator gives.
+    hg = heawood_graph()
+    calls = []
+    real = random.Random
+
+    class Counting(real):
+        def getrandbits(self, k):
+            calls.append(k)
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(random, "Random", Counting)
+    with pytest.raises(RuntimeError, match="in 11 attempts"):
+        random_immersion(hg, 1, box=0.01, max_attempts=11)
+    assert calls == []
+    monkeypatch.setattr(random, "Random", real)
+    got = random_immersion(hg, 1, box=0.01)
+    want, attempt = oracle_random_immersion(hg, 1, (3, 5), 0.01)
+    assert attempt >= 11
+    assert got._points.rows.tolist() == want._points.rows.tolist()
+    # A grid of exactly as many points as vertices still draws.
+    nine = MultiGraph(tuple(f"v{i}" for i in range(9)), ())
+    f = random_immersion(nine, 3, box=Fraction(1, 64), max_attempts=1)
+    assert sorted(f._points.rows.tolist()) == [[x, y, 64] for x in (-1, 0, 1) for y in (-1, 0, 1)]
+
+
 @given(st.integers(min_value=0, max_value=10**6))
 def test_digon_random_immersion_parity(seed):
     imm = random_immersion(theta_graph(2), seed)
@@ -1384,6 +1500,72 @@ def test_intake_is_one_function_of_the_values():
             assert g._points.counts.tolist() == base._points.counts.tolist(), name
             assert g.vertex_position == pos and g.edge_polyline == poly, name
             assert serialize_immersion(g) == text, name
+
+
+def readme_rows(points):
+    # (dtype, rows) of the point table by the rule the README states, in
+    # Python ints: over the least common denominator when every entry then
+    # fits INT_COORD_LIMIT, otherwise each point over the lcm of its own
+    # coordinates' denominators.
+    limit = kernels.INT_COORD_LIMIT
+    scale = math.lcm(*(c.denominator for p in points for c in p))
+    rows = [[int(x * scale), int(y * scale), scale] for x, y in points]
+    if all(abs(c) <= limit for row in rows for c in row):
+        return np.int64, rows
+    rows = []
+    for x, y in points:
+        d = math.lcm(x.denominator, y.denominator)
+        rows.append([int(x * d), int(y * d), d])
+    return object, rows
+
+
+def _boundary_drawing(a, b, c):
+    # One edge from a to c bent at b, each point a pair of Fractions.
+    g = MultiGraph(("u", "v"), (("e", "u", "v"),))
+    point = lambda p: tuple(map(Fraction, p))  # noqa: E731
+    return g, {"u": point(a), "v": point(c)}, {"e": (point(a), point(b), point(c))}
+
+
+def _intake_boundaries():
+    lim = kernels.INT_COORD_LIMIT
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    p1, p2 = 99991, 99989  # primes: their lcm is past the limit
+    return {
+        "terms at the limit": _boundary_drawing((lim, -lim), (0, 1), (-lim, lim)),
+        "one past the limit": _boundary_drawing((lim + 1, 0), (0, 1), (2, 3)),
+        "one below minus the limit": _boundary_drawing((0, -lim - 1), (0, 1), (2, 3)),
+        "scaled to the limit": _boundary_drawing((Fraction(lim - 1, 2), 0), (half, 1), (2, 3)),
+        "scaled one past the limit": _boundary_drawing((Fraction(lim + 1, 2), 0), (half, 1),
+                                                       (2, 3)),
+        "denominator at the limit": _boundary_drawing((Fraction(1, lim), 0), (0, 1), (2, 3)),
+        "denominator past the limit": _boundary_drawing((Fraction(1, lim + 7), 0), (0, 1),
+                                                        (2, 3)),
+        "numerator past 2**63": _boundary_drawing((Fraction(2**63 + 5, 7), 0), (0, 1), (2, 3)),
+        "denominator past 2**63": _boundary_drawing((Fraction(1, 2**64 + 1), 0), (0, 1), (2, 3)),
+        "lcm of 2 and 3": _boundary_drawing((half, 0), (third, half), (2, Fraction(5, 3))),
+        "lcm past the limit": _boundary_drawing((Fraction(1, p1), half), (third, 1),
+                                                (2, Fraction(1, p2))),
+        "no edges": (MultiGraph(("u", "v"), ()), {"u": (half, third), "v": (Fraction(2), 0)},
+                     {}),
+        "no points": (MultiGraph((), ()), {}, {}),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_intake_boundaries()))
+def test_intake_boundaries_follow_the_readme_rule(case):
+    g, pos, poly = _intake_boundaries()[case]
+    points = [pos[v] for v in g.vertices] + [p for name in g.edge_names for p in poly[name]]
+    dtype, rows = readme_rows(points)
+    # Tuples of Fractions are read term by term; lists are coerced point
+    # by point first.  Both fill the same table.
+    for form in (tuple, list):
+        f = PlaneImmersion(g, {v: form(p) for v, p in pos.items()},
+                           {e: tuple(map(form, pts)) for e, pts in poly.items()})
+        assert f._points.rows.dtype == dtype, form
+        assert f._points.rows.tolist() == rows, form
+        assert all(type(c) is int for row in f._points.rows.tolist() for c in row), form
+        assert f._points.counts.tolist() == [len(poly[e]) for e in g.edge_names], form
+        assert f.vertex_position == pos and f.edge_polyline == poly, form
 
 
 def _k3_drawing():
