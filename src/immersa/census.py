@@ -25,7 +25,9 @@ disjoint pair the signed count is beta up to the census orientation sign
 of the pair.  Both weights are int64 vectors on the keys a * n + b of the
 edge indices a <= b (n edges), the one edge-pair key space that the
 immersion and diagram modules keep their crossing counts and signs on, so
-each such sum is one dot product.
+each such sum is one dot product: with X the family's rows of the graph's
+signed cycle-by-edge table (see graphs), the upper triangle of |X|^T |X|
+or of X^T X.  The census orientations and beta read X too.
 
 Orientation conventions.  An oriented edge is either a bare edge name (the
 stored tail-to-head orientation) or a pair ``(name, sign)`` with sign +1 or
@@ -43,7 +45,18 @@ from itertools import combinations
 
 import numpy as np
 
-from .graphs import Cycle, MultiGraph, edge_distance, enumerate_cycles, per_graph
+from .graphs import (
+    Cycle,
+    MultiGraph,
+    _checked_length,
+    _cycle_table,
+    _length_rows,
+    _signed_incidence,
+    cycle_lengths,
+    edge_distance,
+    enumerate_cycles,
+    per_graph,
+)
 
 
 def _oriented(edge):
@@ -57,9 +70,7 @@ def _oriented(edge):
 
 def girth(graph: MultiGraph):
     """Length of a shortest cycle, or None for a forest."""
-    for c in enumerate_cycles(graph):
-        return len(c)  # enumeration is sorted by length
-    return None
+    return next(iter(cycle_lengths(graph)), None)
 
 
 @per_graph
@@ -68,19 +79,18 @@ def _normalized_orientations(graph: MultiGraph):
     # its stored orientation): make the first girth cycle through the pair
     # coherent; with no girth cycle through the pair, take the
     # lexicographically smaller orientation of the second edge.
+    pairs = [p for p, dist in graph._edge_distances.items() if dist]
+    signs = [0] * len(pairs)
     g = girth(graph)
-    girth_cycles = enumerate_cycles(graph, g) if g is not None else ()
+    if g is not None:
+        # Pair j's directions multiplied, per girth cycle (0 off the cycle).
+        index = graph.edge_index
+        x = _signed_incidence(graph)[_length_rows(graph, g)]
+        through = x[:, [index[d] for d, _ in pairs]] * x[:, [index[e] for _, e in pairs]]
+        signs = through[(through != 0).argmax(axis=0), np.arange(len(pairs))].tolist()
     out = {}
-    for (d, e), dist in graph._edge_distances.items():
-        if dist == 0:
-            continue
-        sign = None
-        for c in girth_cycles:
-            if d in c.edge_name_set and e in c.edge_name_set:
-                dirs = dict(c.steps)
-                sign = dirs[d] * dirs[e]
-                break
-        if sign is None:
+    for (d, e), sign in zip(pairs, signs):
+        if not sign:
             t, h = graph.endpoints[e]
             sign = 1 if (t, h) <= (h, t) else -1
         out[(d, e)] = sign
@@ -93,12 +103,13 @@ def pair_orientation_convention(graph: MultiGraph, d, e):
     Returns +1 or -1 for edge e such that the first girth cycle through
     {d, e} is coherent, falling back to the lexicographically smaller
     orientation when no girth cycle passes through the pair.
+
+    Raises:
+        ValueError: Unknown edge name, or the edges share a vertex.
     """
-    key = tuple(sorted((d, e), key=graph.edge_index.get))
-    sign = _normalized_orientations(graph).get(key)
-    if sign is None:
+    if edge_distance(graph, d, e) < 1:
         raise ValueError(f"{d!r}, {e!r} is not a disjoint pair")
-    return sign
+    return _normalized_orientations(graph)[tuple(sorted((d, e), key=graph.edge_index.get))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,22 +132,10 @@ class _Weights:
     signed: np.ndarray
 
 
-def _count_weights(graph: MultiGraph, cycles):
-    # With x the cycle-by-edge table of traversal directions (0 off the
-    # cycle), the upper triangles of |x|^T |x| and x^T x are the counts
-    # and the signed counts.
-    index = graph.edge_index
-    n = len(index)
-    x = np.zeros(len(cycles) * n, dtype=np.int64)
-    cells, dirs = [], []
-    for row, c in enumerate(cycles):
-        for name, d in c.steps:
-            cells.append(row * n + index[name])
-            dirs.append(d)
-    x[cells] = dirs
-    x = x.reshape(len(cycles), n)
+def _count_weights(x):
+    # The weights of the cycles of some rows x of a signed incidence table.
     on = np.abs(x)
-    return _Weights(len(cycles), np.triu(on.T @ on).ravel(), np.triu(x.T @ x).ravel())
+    return _Weights(len(x), np.triu(on.T @ on).ravel(), np.triu(x.T @ x).ravel())
 
 
 def _key(graph: MultiGraph, d, e):
@@ -146,37 +145,15 @@ def _key(graph: MultiGraph, d, e):
     return a * len(index) + b
 
 
-def _checked_length(k):
-    # k as a plain int, or None for every cycle.  A length is anything
-    # operator.index takes, numpy integers too, but a bool.
-    if k is None:
-        return None
-    try:
-        length = operator.index(k)
-    except TypeError:
-        length = 0
-    if length < 1 or isinstance(k, bool):
-        raise ValueError(f"cycle length must be an integer of at least 1, got {k!r}")
-    return length
-
-
 def _weights(graph: MultiGraph, k):
-    """Weights of the k-cycles, or of all cycles for k None.
-
-    Kept in the graph's memo, so they are counted once per graph and
-    freed with it.
-
-    Raises:
-        ValueError: k is neither None nor an integer of at least 1, or a
-            bool.
-    """
-    # Checked before the memo lookup: True and 1 are one dict key.
+    # The k-cycles' weights (every cycle's for k None), memoized; k is checked
+    # before the memo lookup, as True and 1 are one dict key.
     return _length_weights(graph, _checked_length(k))
 
 
 @per_graph
 def _length_weights(graph: MultiGraph, k):
-    return _count_weights(graph, enumerate_cycles(graph, k))
+    return _count_weights(_signed_incidence(graph)[_length_rows(graph, k)])
 
 
 def alpha(graph: MultiGraph, k, target):
@@ -225,21 +202,20 @@ def beta(graph: MultiGraph, k, d, e):
         is the CoherenceSplit listing the cycles on each side.
 
     Raises:
-        ValueError: If the two edges share a vertex.
+        ValueError: k is no integer of at least 1 (bools and floats are
+            refused), an edge is unknown, or the two edges share a vertex.
     """
+    rows = _length_rows(graph, k)
     dn, ds = _oriented(d)
     en, es = _oriented(e)
     if edge_distance(graph, dn, en) < 1:
         raise ValueError(f"{dn!r} and {en!r} are not disjoint")
+    x = _signed_incidence(graph)[rows, [graph.edge_index[dn], graph.edge_index[en]]]
     coherent = []
     incoherent = []
-    for c in enumerate_cycles(graph, k):
-        if dn in c.edge_name_set and en in c.edge_name_set:
-            dirs = dict(c.steps)
-            if ds * dirs[dn] == es * dirs[en]:
-                coherent.append(c)
-            else:
-                incoherent.append(c)
+    for c, (xd, xe) in zip(enumerate_cycles(graph, k), x.tolist()):
+        if xd and xe:
+            (coherent if ds * xd == es * xe else incoherent).append(c)
     split = CoherenceSplit(tuple(coherent), tuple(incoherent))
     return len(split.coherent) - len(split.incoherent), split
 
@@ -338,22 +314,25 @@ def census_table(graph: MultiGraph, ks):
     return tuple(rows)
 
 
-def _family_cycles(graph: MultiGraph, family):
-    # A length is what _checked_length takes: anything operator.index
-    # takes, numpy integers too, but a bool, which it refuses.
+def _family_weights(graph: MultiGraph, family, m):
+    # The weights of the family's rows in the graph's cycle table, each row
+    # once, for a modulus m >= 1.  A length is what _checked_length takes (a
+    # bool is refused); a valid cycle is canonical, so it has a row.
+    if m < 1:
+        raise ValueError("m must be at least 1")
     out = {}
     for item in family:
         if isinstance(item, Cycle):
             item.validate(graph)
-            out[item] = None
+            out[_cycle_table(graph).rows[item]] = None
             continue
         try:
             operator.index(item)
         except TypeError:
             raise ValueError(f"family items must be lengths or cycles, got {item!r}") from None
-        for c in enumerate_cycles(graph, _checked_length(item)):
-            out[c] = None
-    return tuple(out)
+        rows = _length_rows(graph, item)
+        out.update(dict.fromkeys(range(rows.start, rows.stop)))
+    return _count_weights(_signed_incidence(graph)[list(out)])
 
 
 def check_sum_divisibility(graph: MultiGraph, family, m):
@@ -373,9 +352,7 @@ def check_sum_divisibility(graph: MultiGraph, family, m):
         Pair (ok, report); report holds per-condition booleans and the
         failing edges or pairs with their counts.
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    weights = _count_weights(graph, _family_cycles(graph, family))
+    weights = _family_weights(graph, family, m)
     counts = weights.counts.tolist()
     n = len(graph.edges)
     edge_failures = {e: counts[a * n + a] for a, e in enumerate(graph.edge_names)
@@ -429,9 +406,7 @@ def check_sum_invariance(graph: MultiGraph, family, m):
     Returns:
         SumInvarianceReport of four booleans (iterable in order).
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    weights = _count_weights(graph, _family_cycles(graph, family))
+    weights = _family_weights(graph, family, m)
     n = len(graph.edges)
     upper = weights.counts.reshape(n, n)
     # The pair counts as a symmetric matrix, edge counts on the diagonal,

@@ -25,7 +25,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .census import census_table, enumerate_cycles, girth, tb_ratio
+from .census import census_table, girth, tb_ratio
 from .diagrams import Diagram, L_invariant, random_lift, tb_by_length, tb_total
 from .formats import (
     ParseError,
@@ -36,7 +36,7 @@ from .formats import (
     serialize_diagram,
     serialize_immersion,
 )
-from .graphs import MultiGraph, cycle_lengths, heawood_graph, petersen_graph
+from .graphs import MultiGraph, cycle_lengths, enumerate_cycles, heawood_graph, petersen_graph
 from .immersion import (
     PlaneImmersion,
     crossings,

@@ -7,9 +7,10 @@ record order (the order of the crossing ids).  Every pairwise linking sum
 comes from it by one bincount over the crossings' edge-pair keys a * n + b
 (edge indices a <= b, n edges) into one vector S on all n * n keys, and
 every writhe or L sum is one product of S with a weight vector on the same
-keys, kept once per graph.  Nothing here builds CrossingRecords; they are
-made only for readers that need a crossing's point or parameters, such as
-the crossing listing and the SVG picture.
+keys, kept once per graph.  The writhe weights and writhe_cycle's direction
+vector come from the graph's cycle table (see graphs).  Nothing here builds
+CrossingRecords; they are made only for readers that need a crossing's
+point or parameters, such as the crossing listing and the SVG picture.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .census import _key, _oriented, _weights
 from .epsilon import epsilon_table
-from .graphs import Cycle, cycle_lengths, per_graph
+from .graphs import Cycle, _cycle_table, _signed_incidence, cycle_lengths, per_graph
 from .immersion import PlaneImmersion
 
 _CHOICES = ("first", "second")
@@ -214,10 +215,8 @@ def writhe_cycle(diagram: Diagram, cycle: Cycle) -> int:
     cycle.validate(graph)
     # x^T S x, with x the cycle's traversal direction on each edge (0 off
     # the cycle) and S the ell of each pair a <= b as an upper triangle.
-    index = graph.edge_index
-    x = np.zeros(len(index), dtype=np.int64)
-    for name, d in cycle.steps:
-        x[index[name]] = d
+    # A valid cycle is canonical, so it has a row.
+    x = _signed_incidence(graph)[_cycle_table(graph).rows[cycle]]
     return int(x @ diagram._pair_signs.reshape(len(x), len(x)) @ x)
 
 

@@ -6,15 +6,22 @@ vertices or edges.  Data derived from a graph (cycles, edge distances,
 census weights) is memoized on the graph object itself, so it is freed
 with the graph.  Filling a memo entry is idempotent, so shared read-only
 use from several threads stays safe.
+
+This module owns each graph's cycle table, its cycles encoded once as
+integer step codes; the census weights, the immersion's cycle index and
+the writhe sums read their cycles' rows from it, never edge names.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from itertools import combinations
+from itertools import accumulate, combinations
+
+import numpy as np
 
 # Sentinel distance for edge pairs in different components.
 INFINITE_DISTANCE = math.inf
@@ -71,9 +78,6 @@ class MultiGraph:
             inc[tail].append(name)
             inc[head].append(name)
         return {v: tuple(names) for v, names in inc.items()}
-
-    def degree(self, v) -> int:
-        return len(self.incident[v])
 
     def other_end(self, name, v):
         tail, head = self.endpoints[name]
@@ -237,8 +241,33 @@ class Cycle:
             raise ValueError("cycle repeats an edge")
 
 
+@dataclass(frozen=True, eq=False)
+class _CycleTable:
+    """A graph's cycles, enumerated once and encoded once as integers.
+
+    Attributes:
+        cycles: The canonical Cycles, in the order of enumerate_cycles.
+        rows: Each cycle -> its row, its place in cycles.
+        codes: intp, every cycle's steps, row after row, in canonical
+            orientation: code 2e + r is edge e (in edge order) traversed
+            tail to head (r = 0) or head to tail (r = 1).
+        starts: intp offset of each row's run in codes, then len(codes).
+        spans: Cycle length -> (first row, end row), lengths ascending.
+    """
+
+    cycles: tuple
+    rows: dict
+    codes: np.ndarray
+    starts: np.ndarray
+    spans: dict
+
+
+# The one table of every graph with no cycle: such a graph builds no arrays.
+_NO_CYCLES = _CycleTable((), {}, np.zeros(0, np.intp), np.zeros(1, np.intp), {})
+
+
 @per_graph
-def _all_cycles(graph: MultiGraph):
+def _cycle_table(graph: MultiGraph):
     cycles = []
     for anchor, (name, tail, head) in enumerate(graph.edges):
         if tail == head:
@@ -260,8 +289,50 @@ def _all_cycles(graph: MultiGraph):
                     cycles.append(Cycle(steps + ((ename, d),)))
                 elif nxt not in seen:
                     stack.append((nxt, steps + ((ename, d),), seen | {nxt}))
-    cycles.sort(key=lambda c: (len(c), c.steps))
-    return tuple(cycles)
+    cycles = tuple(sorted(cycles, key=lambda c: (len(c), c.steps)))
+    if not cycles:
+        return _NO_CYCLES
+    index = graph.edge_index
+    spans = {}
+    for row, c in enumerate(cycles):
+        spans[len(c)] = (spans.get(len(c), (row,))[0], row + 1)
+    codes = [2 * index[name] + (d < 0) for c in cycles for name, d in c.steps]
+    starts = [0, *accumulate(map(len, cycles))]
+    return _CycleTable(cycles, {c: row for row, c in enumerate(cycles)},
+                       np.array(codes, dtype=np.intp), np.array(starts, dtype=np.intp), spans)
+
+
+def _checked_length(k):
+    # k as a plain int, or None for every cycle.  A length is anything
+    # operator.index takes, numpy integers too, but a bool.
+    if k is None:
+        return None
+    try:
+        length = operator.index(k)
+    except TypeError:
+        length = 0
+    if length < 1 or isinstance(k, bool):
+        raise ValueError(f"cycle length must be an integer of at least 1, got {k!r}")
+    return length
+
+
+def _length_rows(graph: MultiGraph, k):
+    # The rows of the k-cycles in the graph's cycle table (every row for k
+    # None), as a slice; ValueError for what _checked_length refuses.
+    table, k = _cycle_table(graph), _checked_length(k)
+    return slice(*(table.spans.get(k, (0, 0)) if k else (0, len(table.cycles))))
+
+
+@per_graph
+def _signed_incidence(graph: MultiGraph):
+    # The int64 cycle-by-edge table x of the graph's cycle table: entry
+    # (row, e) is +1 or -1 where the row's cycle traverses edge e tail to
+    # head or head to tail, else 0.
+    table = _cycle_table(graph)
+    x = np.zeros((len(table.cycles), len(graph.edges)), dtype=np.int64)
+    rows = np.arange(len(table.cycles)).repeat(table.starts[1:] - table.starts[:-1])
+    x[rows, table.codes >> 1] = 1 - 2 * (table.codes & 1)
+    return x
 
 
 def enumerate_cycles(graph: MultiGraph, k=None):
@@ -276,17 +347,18 @@ def enumerate_cycles(graph: MultiGraph, k=None):
     Returns:
         Tuple of canonical Cycle objects in a fixed deterministic order
         (by length, then lexicographically).
+
+    Raises:
+        ValueError: k is neither None nor an integer of at least 1 (bools
+            and floats are refused).
     """
-    cycles = _all_cycles(graph)
-    if k is None:
-        return cycles
-    return tuple(c for c in cycles if len(c) == k)
+    return _cycle_table(graph).cycles[_length_rows(graph, k)]
 
 
 @per_graph
 def cycle_lengths(graph: MultiGraph):
     """The distinct lengths of the graph's cycles, ascending, as a tuple."""
-    return tuple(sorted({len(c) for c in enumerate_cycles(graph)}))
+    return tuple(_cycle_table(graph).spans)
 
 
 def edge_distance(graph: MultiGraph, d, e):
@@ -294,10 +366,16 @@ def edge_distance(graph: MultiGraph, d, e):
 
     Returns 0 exactly when the edges coincide or share a vertex, and
     INFINITE_DISTANCE when they lie in different components.
+
+    Raises:
+        ValueError: Unknown edge name.
     """
+    index = graph.edge_index
+    for name in (d, e):
+        if name not in index:
+            raise ValueError(f"unknown edge {name!r}")
     if d == e:
         return 0
-    index = graph.edge_index
     return graph._edge_distances[(d, e) if index[d] < index[e] else (e, d)]
 
 

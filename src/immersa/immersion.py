@@ -6,72 +6,58 @@ transversal double points interior to two segments, away from breakpoints
 and vertices, with no triple points and no collinear overlaps.  An exact
 180-degree turn, at a breakpoint or where two edges leave a vertex in one
 direction, is a collinear overlap, so every turn of a valid drawing is
-shorter than pi.  A drawing is one integer point table: numerators and a
-denominator per point.  When every point scaled by the least common
-denominator fits kernels.INT_COORD_LIMIT, the table is int64 on that one
-scale; otherwise it holds Python ints, each point over the lcm of its own
-coordinates' denominators.  The generators (random_immersion and the
-zero-rotation constructor of sp) write their integer lattices flat, in
-table order, and hand them straight to it.  The public constructor fills
-the same table: from points given as tuples of two exact Fractions it reads
-the coordinates' numerators and denominators, one list each, and packs
-each list into int64 in one C-level pass (a term past int64 sends the
-table to Python ints); any other input it coerces point by point as it
-always has, with the same refusals.  vertex_position and edge_polyline are
-Fraction views of the table, built on first read.  Crossing extraction
-decides every drawing on the segment table read off the point table, each
-segment over the lcm of its two points' denominators, and each candidate
-pair is scaled to the lcm of its two segments' denominators.  An exact
-sort-and-sweep prefilter (see kernels) runs its box test on integers: on
-the int64 segment table itself, or on a Python-int table's boxes, rounded
-outward onto one int64 scale by a power of two, so it keeps every touching
-pair at any magnitude.
-classify_pairs decides the surviving pairs exactly, with the same numpy
-code on both dtypes.  A contact between two segments is allowed only at one
-node, an ordinary polyline joint or terminal slots of two edge ends at one
-vertex, and that rule is one numpy comparison.  An ordinary joint, segments
-s and s + 1 of one edge, always meets at its breakpoint, and it breaks the
-rule only by folding back: a zero turn between opposite directions is a
-collinear overlap.  The scan forms every segment's direction and the turn
-at every joint once, as one joint-direction table, and tests the dot
-product only where the turn is zero.  With no fold-back the joints never
-reach classify_pairs; with one, every candidate pair is decided as before,
-so the fold-back's overlap keeps its place in the violations.  When no
-pair is left, as in a drawing whose every candidate pair is a joint, the
-batch costs nothing: classify_pairs is not called, and the crossing and
-contact columns are empty, of the segment table's dtype.  The crossings
-stay one table:
-segment pair, sign and the parameter numerators and denominator per row.
-Validation decides triple points (rows sorted by one float key, segment
-plus half the parameter, with exact comparison only between neighbours
-closer than the key's rounding error) and crossings at breakpoints on its
-integers.  Edge pairs have one key space: the key a * n + b of edge indices
-a <= b (n edges).  The crossings of each pair come off the table by one
-bincount over its rows' keys, as one int64 vector U on all n * n keys;
-sum_crossing is one dot product of U with the family's pair weights, and
-kappa one product with per-graph distance masks.
-The record order (ids, edge-pair keys and geometric signs of the crossings,
-sorted by id) is read off the table by one np.lexsort, with exact
-parameter comparisons only between crossings on one segment of one pair;
-diagrams read it directly.  crossings() is a view: its len() reads the
-table, and Fractions are built only for CrossingRecords, which are made in
-record order once, when the view is first indexed or iterated.
-Rotation numbers count signed passes of the tangent past a fixed direction
-(Whitney 1937), with the same exact sign predicates on the segment table.
+shorter than pi.
 
-Per-cycle numbers come from one table per immersion: the graph's dict from
-each cycle to its row, and the crossing number and rotation number of each
-row, built once the drawing is known to be generic; rotation_number and
-cycle_crossing_number each read it with one lookup.  The crossing numbers
-are one quadratic form of U on a cycle-by-edge incidence table.  The
-rotation numbers take a few whole-array passes over the scan's
-joint-direction table: each segment's half-plane, the passes at every
-polyline joint, from its turn, summed by edge through one prefix sum
-(backward from the forward ones, as the two add up to the change of
-half-plane), and the passes at every corner where one step of a cycle runs
-into the next, gathered through per-graph arrays of the corners' oriented
-steps.  The incidence and corner arrays are kept once per graph, and a
-graph with no cycle, whose table is empty, builds none of them.
+A drawing is one integer point table: numerators and a denominator per
+point.  When every point scaled by the least common denominator fits
+kernels.INT_COORD_LIMIT, the table is int64 on that one scale; otherwise
+it holds Python ints, each point over the lcm of its own coordinates'
+denominators.  The generators (random_immersion and the zero-rotation
+constructor of sp) hand their integer lattices straight to it, and the
+public constructor fills it (see PlaneImmersion); vertex_position and
+edge_polyline are Fraction views of it, built on first read.  Crossing
+extraction decides every drawing on the segment table read off the point
+table, each segment over the lcm of its two points' denominators, and
+each candidate pair is scaled to the lcm of its two segments'
+denominators.  An exact sort-and-sweep prefilter (see kernels) runs its
+box test on integers: on the int64 segment table itself, or on a
+Python-int table's boxes, rounded outward onto one int64 scale by a power
+of two, so it keeps every touching pair at any magnitude.  classify_pairs
+decides the surviving pairs exactly, with the same numpy code on both
+dtypes.  A contact between two segments is allowed only at one node, an
+ordinary polyline joint or terminal slots of two edge ends at one vertex,
+and that rule is one numpy comparison.  An ordinary joint breaks it only
+by folding back, a zero turn between opposite directions.  The scan forms
+every segment's direction and the turn at every joint once, as one
+joint-direction table, so with no fold-back the joints never reach
+classify_pairs, and an empty batch calls nothing.  The crossings stay one
+table: segment pair, sign and the parameter numerators and denominator
+per row.  Validation decides triple points (rows sorted by one float key,
+with exact comparison only between neighbours closer than its rounding
+error) and crossings at breakpoints on its integers.
+
+Edge pairs have one key space: the key a * n + b of edge indices a <= b
+(n edges).  The crossings of each pair come off the table by one bincount
+over its rows' keys, as one int64 vector U on all n * n keys; sum_crossing
+is one dot product of U with the family's pair weights, and kappa one
+product with per-graph distance masks.  The record order (ids, edge-pair
+keys and geometric signs of the crossings, sorted by id) is read off the
+table by one np.lexsort, with exact parameter comparisons only between
+crossings on one segment of one pair; diagrams read it directly.
+crossings() is a view: Fractions are built only for CrossingRecords, made
+in record order once, when the view is first indexed or iterated.
+
+Per-cycle numbers come from one table per immersion: the crossing number
+and rotation number of each row of the graph's cycle table (see graphs),
+built once the drawing is known to be generic, and read with one lookup
+per cycle or one slice per length.  The crossing numbers are one
+quadratic form of U on the incidence table |x|.  Rotation numbers count
+signed passes of the tangent past +x (Whitney 1937), in a few whole-array
+passes over the joint-direction table: the passes at every polyline joint,
+summed by edge through one prefix sum, and those at every corner where one
+step of a cycle runs into the next, gathered through per-graph arrays read
+off the cycle table's step codes.  A graph with no cycle builds none of
+those arrays.
 """
 
 from __future__ import annotations
@@ -80,7 +66,6 @@ import math
 import operator
 import random
 import struct
-from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -90,9 +75,18 @@ from itertools import chain
 import numpy as np
 
 from . import kernels
-from .census import _checked_length, _key, _weights
+from .census import _key, _weights
 from .geometry import as_point
-from .graphs import INFINITE_DISTANCE, Cycle, MultiGraph, enumerate_cycles, per_graph
+from .graphs import (
+    INFINITE_DISTANCE,
+    Cycle,
+    MultiGraph,
+    _cycle_table,
+    _length_rows,
+    _signed_incidence,
+    enumerate_cycles,
+    per_graph,
+)
 
 
 @dataclass(frozen=True)
@@ -324,19 +318,6 @@ class PlaneImmersion:
         distances, masks = _distance_masks(self.graph)
         return dict(zip(distances, (masks @ self._pair_counts).tolist()))
 
-    @property
-    def _pair_crossings(self):
-        # (a, b) in edge-index order (a == b for self) -> crossing count,
-        # for the pairs that cross, in that order.
-        if not len(self._scan[1].left):
-            return {}
-        names = self.graph.edge_names
-        n = len(names)
-        counts = self._pair_counts
-        keys = counts.nonzero()[0]
-        return {(names[p // n], names[p % n]): c
-                for p, c in zip(keys.tolist(), counts[keys].tolist())}
-
     @cached_property
     def _record_order(self):
         # The _RecordOrder of a generic drawing, by id: by edge pair in index
@@ -402,14 +383,14 @@ class PlaneImmersion:
     @cached_property
     def _cycle_table(self):
         # (rows, crossing numbers, rotation numbers) of a generic drawing:
-        # rows is its graph's dict from each cycle to its row, in the order
-        # of enumerate_cycles, and the two lists hold each row's numbers.
-        # ValueError when not generic.
+        # rows is its graph's cycle table's dict from cycle to row, and the
+        # lists hold each row's numbers.  ValueError when not generic.
         _require_valid(self)
         # An acyclic graph builds no index arrays.
         if not enumerate_cycles(self.graph):
             return {}, [], []
-        index = _cycle_index(self.graph)
+        table = _cycle_table(self.graph)
+        x, corner_steps, corner_ids = _cycle_index(self.graph)
         n = len(self.graph.edges)
         # With x a cycle's row of the incidence table and U[a, b] the
         # crossings of edges a <= b (in edge order), the cycle crosses
@@ -417,7 +398,6 @@ class PlaneImmersion:
         # of at most the drawing's crossing count, far below 2**53, so
         # float64 holds each exactly and the products run on BLAS.
         upper = self._pair_counts.reshape(n, n).astype(np.float64)
-        x = index.incidence
         crossing = np.einsum("ij,ij->i", x @ upper, x).astype(np.int64)
 
         # A cycle's rotation number adds up over its corners: the passes
@@ -450,11 +430,11 @@ class PlaneImmersion:
         step_up = _upward(sx, sy)
         # A corner leaves step a by its last direction, the reverse of the
         # first direction of step a ^ 1, and enters step b.
-        ra, b = index.corner_steps
+        ra, b = corner_steps
         corner = _passes_past_x(~step_up[ra], step_up[b],
                                 sx[b] * sy[ra] - sy[b] * sx[ra]) + inner[b]
-        rotation = np.add.reduceat(corner[index.corner_ids], index.corner_starts)
-        return index.rows, crossing.tolist(), rotation.tolist()
+        rotation = np.add.reduceat(corner[corner_ids], table.starts[:-1])
+        return table.rows, crossing.tolist(), rotation.tolist()
 
 
 def _upward(dx, dy):
@@ -1003,55 +983,22 @@ def _require_valid(imm):
         raise ValueError(f"immersion is not generic: {report.summary()}")
 
 
-@dataclass(frozen=True)
-class _CycleIndex:
-    """The index arrays through which an immersion fills its cycle table.
-
-    Attributes:
-        rows: Each of the graph's cycles -> its row, in the order of
-            enumerate_cycles.
-        lengths: Cycle length of each, ascending.
-        incidence: float64 cycle-by-edge table: entry (row, e) is 1 when
-            edge e (in edge order) lies on the row's cycle, else 0.
-        corner_steps: intp array of shape (2, m): column k holds a ^ 1
-            and b for corner k, where a and b are oriented steps that follow
-            each other on a cycle traversed in its canonical orientation.
-            Step 2e is edge e traversed tail to head and step 2e + 1 head to
-            tail, so a ^ 1 is step a reversed.
-        corner_ids: Cycle by cycle, the index in corner_steps of each of
-            its corners, one per step.
-        corner_starts: Offset of each cycle's run in corner_ids.
-    """
-
-    rows: dict
-    lengths: list
-    incidence: np.ndarray
-    corner_steps: np.ndarray
-    corner_ids: np.ndarray
-    corner_starts: np.ndarray
-
-
 @per_graph
 def _cycle_index(graph):
-    index = graph.edge_index
-    n = len(index)
-    cycles = enumerate_cycles(graph)
-    cells = []
-    corners, corner_ids, corner_starts = {}, [], []
-    for row, c in enumerate(cycles):
-        steps = [2 * index[name] + (d < 0) for name, d in c.steps]
-        cells.extend(row * n + step // 2 for step in steps)
-        corner_starts.append(len(corner_ids))
-        for corner in zip(steps[-1:] + steps[:-1], steps):
-            corner_ids.append(corners.setdefault(corner, len(corners)))
-    incidence = np.zeros(len(cycles) * n)
-    incidence[cells] = 1
-    steps = np.array(list(corners), dtype=np.intp).reshape(-1, 2).T ^ np.array([[1], [0]])
-    return _CycleIndex(
-        {c: row for row, c in enumerate(cycles)}, [len(c) for c in cycles],
-        incidence.reshape(len(cycles), n), steps,
-        np.array(corner_ids, dtype=np.intp), np.array(corner_starts, dtype=np.intp),
-    )
+    # (|x| as float64, corner_steps, corner_ids) off the graph's cycle table:
+    # column k of corner_steps holds a ^ 1 (a reversed) and b, for steps a
+    # and b that follow on a cycle; corner_ids, the corner into each code.
+    table = _cycle_table(graph)
+    incidence = np.abs(_signed_incidence(graph)).astype(np.float64)
+    # The step before each step on its cycle, the last before the first.
+    before = np.arange(-1, len(table.codes) - 1)
+    before[table.starts[:-1]] = table.starts[1:] - 1
+    # Corners deduplicated on their keys a * m + b (m steps), ascending.
+    m = 2 * len(graph.edges)
+    key = table.codes[before] * m + table.codes
+    present = np.bincount(key, minlength=m * m) > 0
+    corners = present.nonzero()[0]
+    return incidence, np.array((corners // m ^ 1, corners % m)), present.cumsum()[key] - 1
 
 
 def _cycle_error(imm, cycle):
@@ -1174,14 +1121,7 @@ def rotation_sum(imm: PlaneImmersion, k) -> int:
         ValueError: Invalid immersion, or k neither None nor an integer of
             at least 1 (bools, floats and strings are refused).
     """
-    rotation = imm._cycle_table[2]
-    if k is not None:
-        k = _checked_length(k)
-        if rotation:
-            # Cycles are sorted by length, so the k-cycles are one slice.
-            lengths = _cycle_index(imm.graph).lengths
-            rotation = rotation[bisect_left(lengths, k):bisect_right(lengths, k)]
-    return sum(rotation)
+    return sum(imm._cycle_table[2][_length_rows(imm.graph, k)])
 
 
 def _randint(getrandbits, lo, hi):

@@ -16,10 +16,8 @@ maps; they preserve crossings, height monotonicity and rotation numbers,
 and the glued drawing goes to the immersion as one integer lattice.  Loop
 edges become small figure eights: the only closed curves with zero
 rotation, so loop blocks carry no height certificate.  Every construction is
-audited once, on the assembled drawing, before it is returned: the
-immersion must validate, its crossings within each block must equal the
-predicted multiset, the height certificates must hold, and every cycle must
-have rotation number exactly zero.
+audited once, on the assembled drawing, before it is returned (see
+construct_zero_rotation).
 """
 
 from __future__ import annotations
@@ -671,15 +669,7 @@ def zero_rotation_certificates(graph: MultiGraph):
         if not report.ok:
             failure = report.summary()
             continue
-        block_of = {name: i for i, piece in enumerate(pieces)
-                    for name in piece.block.edge_names}
-        actual = Counter({pair: n for pair, n in immersion._pair_crossings.items()
-                          if block_of[pair[0]] == block_of[pair[1]]})
-        predicted = sum((piece.predicted for piece in pieces), Counter())
-        if actual != predicted:
-            raise RuntimeError(
-                f"crossing audit failed: predicted {dict(predicted)}, got {dict(actual)}"
-            )
+        _audit_crossings(graph, pieces, immersion._pair_counts)
         certificates = []
         for i, piece in enumerate(pieces):
             if not piece.terminals:
@@ -695,6 +685,24 @@ def zero_rotation_certificates(graph: MultiGraph):
     raise RuntimeError(
         f"no generic block placement in {_MAX_PLACEMENTS} attempts: {failure}"
     )
+
+
+def _audit_crossings(graph, pieces, counts):
+    # The pieces' predicted crossings, mapped to the keys a * n + b, against
+    # the drawing's counts U at the keys of two edges of one block.
+    index, n = graph.edge_index, len(graph.edges)
+    predicted = sum((piece.predicted for piece in pieces), Counter())
+    expected = {index[d] * n + index[e]: c for (d, e), c in predicted.items()}
+    block = [0] * n
+    for i, piece in enumerate(pieces):
+        for name in piece.block.edge_names:
+            block[index[name]] = i
+    keys = counts.nonzero()[0].tolist()
+    actual = {p: c for p, c in zip(keys, counts[keys].tolist()) if block[p // n] == block[p % n]}
+    if actual != expected:
+        names = graph.edge_names
+        got = {(names[p // n], names[p % n]): c for p, c in actual.items()}
+        raise RuntimeError(f"crossing audit failed: predicted {dict(predicted)}, got {got}")
 
 
 def verify_zero(immersion: PlaneImmersion):

@@ -21,7 +21,6 @@ from immersa.census import (
     census_table,
     check_sum_divisibility,
     check_sum_invariance,
-    enumerate_cycles,
 )
 from immersa.diagrams import (
     L_invariant,
@@ -37,6 +36,7 @@ from immersa.graphs import (
     complete_bipartite_graph,
     complete_graph,
     edge_pairs_at_distance,
+    enumerate_cycles,
     has_K4_minor,
     heawood_graph,
     multi_triangle,

@@ -17,6 +17,7 @@ from immersa.census import (
 from immersa.graphs import (
     complete_bipartite_graph,
     complete_graph,
+    edge_distance,
     edge_pairs_at_distance,
     enumerate_cycles,
     heawood_graph,
@@ -158,6 +159,21 @@ def test_beta_examples_and_antisymmetry():
 
     with pytest.raises(ValueError):
         beta(pg, 5, "u1u2", "u1v1")  # adjacent, not disjoint
+
+
+def test_pair_helpers_refuse_unknown_edges():
+    pg = petersen_graph()
+    calls = (
+        lambda d, e: edge_distance(pg, d, e),
+        lambda d, e: pair_orientation_convention(pg, d, e),
+        lambda d, e: beta(pg, 5, d, e),
+    )
+    for call in calls:
+        for d, e in (("u1u2", "zz"), ("zz", "u1u2"), ("zz", "zz")):
+            with pytest.raises(ValueError, match="unknown edge 'zz'"):
+                call(d, e)
+    with pytest.raises(ValueError, match="is not a disjoint pair"):
+        pair_orientation_convention(pg, "u1u2", "u1u2")
 
 
 def test_beta_bounded_by_alpha():

@@ -71,7 +71,7 @@ def test_similarity_keeps_crossings_and_rotations(name, seed, k, shift):
     factor = 10**k
     moved = similar(imm, factor, shift)
     assert validate(moved) == validate(imm)
-    assert list(moved._pair_crossings.items()) == list(imm._pair_crossings.items())
+    assert moved._pair_counts.tolist() == imm._pair_counts.tolist()
     before, after = crossings(imm), crossings(moved)
     assert [(r.id, r.geometric_sign) for r in after] == [
         (r.id, r.geometric_sign) for r in before]

@@ -97,10 +97,10 @@ class TestHeawoodRing:
         imm = standard_immersion("HG-ring")
         rim = {f"u{i}v{i}" for i in range(1, 8)}
         rim |= {f"u{i}v{i % 7 or 7}" for i in range(1, 8)}
-        counts = imm._pair_crossings
-        assert not any(
-            key for key in counts if key[0] in rim or key[1] in rim
-        )
+        n = len(imm.graph.edges)
+        counts = imm._pair_counts.reshape(n, n)
+        on_rim = [imm.graph.edge_index[name] for name in rim]
+        assert counts.sum() and not counts[on_rim].any() and not counts[:, on_rim].any()
 
 
 class TestK33Hexagon:

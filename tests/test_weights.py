@@ -14,8 +14,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from immersa import immersion
+from immersa import graphs, immersion
 from immersa.census import (
+    alpha,
+    beta,
     census_table,
     check_sum_divisibility,
     check_sum_invariance,
@@ -169,7 +171,15 @@ def test_cycle_table_matches_per_cycle_oracles(name):
 def test_crossing_and_rotation_sums_refuse_the_same_lengths(k):
     f = random_immersion(complete_graph(4), 1)
     lift = random_lift(f, seed=1)
-    for total in (sum_crossing, rotation_sum, lambda f, k: tb(lift, k)):
+    g = f.graph
+    for total in (sum_crossing, rotation_sum, lambda f, k: tb(lift, k),
+                  lambda f, k: enumerate_cycles(g, k),
+                  lambda f, k: beta(g, k, "v1v2", "v3v4"),
+                  lambda f, k: alpha(g, k, "v1v2"),
+                  lambda f, k: alpha(g, k, ("v1v2", "v3v4")),
+                  lambda f, k: tb_ratio(g, 3, k),
+                  lambda f, k: tb_ratio(g, k, 3),
+                  lambda f, k: census_table(g, [3, k])):
         with pytest.raises(ValueError, match="cycle length must be an integer of at least 1"):
             total(f, k)
 
@@ -265,13 +275,44 @@ def test_acyclic_graphs_build_no_cycle_index(case):
     for call in (cycle_crossing_number, rotation_number):
         with pytest.raises(ValueError, match="cycle does not belong to the graph"):
             call(f, foreign)
-    assert all(key[0] is not immersion._cycle_index for key in graph._memo)
+    # The graph shares the one empty cycle table and builds no cycle arrays.
+    assert graphs._cycle_table(graph) is graphs._NO_CYCLES
+    assert all(key[0] not in (immersion._cycle_index, graphs._signed_incidence)
+               for key in graph._memo)
     # Every vertex at one point: not generic, and the table still says so.
     at_zero = PlaneImmersion(graph, {v: (0, 0) for v in graph.vertices},
                              {name: ((0, 0), (1, 1), (0, 0)) for name in graph.edge_names})
     for read in (lambda f: f._cycle_table, lambda f: rotation_sum(f, None), verify_zero):
         with pytest.raises(ValueError, match="immersion is not generic"):
             read(at_zero)
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_cycle_table_rows_decode_to_the_enumerated_cycles(name):
+    graph = GRAPHS[name]()
+    table = graphs._cycle_table(graph)
+    cycles = enumerate_cycles(graph)
+    assert table.cycles is cycles and table.starts[-1] == len(table.codes)
+    names = graph.edge_names
+    for row, c in enumerate(cycles):
+        codes = table.codes[table.starts[row]:table.starts[row + 1]].tolist()
+        assert tuple((names[code // 2], 1 - 2 * (code % 2)) for code in codes) == c.steps
+        assert table.rows[c] == row
+    assert len(table.rows) == len(cycles)
+    # The spans cover the rows in order, each one length, each length once.
+    assert list(table.spans) == sorted({len(c) for c in cycles})
+    spans = table.spans.items()
+    assert [row for _, (lo, hi) in spans for row in range(lo, hi)] == list(range(len(cycles)))
+    for k, (lo, hi) in spans:
+        assert lo < hi and {len(c) for c in cycles[lo:hi]} == {k}
+        assert enumerate_cycles(graph, k) == cycles[lo:hi]
+    # The signed incidence table, row by row from the names.
+    x = graphs._signed_incidence(graph)
+    for row, c in enumerate(cycles):
+        want = [0] * len(names)
+        for edge, d in c.steps:
+            want[graph.edge_index[edge]] = d
+        assert x[row].tolist() == want
 
 
 def direct_counts(graph, cycles):
